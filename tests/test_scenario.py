@@ -219,3 +219,63 @@ class TestHashing:
         a = parse_scenario('{"walker": {"altitude_km": 900}}')
         b = parse_scenario('{"walker": {"altitude_km": 900.0}}')
         assert scenario_hash(a) == scenario_hash(b)
+
+
+#: Scenario hashes recorded before the schema was derived from the section
+#: dataclasses; together the cases touch every section and value kind.
+PINNED_HASHES = [
+    ("{}", "f79e776ef9bfd35c523aa872234d080f258b4361e937c4f55e6ac5505e6a1cea"),
+    (
+        '{"earth": {"radius_km": 6371.0, "mu_km3_s2": 398600.0,'
+        ' "rotation_rate_rad_s": 7.3e-05},'
+        ' "walker": {"total_sats": 24, "planes": 6, "phasing": 2, "altitude_km": 20182,'
+        ' "inclination_deg": 55, "raan_spread_deg": 360}}',
+        "982084c5a8c84507887a596a7c4787a88870f1881356500fc22d3a2433cdc846",
+    ),
+    (
+        '{"walker": {"total_sats": 120, "planes": null, "phasing": 0,'
+        ' "altitude_km": 750.5},'
+        ' "grid": {"scheme": "latlon", "resolution": 200},'
+        ' "window": {"duration_s": 3600, "step_s": 600}}',
+        "0da19567f56b978387ab3115f5624ead6c846470d3e11b5b1eda5407797669ad",
+    ),
+    (
+        '{"sweep": {"sizes": [24, 36.0, 48], "altitudes_km": [800, 1000.5],'
+        ' "mask_deg": 10, "percentile": 99.5, "aggregation": "worst_site"}}',
+        "25cc4c1f043660729ddf0c2d31230fdb9e72b91c28b91027350720285e446120",
+    ),
+    (
+        '{"link": {"reference": "L5", "frequency_hz": 2400000000.0,'
+        ' "meo_altitude_km": 20182, "elevation_deg": 45,'
+        ' "pathloss_altitudes_km": [500, 1000.25], "footprint_altitudes_km": [700],'
+        ' "footprint_masks_deg": [0, 10, 30]}}',
+        "84958a205c9060999e42638a9384fbf00d31855138efadc57ab10c98edeb1ff2",
+    ),
+    (
+        '{"jammer": {"ref_power_w": 0.02, "ref_radius_m": 150, "margins_db": [0, 7.5],'
+        ' "report_power_w": 1, "report_radius_m": 250},'
+        ' "materials": {"wood_db": 9, "brick_db": 12.5, "concrete_db": 16,'
+        ' "glass_db": 3, "container_db": 30}}',
+        "0da9677a6cf1ca1e7f1b2e0cd4ca91da61efc384c565b7482bec3dccdc319e2e",
+    ),
+    (
+        '{"payload": {"total_payload_w": 500, "rf_output_w_low": 100,'
+        ' "rf_output_w_high": 150.5, "pa_efficiency": 0.6, "n_signals": 4,'
+        ' "leo_signals": 3, "overhead_low": 0.1, "overhead_high": 0.5,'
+        ' "clocks": [{"name": "csac", "unit_power_w": 0.12, "count": 3},'
+        ' {"name": "uso", "unit_power_w": 5}]}}',
+        "c999af71148169f34c9d360f22acb727326977edaee53d747b621f9959abf9f5",
+    ),
+    (
+        '{"earth": {"radius_km": 1737.4, "mu_km3_s2": 4902.8,'
+        ' "rotation_rate_rad_s": 2.6617e-06},'
+        ' "walker": {"total_sats": 60, "altitude_km": 100},'
+        ' "link": {"frequency_hz": null}}',
+        "8fcafe6577bf49401557d7366bac65fbf9744d75dfb917a704afb87d3ebe3948",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, digest", PINNED_HASHES)
+def test_pinned_scenario_hashes(text, digest):
+    assert scenario_hash(parse_scenario(text)) == digest
