@@ -44,11 +44,9 @@ from .orbits import (
 )
 from .payload import (
     ClockUnit,
-    LeoPayloadEstimate,
     PayloadHeritage,
     clock_budget_w,
     gnss_equivalent_power_w,
-    leo_payload_estimate,
     leo_payload_power_w,
     per_signal_bus_power_w,
     signal_generation_w,

@@ -66,11 +66,8 @@ class CircularElements:
     initial_anomaly_rad: float
 
     def __post_init__(self) -> None:
-        if self.semimajor_km <= EARTH.radius_km:
-            raise ValueError(
-                f"semimajor_km ({self.semimajor_km}) must exceed the Earth radius "
-                f"({EARTH.radius_km} km)"
-            )
+        if self.semimajor_km <= 0.0:
+            raise ValueError(f"semimajor_km ({self.semimajor_km}) must be strictly positive")
         object.__setattr__(self, "raan_rad", self.raan_rad % _TWO_PI)
         object.__setattr__(
             self, "initial_anomaly_rad", self.initial_anomaly_rad % _TWO_PI
@@ -153,6 +150,11 @@ def walker_constellation(
     degrees.  All satellites share altitude and inclination.
     """
     semimajor = earth.radius_km + spec.altitude_km
+    if semimajor <= earth.radius_km:
+        raise ValueError(
+            f"semimajor_km ({semimajor}) must exceed the Earth radius "
+            f"({earth.radius_km} km)"
+        )
     inc = math.radians(spec.inclination_deg)
     per_plane = spec.sats_per_plane
     in_plane_step = 360.0 * spec.planes / spec.total_sats

@@ -69,7 +69,10 @@ class ResultEnvelope:
 def utc_timestamp() -> str:
     """ISO-8601 UTC second timestamp; SOURCE_DATE_EPOCH pins it when set."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    seconds = int(epoch) if epoch else int(time.time())
+    try:
+        seconds = int(epoch) if epoch else int(time.time())
+    except ValueError:
+        raise ValueError(f"SOURCE_DATE_EPOCH ({epoch!r}) must be an integer") from None
     return (
         datetime.fromtimestamp(seconds, tz=timezone.utc)
         .strftime("%Y-%m-%dT%H:%M:%SZ")

@@ -8,7 +8,6 @@ given the LEO footprint advantage.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -66,10 +65,6 @@ class PayloadHeritage:
 
 DEFAULT_HERITAGE = PayloadHeritage()
 
-#: Footprint advantage assumed for GNSS-equivalent conversion when no
-#: computed gain range is supplied: 4x to 10x, in dB.
-DEFAULT_GAIN_DB_RANGE = (10.0 * math.log10(4.0), 10.0)
-
 
 def clock_budget_w(clocks: tuple[ClockUnit, ...]) -> float:
     """Total clock-suite power: sum of unit power times unit count."""
@@ -97,7 +92,7 @@ def per_signal_bus_power_w(
 def leo_payload_power_w(
     n_signals: int,
     per_signal_w: float,
-    overhead_range: tuple[float, float] = (0.0, 0.9),
+    overhead_range: tuple[float, float],
 ) -> tuple[float, float]:
     """Bus-power range of an n-signal LEO payload with integration overhead.
 
@@ -119,7 +114,7 @@ def leo_payload_power_w(
 
 def gnss_equivalent_power_w(
     leo_total_w_range: tuple[float, float],
-    footprint_gain_db_range: tuple[float, float] = DEFAULT_GAIN_DB_RANGE,
+    footprint_gain_db_range: tuple[float, float],
 ) -> tuple[float, float]:
     """Power delivering GNSS-equivalent signal strength from LEO.
 
@@ -140,49 +135,3 @@ def gnss_equivalent_power_w(
             f"0 <= low <= high"
         )
     return (p_high / 10.0 ** (g_high / 10.0), p_high / 10.0 ** (g_low / 10.0))
-
-
-@dataclass(frozen=True)
-class LeoPayloadEstimate:
-    """Derived LEO payload budget and its GNSS-equivalent envelope."""
-
-    n_signals: int
-    per_signal_bus_w: float
-    overhead_range: tuple[float, float]
-    total_bus_w_range: tuple[float, float]
-    gnss_equivalent_w_range: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        if self.overhead_range[0] < 0.0:
-            raise ValueError(
-                f"overhead_range ({self.overhead_range}) must be non-negative"
-            )
-        for name in ("total_bus_w_range", "gnss_equivalent_w_range"):
-            low, high = getattr(self, name)
-            if not 0.0 < low <= high:
-                raise ValueError(f"{name} ({(low, high)}) must satisfy 0 < low <= high")
-
-
-def leo_payload_estimate(
-    heritage: PayloadHeritage = DEFAULT_HERITAGE,
-    n_signals: int = 2,
-    overhead_range: tuple[float, float] = (0.0, 0.9),
-    footprint_gain_db_range: tuple[float, float] = DEFAULT_GAIN_DB_RANGE,
-) -> LeoPayloadEstimate:
-    """Full heritage-to-LEO pipeline with default two-signal scaling.
-
-    The per-signal figure uses the heritage RF output's upper endpoint
-    (the conservative headline number).
-    """
-    per_signal = per_signal_bus_power_w(
-        heritage.rf_output_w_high, heritage.n_signals, heritage.pa_efficiency
-    )
-    total = leo_payload_power_w(n_signals, per_signal, overhead_range)
-    gnss = gnss_equivalent_power_w(total, footprint_gain_db_range)
-    return LeoPayloadEstimate(
-        n_signals=n_signals,
-        per_signal_bus_w=per_signal,
-        overhead_range=overhead_range,
-        total_bus_w_range=total,
-        gnss_equivalent_w_range=gnss,
-    )

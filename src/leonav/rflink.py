@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .orbits import EARTH
+
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
 #: Carrier frequencies selectable by name in link parameters.
@@ -22,9 +24,6 @@ BAND_HZ = {
 #: Constellation altitudes used as MEO comparison points (km).
 GPS_ALTITUDE_KM = 20182.0
 GALILEO_ALTITUDE_KM = 23222.0
-
-_EARTH_RADIUS_KM = 6378.137
-
 
 @dataclass(frozen=True)
 class LinkParams:
@@ -64,7 +63,7 @@ def fspl_db(distance_km: float, frequency_hz: float) -> float:
 
 
 def slant_range_km(
-    altitude_km: float, elevation_deg: float, earth_radius_km: float = _EARTH_RADIUS_KM
+    altitude_km: float, elevation_deg: float, earth_radius_km: float = EARTH.radius_km
 ) -> float:
     """Distance from a ground site to a satellite seen at a given elevation.
 
@@ -82,7 +81,7 @@ def slant_range_km(
 
 
 def coverage_half_angle_rad(
-    altitude_km: float, mask_deg: float, earth_radius_km: float = _EARTH_RADIUS_KM
+    altitude_km: float, mask_deg: float, earth_radius_km: float = EARTH.radius_km
 ) -> float:
     """Earth-central half angle of the cap a satellite covers above a mask."""
     if altitude_km <= 0.0:
@@ -95,7 +94,7 @@ def coverage_half_angle_rad(
 
 
 def footprint_area_km2(
-    altitude_km: float, mask_deg: float = 0.0, earth_radius_km: float = _EARTH_RADIUS_KM
+    altitude_km: float, mask_deg: float = 0.0, earth_radius_km: float = EARTH.radius_km
 ) -> float:
     """Spherical-cap area (km^2) visible above the elevation mask.
 
@@ -111,7 +110,7 @@ def footprint_gain_db(
     leo_altitude_km: float,
     meo_altitude_km: float = GALILEO_ALTITUDE_KM,
     mask_deg: float = 0.0,
-    earth_radius_km: float = _EARTH_RADIUS_KM,
+    earth_radius_km: float = EARTH.radius_km,
 ) -> float:
     """Power-density advantage of serving a smaller footprint from LEO.
 

@@ -5,20 +5,34 @@ window, link, jammer, materials, payload, sweep); an empty object is a
 complete, valid scenario at the documented desk-scale defaults.  Unknown
 keys are errors unless lenient parsing is requested, in which case they
 are reported and ignored.
+
+Each section is a frozen dataclass whose field names are the JSON keys,
+whose defaults are the defaults and whose annotations are the accepted
+types.  The parser, the known keys and the canonical form behind the
+hash are all derived from those fields.  Numbers must be finite and
+integers integral; a number is strictly positive and an integer at least
+1 unless the field's metadata states another rule; lists must not be
+empty, and a rule on a list field applies to each entry.  Cross-field
+rules live in ``__post_init__``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
 import sys
-from dataclasses import dataclass
-from typing import Any
+import typing
+from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from .geometry import TimeWindow
 from .orbits import EarthModel
 from .payload import ClockUnit, PayloadHeritage
 from .rflink import (
+    DEFAULT_JAMMER_CALIBRATION,
+    DEFAULT_MATERIALS,
     GALILEO_ALTITUDE_KM,
     GPS_ALTITUDE_KM,
     JammerCalibration,
@@ -31,21 +45,41 @@ class ScenarioError(ValueError):
     """A scenario file failed validation; the message names the key at fault."""
 
 
+def _rule(default: Any, text: str, ok: Callable[[Any], bool]) -> Any:
+    """A field whose parsed value (each entry, for a list) must satisfy ``ok``."""
+    return field(default=default, metadata={"rule": (text, ok)})
+
+
+def _one_of(*allowed: str) -> Any:
+    """A string field that defaults to the first allowed value."""
+    return _rule(allowed[0], f"one of {sorted(allowed)}", allowed.__contains__)
+
+
+def _non_negative(default: Any) -> Any:
+    return _rule(default, ">= 0", lambda v: v >= 0)
+
+
 @dataclass(frozen=True)
 class WalkerConfig:
     """Constellation defaults: the single-run design and sweep conventions."""
 
     total_sats: int = 300
     planes: int | None = None
-    phasing: int = 1
+    phasing: int = _non_negative(1)
     altitude_km: float = 900.0
-    inclination_deg: float = 90.0
-    raan_spread_deg: float = 180.0
+    inclination_deg: float = _rule(90.0, "in [0, 180]", lambda v: 0.0 <= v <= 180.0)
+    raan_spread_deg: float = _rule(180.0, "180 or 360", lambda v: v in (180.0, 360.0))
+
+    def __post_init__(self) -> None:
+        if self.planes and self.total_sats % self.planes != 0:
+            raise ValueError(
+                f"planes ({self.planes}) does not divide total_sats ({self.total_sats})"
+            )
 
 
 @dataclass(frozen=True)
 class GridConfig:
-    scheme: str = "fibonacci"
+    scheme: str = _one_of("fibonacci", "latlon")
     resolution: int = 500
 
 
@@ -55,19 +89,19 @@ class SweepConfig:
 
     sizes: tuple[int, ...] = (200, 250, 300, 350, 400)
     altitudes_km: tuple[float, ...] = (600.0, 800.0, 1000.0, 1200.0, 1400.0)
-    mask_deg: float = 5.0
-    percentile: float = 95.0
-    aggregation: str = "pooled"
+    mask_deg: float = _rule(5.0, "in [0, 90)", lambda v: 0.0 <= v < 90.0)
+    percentile: float = _rule(95.0, "in (0, 100]", lambda v: 0.0 < v <= 100.0)
+    aggregation: str = _one_of("pooled", "worst_site")
 
 
 @dataclass(frozen=True)
 class LinkConfig:
     """Carrier plus the altitude/mask samplings of the RF curve reports."""
 
-    reference: str = "L1"
+    reference: str = _one_of("L1", "L2", "L5")
     frequency_hz: float | None = None
     meo_altitude_km: float = GALILEO_ALTITUDE_KM
-    elevation_deg: float = 90.0
+    elevation_deg: float = _rule(90.0, "in [0, 90]", lambda v: 0.0 <= v <= 90.0)
     pathloss_altitudes_km: tuple[float, ...] = (
         500.0, 700.0, 1000.0, 1400.0, 2000.0, 3000.0, 5000.0, 8000.0,
         12000.0, GPS_ALTITUDE_KM, GALILEO_ALTITUDE_KM,
@@ -75,7 +109,9 @@ class LinkConfig:
     footprint_altitudes_km: tuple[float, ...] = (
         500.0, 600.0, 700.0, 800.0, 900.0, 1000.0, 1100.0, 1200.0, 1300.0, 1400.0,
     )
-    footprint_masks_deg: tuple[float, ...] = (0.0, 30.0)
+    footprint_masks_deg: tuple[float, ...] = _rule(
+        (0.0, 30.0), "in [0, 90)", lambda v: 0.0 <= v < 90.0
+    )
 
     @property
     def params(self) -> LinkParams:
@@ -86,9 +122,9 @@ class LinkConfig:
 class JammerConfig:
     """Inverse-square model anchor plus the margins/columns of the report."""
 
-    ref_power_w: float = 0.01
-    ref_radius_m: float = 100.0
-    margins_db: tuple[float, ...] = (0.0, 5.0, 10.0, 20.0, 30.0)
+    ref_power_w: float = DEFAULT_JAMMER_CALIBRATION.ref_power_w
+    ref_radius_m: float = DEFAULT_JAMMER_CALIBRATION.ref_radius_m
+    margins_db: tuple[float, ...] = _non_negative((0.0, 5.0, 10.0, 20.0, 30.0))
     report_power_w: float = 0.5
     report_radius_m: float = 100.0
 
@@ -99,14 +135,64 @@ class JammerConfig:
         )
 
 
+_WALLS = dict(DEFAULT_MATERIALS.walls)
+
+
+@dataclass(frozen=True)
+class MaterialsConfig:
+    """One-pass wall losses (dB); ``table`` is the domain loss table."""
+
+    wood_db: float = _WALLS["wood"]
+    brick_db: float = _WALLS["brick"]
+    concrete_db: float = _WALLS["concrete"]
+    glass_db: float = _WALLS["glass"]
+    container_db: float = _WALLS["container"]
+
+    @property
+    def table(self) -> MaterialLossTable:
+        return MaterialLossTable(walls=tuple(
+            (f.name.removesuffix("_db"), getattr(self, f.name))
+            for f in dataclasses.fields(self)
+        ))
+
+
+_HERITAGE = PayloadHeritage()
+
+
 @dataclass(frozen=True)
 class PayloadConfig:
     """Heritage payload figures plus the LEO scaling knobs."""
 
-    heritage: PayloadHeritage = PayloadHeritage()
+    total_payload_w: float = _HERITAGE.total_payload_w
+    rf_output_w_low: float = _HERITAGE.rf_output_w_low
+    rf_output_w_high: float = _HERITAGE.rf_output_w_high
+    pa_efficiency: float = _rule(
+        _HERITAGE.pa_efficiency, "in (0, 1]", lambda v: 0.0 < v <= 1.0
+    )
+    n_signals: int = _HERITAGE.n_signals
+    clocks: tuple[ClockUnit, ...] = _HERITAGE.clocks
     leo_signals: int = 2
-    overhead_low: float = 0.0
-    overhead_high: float = 0.9
+    overhead_low: float = _non_negative(0.0)
+    overhead_high: float = _non_negative(0.9)
+
+    def __post_init__(self) -> None:
+        if self.overhead_high < self.overhead_low:
+            raise ValueError(
+                f"overhead range ({self.overhead_low}, {self.overhead_high}) "
+                f"must satisfy low <= high"
+            )
+        self.heritage  # PayloadHeritage checks the heritage figures
+
+    @property
+    def heritage(self) -> PayloadHeritage:
+        return PayloadHeritage(
+            total_payload_w=self.total_payload_w,
+            rf_output_w_low=self.rf_output_w_low,
+            rf_output_w_high=self.rf_output_w_high,
+            pa_efficiency=self.pa_efficiency,
+            n_signals=self.n_signals,
+            clocks=self.clocks,
+        )
 
     @property
     def overhead_range(self) -> tuple[float, float]:
@@ -124,57 +210,101 @@ class Scenario:
     sweep: SweepConfig = SweepConfig()
     link: LinkConfig = LinkConfig()
     jammer: JammerConfig = JammerConfig()
-    materials: MaterialLossTable = MaterialLossTable()
+    materials: MaterialsConfig = MaterialsConfig()
     payload: PayloadConfig = PayloadConfig()
 
 
-def _expect(value: Any, kinds: tuple[type, ...], key: str, constraint: str) -> Any:
+Reader = Callable[[Any, str], Any]
+
+
+def _expect(value: Any, kinds: type | tuple[type, ...], key: str, constraint: str) -> Any:
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise ScenarioError(f"{key}: must be {constraint} (got {value!r})")
     return value
 
 
-def _number(section: dict, key: str, default: float, positive: bool = True) -> float:
-    if key.split(".")[-1] not in section:
-        return default
-    raw = _expect(section[key.split(".")[-1]], (int, float), key, "a number")
-    val = float(raw)
-    if positive and val <= 0.0:
-        raise ScenarioError(f"{key}: must be strictly positive (got {val})")
-    return val
+def _number(value: Any, key: str) -> float:
+    try:
+        number = float(_expect(value, (int, float), key, "a number"))
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ScenarioError(f"{key}: must be finite (got {value!r})")
+    return number
 
 
-def _integer(section: dict, key: str, default: int | None) -> int | None:
-    name = key.split(".")[-1]
-    if name not in section:
-        return default
-    if section[name] is None:
-        return None
-    return int(_expect(section[name], (int,), key, "an integer"))
+def _integer(value: Any, key: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return _expect(value, int, key, "an integer")
 
 
-def _string(section: dict, key: str, default: str, allowed: tuple[str, ...]) -> str:
-    name = key.split(".")[-1]
-    if name not in section:
-        return default
-    val = _expect(section[name], (str,), key, "a string")
-    if val not in allowed:
-        raise ScenarioError(f"{key}: must be one of {sorted(allowed)} (got {val!r})")
-    return val
+def _string(value: Any, key: str) -> str:
+    return _expect(value, str, key, "a string")
 
 
-def _number_list(section: dict, key: str, default: tuple) -> tuple:
-    name = key.split(".")[-1]
-    if name not in section:
-        return default
-    raw = _expect(section[name], (list,), key, "a list of numbers")
-    out = []
-    for i, item in enumerate(raw):
-        out.append(float(_expect(item, (int, float), f"{key}[{i}]", "a number")))
-    return tuple(out)
+#: Scalar kinds: reader, rule when the field states none, plural noun.
+_SCALARS: dict[type, tuple[Reader, tuple | None, str]] = {
+    float: (_number, ("> 0", lambda v: v > 0.0), "numbers"),
+    int: (_integer, (">= 1", lambda v: v >= 1), "numbers"),
+    str: (_string, None, "strings"),
+}
 
 
-def _check_keys(section: dict, known: tuple[str, ...], where: str, strict: bool) -> None:
+def _reader(hint: Any, rule: tuple | None) -> Reader:
+    """Builds the reader of one annotated value kind."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        item = _reader(args[0], rule)
+        noun = _SCALARS[args[0]][2] if args[0] in _SCALARS else "objects"
+
+        def read_list(value: Any, key: str) -> tuple:
+            if not _expect(value, list, key, f"a list of {noun}"):
+                raise ScenarioError(f"{key}: must not be empty")
+            return tuple(item(v, f"{key}[{i}]") for i, v in enumerate(value))
+
+        return read_list
+    if type(None) in args:
+        inner = _reader(args[0], rule)
+        return lambda value, key: None if value is None else inner(value, key)
+    if dataclasses.is_dataclass(hint):
+        return lambda value, key: _build(
+            hint, _expect(value, dict, key, "an object"), key, strict=True
+        )
+    read, default_rule, _ = _SCALARS[hint]
+    rule = rule or default_rule
+    if rule is None:
+        return read
+    text, ok = rule
+
+    def read_checked(value: Any, key: str) -> Any:
+        value = read(value, key)
+        if not ok(value):
+            raise ScenarioError(f"{key}: must be {text} (got {value!r})")
+        return value
+
+    return read_checked
+
+
+def _field_readers(cls: type) -> dict[str, Reader]:
+    hints = typing.get_type_hints(cls)
+    return {
+        f.name: _reader(hints[f.name], f.metadata.get("rule"))
+        for f in dataclasses.fields(cls)
+    }
+
+
+_SECTIONS: dict[str, type] = typing.get_type_hints(Scenario)
+_READERS: dict[type, dict[str, Reader]] = {
+    cls: _field_readers(cls) for cls in (*_SECTIONS.values(), ClockUnit)
+}
+_REQUIRED: dict[type, list[str]] = {
+    cls: [f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING]
+    for cls in _READERS
+}
+
+
+def _check_keys(section: dict, known: typing.Iterable[str], where: str, strict: bool) -> None:
     for key in section:
         if key not in known:
             message = f"unknown key {where}.{key!r} (known keys: {', '.join(known)})"
@@ -183,52 +313,22 @@ def _check_keys(section: dict, known: tuple[str, ...], where: str, strict: bool)
             print(f"warning: ignoring {message}", file=sys.stderr)
 
 
-_SECTION_KEYS: dict[str, tuple[str, ...]] = {
-    "earth": ("radius_km", "mu_km3_s2", "rotation_rate_rad_s"),
-    "walker": (
-        "total_sats", "planes", "phasing", "altitude_km",
-        "inclination_deg", "raan_spread_deg",
-    ),
-    "grid": ("scheme", "resolution"),
-    "window": ("duration_s", "step_s"),
-    "sweep": ("sizes", "altitudes_km", "mask_deg", "percentile", "aggregation"),
-    "link": (
-        "reference", "frequency_hz", "meo_altitude_km", "elevation_deg",
-        "pathloss_altitudes_km", "footprint_altitudes_km", "footprint_masks_deg",
-    ),
-    "jammer": (
-        "ref_power_w", "ref_radius_m", "margins_db", "report_power_w",
-        "report_radius_m",
-    ),
-    "materials": ("wood_db", "brick_db", "concrete_db", "glass_db", "container_db"),
-    "payload": (
-        "total_payload_w", "rf_output_w_low", "rf_output_w_high", "pa_efficiency",
-        "n_signals", "clocks", "leo_signals", "overhead_low", "overhead_high",
-    ),
-}
-
-
-def _parse_clocks(section: dict, default: tuple[ClockUnit, ...]) -> tuple[ClockUnit, ...]:
-    if "clocks" not in section:
-        return default
-    raw = _expect(section["clocks"], (list,), "payload.clocks", "a list of objects")
-    units = []
-    for i, entry in enumerate(raw):
-        where = f"payload.clocks[{i}]"
-        entry = _expect(entry, (dict,), where, "an object")
-        _check_keys(entry, ("name", "unit_power_w", "count"), where, strict=True)
-        if "name" not in entry or "unit_power_w" not in entry:
-            raise ScenarioError(f"{where}: requires 'name' and 'unit_power_w'")
-        units.append(
-            ClockUnit(
-                name=_expect(entry["name"], (str,), f"{where}.name", "a string"),
-                unit_power_w=float(
-                    _expect(entry["unit_power_w"], (int, float), f"{where}.unit_power_w", "a number")
-                ),
-                count=int(_expect(entry.get("count", 1), (int,), f"{where}.count", "an integer")),
-            )
-        )
-    return tuple(units)
+def _build(cls: type, raw: dict, where: str, strict: bool) -> Any:
+    """One section (or clock entry) from its JSON object."""
+    readers = _READERS[cls]
+    _check_keys(raw, readers, where, strict)
+    missing = [name for name in _REQUIRED[cls] if name not in raw]
+    if missing:
+        raise ScenarioError(f"{where}: requires {' and '.join(map(repr, missing))}")
+    values = {
+        name: read(raw[name], f"{where}.{name}")
+        for name, read in readers.items() if name in raw
+    }
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        # Cross-field rules of the section reuse their own message.
+        raise ScenarioError(f"{where}: {exc}") from None
 
 
 def parse_scenario(text: str, strict: bool = True) -> Scenario:
@@ -251,251 +351,25 @@ def parse_scenario(text: str, strict: bool = True) -> Scenario:
         ) from None
     if not isinstance(raw, dict):
         raise ScenarioError("scenario root must be a JSON object")
-    _check_keys(raw, tuple(_SECTION_KEYS), "scenario", strict)
-    sections: dict[str, dict] = {}
-    for name in _SECTION_KEYS:
-        section = raw.get(name, {})
-        if name in raw:
-            section = _expect(section, (dict,), name, "an object")
-            _check_keys(section, _SECTION_KEYS[name], name, strict)
-        sections[name] = section
+    _check_keys(raw, _SECTIONS, "scenario", strict)
+    return Scenario(**{
+        name: _build(cls, _expect(raw.get(name, {}), dict, name, "an object"), name, strict)
+        for name, cls in _SECTIONS.items()
+    })
 
-    try:
-        earth = EarthModel(
-            radius_km=_number(sections["earth"], "earth.radius_km", 6378.137),
-            mu_km3_s2=_number(sections["earth"], "earth.mu_km3_s2", 398600.4418),
-            rotation_rate_rad_s=_number(
-                sections["earth"], "earth.rotation_rate_rad_s", 7.2921159e-5
-            ),
-        )
 
-        wd = sections["walker"]
-        walker = WalkerConfig(
-            total_sats=_integer(wd, "walker.total_sats", 300),
-            planes=_integer(wd, "walker.planes", None),
-            phasing=_integer(wd, "walker.phasing", 1),
-            altitude_km=_number(wd, "walker.altitude_km", 900.0),
-            inclination_deg=_number(wd, "walker.inclination_deg", 90.0, positive=False),
-            raan_spread_deg=_number(wd, "walker.raan_spread_deg", 180.0),
-        )
-        if walker.total_sats < 1:
-            raise ScenarioError(
-                f"walker.total_sats ({walker.total_sats}) must be >= 1"
-            )
-        if walker.planes is not None:
-            if walker.planes < 1:
-                raise ScenarioError(f"walker.planes ({walker.planes}) must be >= 1")
-            if walker.total_sats % walker.planes != 0:
-                raise ScenarioError(
-                    f"walker.planes ({walker.planes}) does not divide "
-                    f"walker.total_sats ({walker.total_sats})"
-                )
-        if walker.phasing < 0:
-            raise ScenarioError(f"walker.phasing ({walker.phasing}) must be >= 0")
-        if not 0.0 <= walker.inclination_deg <= 180.0:
-            raise ScenarioError(
-                f"walker.inclination_deg ({walker.inclination_deg}) must lie in [0, 180]"
-            )
-        if walker.raan_spread_deg not in (180.0, 360.0):
-            raise ScenarioError(
-                f"walker.raan_spread_deg ({walker.raan_spread_deg}) must be 180 or 360"
-            )
-
-        grid = GridConfig(
-            scheme=_string(
-                sections["grid"], "grid.scheme", "fibonacci", ("fibonacci", "latlon")
-            ),
-            resolution=_integer(sections["grid"], "grid.resolution", 500),
-        )
-        if grid.resolution < 1:
-            raise ScenarioError(f"grid.resolution ({grid.resolution}) must be >= 1")
-
-        window = TimeWindow(
-            duration_s=_number(sections["window"], "window.duration_s", 21600.0),
-            step_s=_number(sections["window"], "window.step_s", 120.0),
-        )
-
-        sw = sections["sweep"]
-        sizes_raw = _number_list(sw, "sweep.sizes", (200, 250, 300, 350, 400))
-        sizes = tuple(int(s) for s in sizes_raw)
-        if any(s < 1 for s in sizes):
-            raise ScenarioError(f"sweep.sizes entries must be >= 1 (got {sizes})")
-        sweep = SweepConfig(
-            sizes=sizes,
-            altitudes_km=_number_list(
-                sw, "sweep.altitudes_km", (600.0, 800.0, 1000.0, 1200.0, 1400.0)
-            ),
-            mask_deg=_number(sw, "sweep.mask_deg", 5.0, positive=False),
-            percentile=_number(sw, "sweep.percentile", 95.0),
-            aggregation=_string(
-                sw, "sweep.aggregation", "pooled", ("pooled", "worst_site")
-            ),
-        )
-        if any(h <= 0.0 for h in sweep.altitudes_km):
-            raise ScenarioError(
-                f"sweep.altitudes_km entries must be positive (got {sweep.altitudes_km})"
-            )
-        if not 0.0 <= sweep.mask_deg < 90.0:
-            raise ScenarioError(f"sweep.mask_deg ({sweep.mask_deg}) must lie in [0, 90)")
-        if not 0.0 < sweep.percentile <= 100.0:
-            raise ScenarioError(
-                f"sweep.percentile ({sweep.percentile}) must lie in (0, 100]"
-            )
-
-        lk = sections["link"]
-        link = LinkConfig(
-            reference=_string(lk, "link.reference", "L1", ("L1", "L2", "L5")),
-            frequency_hz=(
-                _number(lk, "link.frequency_hz", 0.0)
-                if lk.get("frequency_hz") is not None
-                else None
-            ),
-            meo_altitude_km=_number(lk, "link.meo_altitude_km", GALILEO_ALTITUDE_KM),
-            elevation_deg=_number(lk, "link.elevation_deg", 90.0, positive=False),
-            pathloss_altitudes_km=_number_list(
-                lk, "link.pathloss_altitudes_km",
-                LinkConfig().pathloss_altitudes_km,
-            ),
-            footprint_altitudes_km=_number_list(
-                lk, "link.footprint_altitudes_km",
-                LinkConfig().footprint_altitudes_km,
-            ),
-            footprint_masks_deg=_number_list(
-                lk, "link.footprint_masks_deg", (0.0, 30.0)
-            ),
-        )
-        if not 0.0 <= link.elevation_deg <= 90.0:
-            raise ScenarioError(
-                f"link.elevation_deg ({link.elevation_deg}) must lie in [0, 90]"
-            )
-        if any(m < 0.0 or m >= 90.0 for m in link.footprint_masks_deg):
-            raise ScenarioError(
-                f"link.footprint_masks_deg entries must lie in [0, 90) "
-                f"(got {link.footprint_masks_deg})"
-            )
-
-        jm = sections["jammer"]
-        jammer = JammerConfig(
-            ref_power_w=_number(jm, "jammer.ref_power_w", 0.01),
-            ref_radius_m=_number(jm, "jammer.ref_radius_m", 100.0),
-            margins_db=_number_list(jm, "jammer.margins_db", (0.0, 5.0, 10.0, 20.0, 30.0)),
-            report_power_w=_number(jm, "jammer.report_power_w", 0.5),
-            report_radius_m=_number(jm, "jammer.report_radius_m", 100.0),
-        )
-        if any(m < 0.0 for m in jammer.margins_db):
-            raise ScenarioError(
-                f"jammer.margins_db entries must be >= 0 (got {jammer.margins_db})"
-            )
-
-        mt = sections["materials"]
-        materials = MaterialLossTable(
-            walls=(
-                ("wood", _number(mt, "materials.wood_db", 10.0)),
-                ("brick", _number(mt, "materials.brick_db", 12.0)),
-                ("concrete", _number(mt, "materials.concrete_db", 15.0)),
-                ("glass", _number(mt, "materials.glass_db", 17.0)),
-                ("container", _number(mt, "materials.container_db", 25.0)),
-            )
-        )
-
-        pl = sections["payload"]
-        heritage = PayloadHeritage(
-            total_payload_w=_number(pl, "payload.total_payload_w", 900.0),
-            rf_output_w_low=_number(pl, "payload.rf_output_w_low", 254.0),
-            rf_output_w_high=_number(pl, "payload.rf_output_w_high", 273.0),
-            pa_efficiency=_number(pl, "payload.pa_efficiency", 0.51),
-            n_signals=_integer(pl, "payload.n_signals", 10),
-            clocks=_parse_clocks(pl, PayloadHeritage().clocks),
-        )
-        payload = PayloadConfig(
-            heritage=heritage,
-            leo_signals=_integer(pl, "payload.leo_signals", 2),
-            overhead_low=_number(pl, "payload.overhead_low", 0.0, positive=False),
-            overhead_high=_number(pl, "payload.overhead_high", 0.9, positive=False),
-        )
-        if payload.leo_signals < 1:
-            raise ScenarioError(f"payload.leo_signals ({payload.leo_signals}) must be >= 1")
-        if payload.overhead_low < 0.0 or payload.overhead_high < payload.overhead_low:
-            raise ScenarioError(
-                f"payload overhead range ({payload.overhead_low}, "
-                f"{payload.overhead_high}) must satisfy 0 <= low <= high"
-            )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        # Domain dataclass validation (EarthModel, TimeWindow, ...) reuses
-        # its own message but is still a scenario-validation failure here.
-        raise ScenarioError(str(exc)) from None
-
-    return Scenario(
-        earth=earth, walker=walker, grid=grid, window=window, sweep=sweep,
-        link=link, jammer=jammer, materials=materials, payload=payload,
-    )
+def _plain(value: Any) -> Any:
+    readers = _READERS.get(type(value))
+    if readers is not None:
+        return {name: _plain(getattr(value, name)) for name in readers}
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Plain-JSON mirror of a scenario with every default made explicit."""
-    return {
-        "earth": {
-            "radius_km": scenario.earth.radius_km,
-            "mu_km3_s2": scenario.earth.mu_km3_s2,
-            "rotation_rate_rad_s": scenario.earth.rotation_rate_rad_s,
-        },
-        "walker": {
-            "total_sats": scenario.walker.total_sats,
-            "planes": scenario.walker.planes,
-            "phasing": scenario.walker.phasing,
-            "altitude_km": scenario.walker.altitude_km,
-            "inclination_deg": scenario.walker.inclination_deg,
-            "raan_spread_deg": scenario.walker.raan_spread_deg,
-        },
-        "grid": {
-            "scheme": scenario.grid.scheme,
-            "resolution": scenario.grid.resolution,
-        },
-        "window": {
-            "duration_s": scenario.window.duration_s,
-            "step_s": scenario.window.step_s,
-        },
-        "sweep": {
-            "sizes": list(scenario.sweep.sizes),
-            "altitudes_km": list(scenario.sweep.altitudes_km),
-            "mask_deg": scenario.sweep.mask_deg,
-            "percentile": scenario.sweep.percentile,
-            "aggregation": scenario.sweep.aggregation,
-        },
-        "link": {
-            "reference": scenario.link.reference,
-            "frequency_hz": scenario.link.frequency_hz,
-            "meo_altitude_km": scenario.link.meo_altitude_km,
-            "elevation_deg": scenario.link.elevation_deg,
-            "pathloss_altitudes_km": list(scenario.link.pathloss_altitudes_km),
-            "footprint_altitudes_km": list(scenario.link.footprint_altitudes_km),
-            "footprint_masks_deg": list(scenario.link.footprint_masks_deg),
-        },
-        "jammer": {
-            "ref_power_w": scenario.jammer.ref_power_w,
-            "ref_radius_m": scenario.jammer.ref_radius_m,
-            "margins_db": list(scenario.jammer.margins_db),
-            "report_power_w": scenario.jammer.report_power_w,
-            "report_radius_m": scenario.jammer.report_radius_m,
-        },
-        "materials": {f"{name}_db": loss for name, loss in scenario.materials.walls},
-        "payload": {
-            "total_payload_w": scenario.payload.heritage.total_payload_w,
-            "rf_output_w_low": scenario.payload.heritage.rf_output_w_low,
-            "rf_output_w_high": scenario.payload.heritage.rf_output_w_high,
-            "pa_efficiency": scenario.payload.heritage.pa_efficiency,
-            "n_signals": scenario.payload.heritage.n_signals,
-            "clocks": [
-                {"name": c.name, "unit_power_w": c.unit_power_w, "count": c.count}
-                for c in scenario.payload.heritage.clocks
-            ],
-            "leo_signals": scenario.payload.leo_signals,
-            "overhead_low": scenario.payload.overhead_low,
-            "overhead_high": scenario.payload.overhead_high,
-        },
-    }
+    return {name: _plain(getattr(scenario, name)) for name in _SECTIONS}
 
 
 def serialize_scenario(scenario: Scenario) -> str:

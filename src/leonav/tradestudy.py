@@ -418,7 +418,7 @@ def jammer_table(scenario: Scenario) -> list[dict]:
     cal = scenario.jammer.calibration
     rows = []
     for margin in scenario.jammer.margins_db:
-        pen = penetration_report(margin, scenario.materials)
+        pen = penetration_report(margin, scenario.materials.table)
         row: dict = {"margin_db": margin, "canopy": pen.canopy}
         for name, count in pen.wall_counts:
             row[f"walls_{name}"] = count

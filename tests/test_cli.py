@@ -86,6 +86,18 @@ class TestEngineCommands:
         ]
         assert len(rows) == 1 + 64
 
+    def test_dop_map_small_body(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "earth": {"radius_km": 1737.4, "mu_km3_s2": 4902.8,
+                      "rotation_rate_rad_s": 2.6617e-6},
+            "walker": {"total_sats": 60, "altitude_km": 100.0},
+        })
+        out = tmp_path / "moon.csv"
+        assert main(["dop-map", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 1 + 64
+        assert any(row[3] for row in rows[1:])
+
     def test_dop_sweep_json_matrix(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "sweep.json"
@@ -213,6 +225,25 @@ class TestExitCodes:
         cfg = write_config(tmp_path, {"walker": {"total_sats": 1, "phasing": 0}})
         assert main(["dop-map", "--config", cfg, "--quiet"]) == 2
         assert "computation failed" in capsys.readouterr().err
+
+    def test_non_finite_altitude_names_the_key(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"walker": {"altitude_km": NaN}}', encoding="utf-8")
+        assert main(["dop-map", "--config", str(path), "--quiet"]) == 1
+        assert "walker.altitude_km: must be finite" in capsys.readouterr().err
+
+    def test_infinite_pathloss_altitude_names_the_entry(self, tmp_path, capsys):
+        path = tmp_path / "inf.json"
+        path.write_text('{"link": {"pathloss_altitudes_km": [Infinity]}}', encoding="utf-8")
+        assert main(["pathloss", "--config", str(path), "--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert "link.pathloss_altitudes_km[0]: must be finite" in captured.err
+        assert captured.out == ""
+
+    def test_source_date_epoch_must_be_integer(self, monkeypatch, capsys):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "abc")
+        assert main(["pathloss", "--quiet"]) == 1
+        assert "SOURCE_DATE_EPOCH ('abc') must be an integer" in capsys.readouterr().err
 
     def test_unwritable_output_path(self, tmp_path, capsys):
         assert main(["pathloss", "--out", str(tmp_path / "no" / "dir" / "x.csv")]) == 1

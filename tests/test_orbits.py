@@ -52,8 +52,11 @@ class TestCircularElements:
         assert el.initial_anomaly_rad == pytest.approx(math.pi)
 
     def test_rejects_subsurface_orbit(self):
+        # The elements know no body, so only a non-positive radius is rejected
+        # here; walker_constellation checks the orbit against its Earth model.
         with pytest.raises(ValueError, match="semimajor_km"):
-            CircularElements(6000.0, 0.0, 0.0, 0.0)
+            CircularElements(0.0, 0.0, 0.0, 0.0)
+        assert CircularElements(6000.0, 0.0, 0.0, 0.0).semimajor_km == 6000.0
 
 
 class TestWalkerSpec:
@@ -117,6 +120,11 @@ class TestWalkerConstellation:
             for e in walker_constellation(spec)
         }
         assert anomalies == {0.0, 180.0}
+
+    def test_small_body_uses_its_own_radius(self):
+        moon = EarthModel(radius_km=1737.4, mu_km3_s2=4902.8, rotation_rate_rad_s=2.6617e-6)
+        elements = walker_constellation(WalkerSpec(6, 3, altitude_km=100.0), moon)
+        assert all(e.semimajor_km == pytest.approx(1837.4) for e in elements)
 
 
 class TestPropagation:

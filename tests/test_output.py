@@ -98,6 +98,11 @@ class TestTimestamp:
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "946684800")
         assert utc_timestamp() == "2000-01-01T00:00:00Z"
 
+    def test_rejects_non_integer_pin(self, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "abc")
+        with pytest.raises(ValueError, match="SOURCE_DATE_EPOCH"):
+            utc_timestamp()
+
     def test_iso_shape_without_pin(self, monkeypatch):
         monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
         stamp = utc_timestamp()

@@ -7,14 +7,11 @@ import math
 import pytest
 
 from leonav.payload import (
-    DEFAULT_GAIN_DB_RANGE,
     DEFAULT_HERITAGE,
     ClockUnit,
-    LeoPayloadEstimate,
     PayloadHeritage,
     clock_budget_w,
     gnss_equivalent_power_w,
-    leo_payload_estimate,
     leo_payload_power_w,
     per_signal_bus_power_w,
     signal_generation_w,
@@ -83,7 +80,7 @@ class TestBudgetPieces:
 class TestLeoPayloadPower:
     def test_two_signal_range(self):
         per_signal = per_signal_bus_power_w(273.0, 10, 0.51)
-        low, high = leo_payload_power_w(2, per_signal)
+        low, high = leo_payload_power_w(2, per_signal, (0.0, 0.9))
         assert low == pytest.approx(107.0588235, abs=1e-6)
         assert high == pytest.approx(203.4117647, abs=1e-6)
         assert high == pytest.approx(low * 1.9, rel=1e-12)
@@ -94,22 +91,22 @@ class TestLeoPayloadPower:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="n_signals"):
-            leo_payload_power_w(0, 50.0)
+            leo_payload_power_w(0, 50.0, (0.0, 0.9))
         with pytest.raises(ValueError, match="per_signal_w"):
-            leo_payload_power_w(2, 0.0)
+            leo_payload_power_w(2, 0.0, (0.0, 0.9))
         with pytest.raises(ValueError, match="overhead_range"):
             leo_payload_power_w(2, 50.0, overhead_range=(-0.1, 0.5))
         with pytest.raises(ValueError, match="overhead_range"):
             leo_payload_power_w(2, 50.0, overhead_range=(0.5, 0.1))
 
 
-class TestGnssEquivalent:
-    def test_default_gain_range(self):
-        assert DEFAULT_GAIN_DB_RANGE[0] == pytest.approx(10.0 * math.log10(4.0))
-        assert DEFAULT_GAIN_DB_RANGE[1] == 10.0
+#: A 4x to 10x footprint advantage, in dB.
+GAIN_4X_10X_DB = (10.0 * math.log10(4.0), 10.0)
 
+
+class TestGnssEquivalent:
     def test_brackets_upper_endpoint(self):
-        low, high = gnss_equivalent_power_w((107.0588235, 203.4117647))
+        low, high = gnss_equivalent_power_w((107.0588235, 203.4117647), GAIN_4X_10X_DB)
         # 203.41 W shrunk by 10 dB and by 6.02 dB
         assert low == pytest.approx(20.34117647, abs=1e-6)
         assert high == pytest.approx(50.85294118, abs=1e-6)
@@ -121,44 +118,10 @@ class TestGnssEquivalent:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="leo_total_w_range"):
-            gnss_equivalent_power_w((0.0, 100.0))
+            gnss_equivalent_power_w((0.0, 100.0), GAIN_4X_10X_DB)
         with pytest.raises(ValueError, match="leo_total_w_range"):
-            gnss_equivalent_power_w((100.0, 50.0))
+            gnss_equivalent_power_w((100.0, 50.0), GAIN_4X_10X_DB)
         with pytest.raises(ValueError, match="footprint_gain_db_range"):
             gnss_equivalent_power_w((50.0, 100.0), (-1.0, 5.0))
         with pytest.raises(ValueError, match="footprint_gain_db_range"):
             gnss_equivalent_power_w((50.0, 100.0), (8.0, 5.0))
-
-
-class TestFullEstimate:
-    def test_default_pipeline(self):
-        est = leo_payload_estimate()
-        assert isinstance(est, LeoPayloadEstimate)
-        assert est.n_signals == 2
-        assert est.per_signal_bus_w == pytest.approx(53.52941176, abs=1e-6)
-        assert est.total_bus_w_range[0] == pytest.approx(107.0588235, abs=1e-6)
-        assert est.total_bus_w_range[1] == pytest.approx(203.4117647, abs=1e-6)
-        assert est.gnss_equivalent_w_range[0] == pytest.approx(20.34117647, abs=1e-6)
-        assert est.gnss_equivalent_w_range[1] == pytest.approx(50.85294118, abs=1e-6)
-
-    def test_uses_high_rf_endpoint(self):
-        est = leo_payload_estimate()
-        assert est.per_signal_bus_w == pytest.approx(
-            per_signal_bus_power_w(
-                DEFAULT_HERITAGE.rf_output_w_high,
-                DEFAULT_HERITAGE.n_signals,
-                DEFAULT_HERITAGE.pa_efficiency,
-            ),
-            rel=1e-15,
-        )
-
-    def test_custom_gain_range_propagates(self):
-        est = leo_payload_estimate(footprint_gain_db_range=(3.0, 3.0))
-        top = est.total_bus_w_range[1]
-        assert est.gnss_equivalent_w_range == pytest.approx(
-            (top / 10.0**0.3, top / 10.0**0.3)
-        )
-
-    def test_estimate_validation(self):
-        with pytest.raises(ValueError, match="total_bus_w_range"):
-            LeoPayloadEstimate(2, 50.0, (0.0, 0.9), (100.0, 50.0), (20.0, 50.0))

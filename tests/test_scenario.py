@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -65,8 +67,8 @@ class TestOverrides:
 
     def test_materials_override(self):
         s = parse_scenario('{"materials": {"wood_db": 9}}')
-        assert dict(s.materials.walls)["wood"] == 9.0
-        assert dict(s.materials.walls)["brick"] == 12.0
+        assert dict(s.materials.table.walls)["wood"] == 9.0
+        assert dict(s.materials.table.walls)["brick"] == 12.0
 
     def test_payload_clocks(self):
         s = parse_scenario(
@@ -83,6 +85,11 @@ class TestOverrides:
     def test_sweep_sizes_cast_to_int(self):
         s = parse_scenario('{"sweep": {"sizes": [100, 200.0]}}')
         assert s.sweep.sizes == (100, 200)
+
+    def test_integral_floats_read_as_integers(self):
+        s = parse_scenario('{"walker": {"total_sats": 24.0, "planes": 6.0}}')
+        assert (s.walker.total_sats, s.walker.planes) == (24, 6)
+        assert isinstance(s.walker.total_sats, int)
 
 
 class TestRejections:
@@ -137,6 +144,16 @@ class TestRejections:
             ('{"payload": {"overhead_low": 0.5, "overhead_high": 0.1}}', "overhead"),
             ('{"payload": {"clocks": [{"unit_power_w": 3}]}}', "clocks"),
             ('{"payload": {"clocks": [{"name": "x", "unit_power_w": 3, "w": 1}]}}', "clocks"),
+            ('{"sweep": {"sizes": [250.7]}}', r"sweep.sizes\[0\]: must be an integer"),
+            ('{"walker": {"altitude_km": NaN}}', "walker.altitude_km: must be finite"),
+            ('{"earth": {"mu_km3_s2": -Infinity}}', "earth.mu_km3_s2: must be finite"),
+            ('{"link": {"pathloss_altitudes_km": [Infinity]}}',
+             r"link.pathloss_altitudes_km\[0\]: must be finite"),
+            ('{"jammer": {"margins_db": []}}', "jammer.margins_db: must not be empty"),
+            ('{"jammer": {"margins_db": [0, NaN]}}', r"jammer.margins_db\[1\]: must be finite"),
+            ('{"payload": {"rf_output_w_high": 100}}', "payload: rf_output_w_high"),
+            ('{"payload": {"clocks": [{"name": "x", "unit_power_w": 3, "count": 0}]}}',
+             r"payload.clocks\[0\].count"),
         ],
     )
     def test_constraint_violations_name_the_key(self, text, message):
@@ -199,6 +216,12 @@ class TestSerialization:
             "wood_db": 10.0, "brick_db": 12.0, "concrete_db": 15.0,
             "glass_db": 17.0, "container_db": 25.0,
         }
+
+
+    def test_readme_defaults_block_matches(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+        block = re.search(r"Defaults .*?```json\n(.*?)```", readme, re.DOTALL)
+        assert json.loads(block.group(1)) == scenario_to_dict(Scenario())
 
 
 class TestHashing:
