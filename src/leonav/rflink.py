@@ -25,6 +25,7 @@ BAND_HZ = {
 GPS_ALTITUDE_KM = 20182.0
 GALILEO_ALTITUDE_KM = 23222.0
 
+
 @dataclass(frozen=True)
 class LinkParams:
     """Carrier selection for path-loss work: a named band or raw frequency."""

@@ -29,7 +29,7 @@ from typing import Any, Callable
 
 from .geometry import TimeWindow
 from .orbits import EarthModel
-from .payload import ClockUnit, PayloadHeritage
+from .payload import DEFAULT_HERITAGE, ClockUnit, PayloadHeritage
 from .rflink import (
     DEFAULT_JAMMER_CALIBRATION,
     DEFAULT_MATERIALS,
@@ -156,21 +156,18 @@ class MaterialsConfig:
         ))
 
 
-_HERITAGE = PayloadHeritage()
-
-
 @dataclass(frozen=True)
 class PayloadConfig:
     """Heritage payload figures plus the LEO scaling knobs."""
 
-    total_payload_w: float = _HERITAGE.total_payload_w
-    rf_output_w_low: float = _HERITAGE.rf_output_w_low
-    rf_output_w_high: float = _HERITAGE.rf_output_w_high
+    total_payload_w: float = DEFAULT_HERITAGE.total_payload_w
+    rf_output_w_low: float = DEFAULT_HERITAGE.rf_output_w_low
+    rf_output_w_high: float = DEFAULT_HERITAGE.rf_output_w_high
     pa_efficiency: float = _rule(
-        _HERITAGE.pa_efficiency, "in (0, 1]", lambda v: 0.0 < v <= 1.0
+        DEFAULT_HERITAGE.pa_efficiency, "in (0, 1]", lambda v: 0.0 < v <= 1.0
     )
-    n_signals: int = _HERITAGE.n_signals
-    clocks: tuple[ClockUnit, ...] = _HERITAGE.clocks
+    n_signals: int = DEFAULT_HERITAGE.n_signals
+    clocks: tuple[ClockUnit, ...] = DEFAULT_HERITAGE.clocks
     leo_signals: int = 2
     overhead_low: float = _non_negative(0.0)
     overhead_high: float = _non_negative(0.9)
@@ -214,7 +211,7 @@ class Scenario:
     payload: PayloadConfig = PayloadConfig()
 
 
-Reader = Callable[[Any, str], Any]
+_Reader = Callable[[Any, str], Any]
 
 
 def _expect(value: Any, kinds: type | tuple[type, ...], key: str, constraint: str) -> Any:
@@ -244,14 +241,14 @@ def _string(value: Any, key: str) -> str:
 
 
 #: Scalar kinds: reader, rule when the field states none, plural noun.
-_SCALARS: dict[type, tuple[Reader, tuple | None, str]] = {
+_SCALARS: dict[type, tuple[_Reader, tuple | None, str]] = {
     float: (_number, ("> 0", lambda v: v > 0.0), "numbers"),
     int: (_integer, (">= 1", lambda v: v >= 1), "numbers"),
     str: (_string, None, "strings"),
 }
 
 
-def _reader(hint: Any, rule: tuple | None) -> Reader:
+def _reader(hint: Any, rule: tuple | None) -> _Reader:
     """Builds the reader of one annotated value kind."""
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
@@ -286,7 +283,7 @@ def _reader(hint: Any, rule: tuple | None) -> Reader:
     return read_checked
 
 
-def _field_readers(cls: type) -> dict[str, Reader]:
+def _field_readers(cls: type) -> dict[str, _Reader]:
     hints = typing.get_type_hints(cls)
     return {
         f.name: _reader(hints[f.name], f.metadata.get("rule"))
@@ -295,7 +292,7 @@ def _field_readers(cls: type) -> dict[str, Reader]:
 
 
 _SECTIONS: dict[str, type] = typing.get_type_hints(Scenario)
-_READERS: dict[type, dict[str, Reader]] = {
+_READERS: dict[type, dict[str, _Reader]] = {
     cls: _field_readers(cls) for cls in (*_SECTIONS.values(), ClockUnit)
 }
 _REQUIRED: dict[type, list[str]] = {
