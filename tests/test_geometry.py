@@ -384,6 +384,22 @@ class TestPdopSamplesEngine:
                 checked_defined += 1
         assert checked_defined > 0  # the case must actually exercise solutions
 
+    def test_pinned_ill_conditioned_case(self):
+        """200 @ 600 km, F=0: samples with exactly four visible satellites
+        reach PDOP ~4e5, so rounding differences in how the engine builds
+        its rows show up in the pooled p99 well above 1e-10."""
+        spec = WalkerSpec(200, 10, phasing=0, altitude_km=600.0)
+        grid = GroundGrid.fibonacci(200)
+        samples = pdop_samples(spec, grid, TimeWindow(3600.0, 240.0))
+        enough = samples.visible_count >= 4
+        defined = samples.defined
+        assert int(samples.visible_count.sum()) == 17032
+        assert int((~enough).sum()) == 333
+        assert int((enough & ~defined).sum()) == 1
+        w = np.broadcast_to(grid.weight[:, None], defined.shape)
+        p99 = weighted_percentile(samples.pdop[defined], w[defined], 99.0)
+        assert p99 == pytest.approx(4000.268018480448, rel=1e-10)
+
     def test_defined_mask(self):
         spec = WalkerSpec(40, 5, altitude_km=900.0)
         samples = pdop_samples(
