@@ -29,6 +29,11 @@ from .orbits import (
 #: is treated as singular rather than inverted.
 CONDITION_LIMIT = 1.0e12
 
+#: Site x satellite pairs the PDOP engine tests for visibility at once; the
+#: site axis is processed in blocks of this many pairs, which bounds its
+#: working memory whatever the grid and constellation sizes.
+_PAIR_BUDGET = 1 << 18
+
 _GOLDEN_ANGLE_RAD = math.pi * (3.0 - math.sqrt(5.0))
 
 
@@ -308,6 +313,8 @@ def pdop_samples(
 
     Vectorized equivalent of visible_sats + dop over the whole grid and
     window; undefined samples (insufficient or singular geometry) are NaN.
+    Sites are taken in blocks of about ``_PAIR_BUDGET`` site x satellite
+    pairs, so memory does not grow with grid size times constellation size.
     """
     if not 0.0 <= mask_deg < 90.0:
         raise ValueError(f"mask_deg ({mask_deg}) must lie in [0, 90)")
@@ -320,52 +327,77 @@ def pdop_samples(
     lat = np.radians(grid.lat_deg)
     lon = np.radians(grid.lon_deg)
     basis = _enu_basis(lat, lon)  # (n, 3, 3)
-    sites = earth.radius_km * basis[:, 2, :]  # up row scaled = site position
-    sin_mask = math.sin(math.radians(mask_deg))
+    mask_rad = math.radians(mask_deg)
 
     n_sites = len(grid)
     epochs = window.epochs()
     values = np.full((n_sites, epochs.size), np.nan)
     counts = np.zeros((n_sites, epochs.size), dtype=np.int32)
+    block = max(1, _PAIR_BUDGET // spec.total_sats)
 
     for j, t in enumerate(epochs):
         eci = propagate_arrays(a, inc, raan, m0, float(t), earth)
         ecef = rotate_eci_to_ecef(eci, float(t), earth)  # (s, 3)
-        los = ecef[None, :, :] - sites[:, None, :]  # (n, s, 3)
-        rng = np.linalg.norm(los, axis=-1)
-        unit = los / rng[..., None]
-        enu = np.einsum("nab,nsb->nsa", basis, unit)  # (n, s, 3)
-        vis = enu[..., 2] >= sin_mask
-        counts[:, j] = vis.sum(axis=1)
-
-        v = np.where(vis[..., None], enu, 0.0)
-        a_blk = np.einsum("nsi,nsj->nij", v, v)  # (n, 3, 3)
-        b_blk = v.sum(axis=1)  # (n, 3)
-        k_cnt = vis.sum(axis=1).astype(float)  # (n,)
-        normal = np.empty((n_sites, 4, 4))
-        normal[:, :3, :3] = a_blk
-        normal[:, :3, 3] = -b_blk
-        normal[:, 3, :3] = -b_blk
-        normal[:, 3, 3] = k_cnt
-
-        enough = counts[:, j] >= 4
-        if not enough.any():
-            continue
-        sub = normal[enough]
-        svals = np.linalg.svd(sub, compute_uv=False)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cond = np.where(svals[:, -1] > 0.0, svals[:, 0] / svals[:, -1], np.inf)
-        good = cond <= CONDITION_LIMIT
-        if not good.any():
-            continue
-        q = np.linalg.inv(sub[good])
-        trace3 = q[:, 0, 0] + q[:, 1, 1] + q[:, 2, 2]
-        col = np.full(n_sites, np.nan)
-        idx = np.flatnonzero(enough)[good]
-        col[idx] = np.sqrt(trace3)
-        values[:, j] = col
+        for lo in range(0, n_sites, block):
+            rows = slice(lo, lo + block)
+            counts[rows, j], values[rows, j] = _block_pdop(
+                basis[rows], ecef, earth.radius_km, mask_rad
+            )
 
     return PdopSamples(pdop=values, visible_count=counts)
+
+
+def _block_pdop(
+    basis: np.ndarray, ecef: np.ndarray, radius_km: float, mask_rad: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Visible counts and PDOP of one block of sites at one epoch.
+
+    A satellite at radius r is seen at elevation e or higher exactly when
+    its central angle from the site is at most acos(R cos(e) / r) - e,
+    i.e. when up . sat clears a per-satellite bound; one matmul of the
+    site up-vectors with the satellite positions culls the rest.  Rows
+    are built only for the surviving pairs, and the elevation test runs on
+    their ENU up component, so the cull saves work without changing any
+    sample.  Rows stay in ENU rather than ECEF: PDOP is rotation-invariant
+    only in exact arithmetic, and a sample whose four satellites are
+    barely independent (PDOP ~1e5) magnifies the rounding of a change of
+    frame far past 1e-10.
+    """
+    m = basis.shape[0]
+    up = basis[:, 2, :]
+    r = np.linalg.norm(ecef, axis=1)
+    reach = np.arccos(np.minimum(1.0, radius_km * math.cos(mask_rad) / r)) - mask_rad
+    # A millimetre of slack, so rounding never culls a pair the exact test keeps.
+    site, sat = np.nonzero(up @ ecef.T >= r * np.cos(reach) - 1e-6)
+
+    los = ecef[sat] - radius_km * up[site]
+    unit = los / np.linalg.norm(los, axis=-1)[:, None]
+    enu = np.einsum("pab,pb->pa", basis[site], unit)
+    vis = enu[:, 2] >= math.sin(mask_rad)
+    site = site[vis]
+    e = enu[vis].T  # (3, visible pairs), site-major, satellites in input order
+
+    # Normal matrix of the geometry rows [-e, -n, -u, 1], summed per site.
+    count = np.bincount(site, minlength=m)
+    normal = np.empty((m, 4, 4))
+    normal[:, 3, 3] = count
+    for i in range(3):
+        normal[:, i, 3] = normal[:, 3, i] = -np.bincount(site, e[i], minlength=m)
+        for k in range(i, 3):
+            normal[:, i, k] = normal[:, k, i] = np.bincount(site, e[i] * e[k], minlength=m)
+
+    pdop = np.full(m, np.nan)
+    enough = np.flatnonzero(count >= 4)
+    if enough.size:
+        sub = normal[enough]
+        eig = np.linalg.eigvalsh(sub)  # ascending; the matrices are symmetric PSD
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = np.where(eig[:, 0] > 0.0, eig[:, -1] / eig[:, 0], np.inf)
+        good = cond <= CONDITION_LIMIT
+        if good.any():
+            q = np.linalg.inv(sub[good])
+            pdop[enough[good]] = np.sqrt(q[:, 0, 0] + q[:, 1, 1] + q[:, 2, 2])
+    return count, pdop
 
 
 def weighted_percentile(
@@ -434,15 +466,26 @@ def percentile_pdop(
             samples.pdop[defined], w[defined], percentile
         )
         return PercentilePdop(value=value, coverage=coverage)
-    worst = -math.inf
-    for i in range(defined.shape[0]):
-        row = samples.pdop[i, defined[i]]
-        if row.size == 0:
-            continue
-        worst = max(
-            worst, weighted_percentile(row, np.ones_like(row), percentile)
-        )
-    return PercentilePdop(value=worst, coverage=coverage)
+    worst = np.nanmax(_site_percentiles(samples.pdop, percentile))
+    return PercentilePdop(value=float(worst), coverage=coverage)
+
+
+def _site_percentiles(pdop: np.ndarray, percentile: float) -> np.ndarray:
+    """Each row's percentile over its defined samples; NaN for empty rows.
+
+    Same linear method as ``weighted_percentile`` with equal weights: rows
+    sorted with NaN last, interpolated at (n_i - 1) * percentile / 100.
+    """
+    if not 0.0 < percentile <= 100.0:
+        raise ValueError(f"percentile ({percentile}) must lie in (0, 100]")
+    ordered = np.sort(pdop, axis=1)
+    n = np.isfinite(pdop).sum(axis=1)
+    pos = np.maximum(n - 1, 0) * (percentile / 100.0)
+    lo = np.floor(pos).astype(np.intp)
+    hi = np.minimum(lo + 1, np.maximum(n - 1, 0))
+    v_lo = np.take_along_axis(ordered, lo[:, None], axis=1)[:, 0]
+    v_hi = np.take_along_axis(ordered, hi[:, None], axis=1)[:, 0]
+    return np.where(n > 0, v_lo + (pos - lo) * (v_hi - v_lo), np.nan)
 
 
 def pdop_field(
@@ -461,11 +504,5 @@ def pdop_field(
     """
     samples = pdop_samples(spec, grid, window, mask_deg, earth)
     defined = samples.defined
-    n_sites, n_epochs = defined.shape
-    values = np.full(n_sites, np.nan)
-    coverage = defined.sum(axis=1) / n_epochs
-    for i in range(n_sites):
-        row = samples.pdop[i, defined[i]]
-        if row.size:
-            values[i] = weighted_percentile(row, np.ones_like(row), percentile)
-    return values, coverage
+    coverage = defined.sum(axis=1) / defined.shape[1]
+    return _site_percentiles(samples.pdop, percentile), coverage

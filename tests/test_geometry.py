@@ -9,6 +9,7 @@ visible_sats + dop path.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from oracles import (
     satellite_above,
 )
 
+from leonav import geometry
 from leonav.geometry import (
     CONDITION_LIMIT,
     DopValues,
@@ -400,6 +402,34 @@ class TestPdopSamplesEngine:
         p99 = weighted_percentile(samples.pdop[defined], w[defined], 99.0)
         assert p99 == pytest.approx(4000.268018480448, rel=1e-10)
 
+    @pytest.mark.parametrize("budget", [1, 7 * 60, 50 * 60 - 1])
+    def test_site_blocks_do_not_change_samples(self, monkeypatch, budget):
+        spec = WalkerSpec(60, 6, phasing=0, altitude_km=600.0)
+        grid = GroundGrid.fibonacci(50)
+        window = TimeWindow(1200.0, 240.0)
+        monkeypatch.setattr(geometry, "_PAIR_BUDGET", 10**9)
+        whole = pdop_samples(spec, grid, window)
+        monkeypatch.setattr(geometry, "_PAIR_BUDGET", budget)
+        blocked = pdop_samples(spec, grid, window)
+        assert np.array_equal(blocked.pdop, whole.pdop, equal_nan=True)
+        assert np.array_equal(blocked.visible_count, whole.visible_count)
+        assert np.isnan(whole.pdop).any() and np.isfinite(whole.pdop).any()
+
+    def test_memory_stays_bounded_on_a_wide_grid(self):
+        """One epoch of 1,000 satellites over ~20,000 sites: a dense
+        (sites, satellites, 3) array alone would take 480 MB."""
+        spec = WalkerSpec(1000, 25, phasing=1, altitude_km=600.0)
+        grid = GroundGrid.latlon(20000)
+        tracemalloc.start()
+        try:
+            samples = pdop_samples(spec, grid, TimeWindow(60.0, 60.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert samples.pdop.shape == (len(grid), 1)
+        assert samples.defined.any()
+        assert peak < 128 * 2**20
+
     def test_defined_mask(self):
         spec = WalkerSpec(40, 5, altitude_km=900.0)
         samples = pdop_samples(
@@ -451,6 +481,29 @@ class TestPercentilePdop:
                 WalkerSpec(8, 2), GroundGrid.fibonacci(4), TimeWindow(600.0, 600.0),
                 aggregation="median",
             )
+
+
+class TestSitePercentiles:
+    @pytest.mark.parametrize("percentile", [0.5, 50.0, 95.0, 97.5, 100.0])
+    def test_matches_weighted_percentile_row_by_row(self, percentile):
+        rng = np.random.default_rng(43)
+        pdop = rng.uniform(1.0, 50.0, size=(300, 9))
+        pdop[rng.uniform(size=pdop.shape) < 0.4] = np.nan
+        pdop[0] = np.nan  # a site with no defined sample
+        pdop[1, 1:] = np.nan  # a site with a single one
+        got = geometry._site_percentiles(pdop, percentile)
+        assert math.isnan(got[0])
+        for i in range(1, pdop.shape[0]):
+            row = pdop[i, np.isfinite(pdop[i])]
+            if row.size == 0:
+                assert math.isnan(got[i])
+                continue
+            want = weighted_percentile(row, np.ones_like(row), percentile)
+            assert got[i] == pytest.approx(want, rel=1e-12)
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="percentile"):
+            geometry._site_percentiles(np.ones((2, 3)), 0.0)
 
 
 class TestPdopField:
