@@ -156,10 +156,6 @@ def pdop_sweep(scenario: Scenario, threads: int = 1) -> SweepResult:
     """
     sizes = scenario.sweep.sizes
     altitudes = scenario.sweep.altitudes_km
-    if not sizes:
-        raise ValueError("sweep.sizes must not be empty")
-    if not altitudes:
-        raise ValueError("sweep.altitudes_km must not be empty")
     if threads < 1:
         raise ValueError(f"threads ({threads}) must be >= 1")
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -11,6 +12,8 @@ import pytest
 from leonav.scenario import (
     Scenario,
     ScenarioError,
+    SweepConfig,
+    WalkerConfig,
     parse_scenario,
     scenario_hash,
     scenario_to_dict,
@@ -159,6 +162,26 @@ class TestRejections:
     def test_constraint_violations_name_the_key(self, text, message):
         with pytest.raises(ScenarioError, match=message):
             parse_scenario(text)
+
+    @pytest.mark.parametrize(
+        "build, text, message",
+        [
+            (lambda: SweepConfig(percentile=math.nan), '{"sweep": {"percentile": NaN}}',
+             "sweep.percentile: must be finite"),
+            (lambda: WalkerConfig(total_sats=0), '{"walker": {"total_sats": 0}}',
+             r"walker.total_sats: must be >= 1"),
+            (lambda: SweepConfig(mask_deg=90.0), '{"sweep": {"mask_deg": 90.0}}',
+             r"sweep.mask_deg: must be in \[0, 90\)"),
+            (lambda: WalkerConfig(total_sats=10, planes=4),
+             '{"walker": {"total_sats": 10, "planes": 4}}', "walker: planes"),
+        ],
+    )
+    def test_direct_construction_applies_the_same_rules(self, build, text, message):
+        with pytest.raises(ScenarioError, match=message) as built:
+            build()
+        with pytest.raises(ScenarioError, match=message) as parsed:
+            parse_scenario(text)
+        assert str(built.value) == str(parsed.value)
 
     def test_section_must_be_object(self):
         with pytest.raises(ScenarioError, match="walker"):
