@@ -50,7 +50,6 @@ class ResultEnvelope:
     rows: tuple[tuple, ...]
     scenario_hash: str
     tool_version: str
-    created_utc: str
     axes: dict[str, tuple] | None = None
 
     def __post_init__(self) -> None:
@@ -93,7 +92,6 @@ def make_envelope(
         rows=tuple(tuple(r) for r in rows),
         scenario_hash=scenario_hash,
         tool_version=tool_version,
-        created_utc=utc_timestamp(),
         axes=None if axes is None else {k: tuple(v) for k, v in axes.items()},
     )
 
@@ -129,12 +127,13 @@ def to_csv(envelope: ResultEnvelope) -> str:
 
 
 def to_json(envelope: ResultEnvelope) -> str:
-    """The envelope itself, key-sorted; floats round-trip exactly."""
+    """The envelope itself plus its creation time, key-sorted; floats
+    round-trip exactly.  Only this format carries a timestamp."""
     doc = {
         "kind": envelope.kind,
         "scenario_hash": envelope.scenario_hash,
         "tool_version": envelope.tool_version,
-        "created_utc": envelope.created_utc,
+        "created_utc": utc_timestamp(),
         "columns": [c.name for c in envelope.columns],
         "units": {c.name: c.unit for c in envelope.columns if c.unit},
         "rows": [list(row) for row in envelope.rows],

@@ -241,9 +241,15 @@ class TestExitCodes:
         assert captured.out == ""
 
     def test_source_date_epoch_must_be_integer(self, monkeypatch, capsys):
+        monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+        assert main(["pathloss", "--quiet"]) == 0
+        plain = capsys.readouterr().out
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "abc")
-        assert main(["pathloss", "--quiet"]) == 1
+        assert main(["pathloss", "--format", "json", "--quiet"]) == 1
         assert "SOURCE_DATE_EPOCH ('abc') must be an integer" in capsys.readouterr().err
+        # CSV carries no timestamp, so the variable is never read.
+        assert main(["pathloss", "--quiet"]) == 0
+        assert capsys.readouterr().out == plain
 
     def test_unwritable_output_path(self, tmp_path, capsys):
         assert main(["pathloss", "--out", str(tmp_path / "no" / "dir" / "x.csv")]) == 1
