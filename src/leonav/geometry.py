@@ -466,8 +466,8 @@ def percentile_pdop(
             samples.pdop[defined], w[defined], percentile
         )
         return PercentilePdop(value=value, coverage=coverage)
-    worst = np.nanmax(_site_percentiles(samples.pdop, percentile))
-    return PercentilePdop(value=float(worst), coverage=coverage)
+    worst = float(np.nanmax(_site_percentiles(samples.pdop, percentile)))
+    return PercentilePdop(value=worst, coverage=coverage)
 
 
 def _site_percentiles(pdop: np.ndarray, percentile: float) -> np.ndarray:
@@ -480,9 +480,10 @@ def _site_percentiles(pdop: np.ndarray, percentile: float) -> np.ndarray:
         raise ValueError(f"percentile ({percentile}) must lie in (0, 100]")
     ordered = np.sort(pdop, axis=1)
     n = np.isfinite(pdop).sum(axis=1)
-    pos = np.maximum(n - 1, 0) * (percentile / 100.0)
+    last = np.maximum(n - 1, 0)
+    pos = last * (percentile / 100.0)
     lo = np.floor(pos).astype(np.intp)
-    hi = np.minimum(lo + 1, np.maximum(n - 1, 0))
+    hi = np.minimum(lo + 1, last)
     v_lo = np.take_along_axis(ordered, lo[:, None], axis=1)[:, 0]
     v_hi = np.take_along_axis(ordered, hi[:, None], axis=1)[:, 0]
     return np.where(n > 0, v_lo + (pos - lo) * (v_hi - v_lo), np.nan)
@@ -503,6 +504,5 @@ def pdop_field(
         with no defined sample, coverage is each site's defined fraction.
     """
     samples = pdop_samples(spec, grid, window, mask_deg, earth)
-    defined = samples.defined
-    coverage = defined.sum(axis=1) / defined.shape[1]
+    coverage = samples.defined.mean(axis=1)
     return _site_percentiles(samples.pdop, percentile), coverage

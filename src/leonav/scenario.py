@@ -379,9 +379,9 @@ def parse_scenario(text: str, strict: bool = True) -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioError("scenario root must be a JSON object")
     _check_keys(raw, _SECTIONS, "scenario", strict)
-    return Scenario(**{
-        name: _build(cls, _expect(raw.get(name, {}), dict, name, "an object"), name, strict)
-        for name, cls in _SECTIONS.items()
+    return Scenario(**{  # absent sections keep the default instances
+        name: _build(cls, _expect(raw[name], dict, name, "an object"), name, strict)
+        for name, cls in _SECTIONS.items() if name in raw
     })
 
 

@@ -402,6 +402,26 @@ class TestPdopSamplesEngine:
         p99 = weighted_percentile(samples.pdop[defined], w[defined], 99.0)
         assert p99 == pytest.approx(4000.268018480448, rel=1e-10)
 
+    @pytest.mark.parametrize("mask_deg", [0.0, 5.0, 30.0])
+    def test_cull_keeps_every_pair_at_the_mask(self, mask_deg):
+        """Satellites a hair above and below the mask, counted against
+        the elevation test applied to every site x satellite pair."""
+        rng = np.random.default_rng(47)
+        grid = GroundGrid.fibonacci(20)
+        basis = geometry._enu_basis(np.radians(grid.lat_deg), np.radians(grid.lon_deg))
+        sites = EARTH.radius_km * basis[:, 2, :]
+        ecef = np.array([
+            satellite_above(site, float(rng.uniform(0.0, 360.0)),
+                            mask_deg + offset, float(rng.uniform(400.0, 4000.0)))
+            for site in sites for offset in (-1e-10, 1e-10, -1e-10, 1e-10)
+        ])
+        count, _ = geometry._block_pdop(basis, ecef, EARTH.radius_km, math.radians(mask_deg))
+        los = ecef[None, :, :] - sites[:, None, :]
+        unit = los / np.linalg.norm(los, axis=-1)[..., None]
+        up = np.einsum("nab,nsb->nsa", basis, unit)[..., 2]
+        assert np.array_equal(count, (up >= math.sin(math.radians(mask_deg))).sum(axis=1))
+        assert count.min() >= 2  # each site sees its own two just above the mask
+
     @pytest.mark.parametrize("budget", [1, 7 * 60, 50 * 60 - 1])
     def test_site_blocks_do_not_change_samples(self, monkeypatch, budget):
         spec = WalkerSpec(60, 6, phasing=0, altitude_km=600.0)
