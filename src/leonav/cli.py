@@ -39,6 +39,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    """Thread count from --threads or LEO_NAV_THREADS: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} must be an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} must be >= 1")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="scenario JSON file")
     parser.add_argument("--out", metavar="PATH", help="output file (default stdout)")
@@ -50,7 +61,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--quiet", action="store_true", help="suppress progress messages"
     )
     parser.add_argument(
-        "--threads", type=int, default=None, metavar="N",
+        "--threads", type=_positive_int, default=None, metavar="N",
         help="worker thread cap (default: LEO_NAV_THREADS or 1); results "
              "do not depend on it",
     )
@@ -94,18 +105,11 @@ def build_parser() -> _Parser:
 
 def _threads(args: argparse.Namespace) -> int:
     if args.threads is not None:
-        value = args.threads
-    else:
-        raw = os.environ.get("LEO_NAV_THREADS", "1")
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ScenarioError(
-                f"LEO_NAV_THREADS ({raw!r}) must be an integer"
-            ) from None
-    if value < 1:
-        raise ScenarioError(f"threads ({value}) must be >= 1")
-    return value
+        return args.threads
+    try:
+        return _positive_int(os.environ.get("LEO_NAV_THREADS", "1"))
+    except argparse.ArgumentTypeError as exc:
+        raise ScenarioError(f"LEO_NAV_THREADS: {exc}") from None
 
 
 def _load_scenario(args: argparse.Namespace) -> Scenario:

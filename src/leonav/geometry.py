@@ -29,6 +29,11 @@ from .orbits import (
 #: is treated as singular rather than inverted.
 CONDITION_LIMIT = 1.0e12
 
+#: Condition-number bound under which the PDOP engine takes the closed form
+#: instead of LAPACK; far enough below ``CONDITION_LIMIT`` that no sample
+#: it clears could be singular, and low enough that the two agree to ~1e-12.
+_SURE_CONDITION = 1.0e4
+
 #: Site x satellite pairs the PDOP engine tests for visibility at once; the
 #: site axis is processed in blocks of this many pairs, which bounds its
 #: working memory whatever the grid and constellation sizes.
@@ -361,7 +366,8 @@ def _block_pdop(
     sample.  Rows stay in ENU rather than ECEF: PDOP is rotation-invariant
     only in exact arithmetic, and a sample whose four satellites are
     barely independent (PDOP ~1e5) magnifies the rounding of a change of
-    frame far past 1e-10.
+    frame far past 1e-10.  Well-conditioned samples, nearly all of them,
+    take PDOP in closed form from the per-site sums.
     """
     m = basis.shape[0]
     up = basis[:, 2, :]
@@ -377,19 +383,32 @@ def _block_pdop(
     site = site[vis]
     e = enu[vis].T  # (3, visible pairs), site-major, satellites in input order
 
-    # Normal matrix of the geometry rows [-e, -n, -u, 1], summed per site.
+    # Per-site sums of the geometry rows [-e, -n, -u, 1], for the sites with
+    # the four satellites a solution needs: the count k, b = -sum e and
+    # A = sum e e^T, so that the normal matrix is N = [[A, b], [b^T, k]].
     count = np.bincount(site, minlength=m)
-    normal = np.empty((m, 4, 4))
-    normal[:, 3, 3] = count
-    for i in range(3):
-        normal[:, i, 3] = normal[:, 3, i] = -np.bincount(site, e[i], minlength=m)
-        for k in range(i, 3):
-            normal[:, i, k] = normal[:, k, i] = np.bincount(site, e[i] * e[k], minlength=m)
-
     pdop = np.full(m, np.nan)
     enough = np.flatnonzero(count >= 4)
+    k = count[enough].astype(float)
+    b = np.stack([-np.bincount(site, e[i], minlength=m)[enough] for i in range(3)])
+    a = np.empty((3, 3, enough.size))
+    for i in range(3):
+        for j in range(i, 3):
+            a[i, j] = a[j, i] = np.bincount(site, e[i] * e[j], minlength=m)[enough]
+
+    sure, value = _closed_form_pdop(k, b, a)
+    pdop[enough[sure]] = value
+
+    # The rest keep the eigenvalue test and LAPACK's inverse, so undefined
+    # masks and the values of nearly singular samples do not depend on the
+    # closed form.
+    rest = ~sure
+    enough = enough[rest]
     if enough.size:
-        sub = normal[enough]
+        sub = np.empty((enough.size, 4, 4))
+        sub[:, :3, :3] = a[:, :, rest].transpose(2, 0, 1)
+        sub[:, :3, 3] = sub[:, 3, :3] = b[:, rest].T
+        sub[:, 3, 3] = k[rest]
         eig = np.linalg.eigvalsh(sub)  # ascending; the matrices are symmetric PSD
         with np.errstate(divide="ignore", invalid="ignore"):
             cond = np.where(eig[:, 0] > 0.0, eig[:, -1] / eig[:, 0], np.inf)
@@ -398,6 +417,33 @@ def _block_pdop(
             q = np.linalg.inv(sub[good])
             pdop[enough[good]] = np.sqrt(q[:, 0, 0] + q[:, 1, 1] + q[:, 2, 2])
     return count, pdop
+
+
+def _closed_form_pdop(
+    k: np.ndarray, b: np.ndarray, a: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """PDOP of the samples that are provably well-conditioned.
+
+    Takes the blocks of normal matrices N = [[A, b], [b^T, k]] with the
+    sample axis last (k: (n,), b: (3, n), A: (3, 3, n)).  For symmetric
+    PSD N, cond(N) <= tr(N)^4 / det(N), and det(N) = k det S with
+    S = A - b b^T / k the Schur complement of k; the position block of
+    inv(N) is inv(S), so PDOP^2 = (sum of S's principal 2x2 minors) / det S.
+
+    Returns:
+        (sure, pdop): the mask of samples whose bound is within
+        ``_SURE_CONDITION``, and the PDOP of those samples.
+    """
+    s = a - b[:, None] * b[None, :] / k
+    minor = [s[i, i] * s[j, j] - s[i, j] ** 2 for i, j in ((1, 2), (0, 2), (0, 1))]
+    det = (
+        s[0, 0] * minor[0]
+        - s[0, 1] * (s[0, 1] * s[2, 2] - s[1, 2] * s[0, 2])
+        + s[0, 2] * (s[0, 1] * s[1, 2] - s[1, 1] * s[0, 2])
+    )
+    trace = a[0, 0] + a[1, 1] + a[2, 2] + k
+    sure = trace**4 <= _SURE_CONDITION * k * det
+    return sure, np.sqrt((minor[0] + minor[1] + minor[2])[sure] / det[sure])
 
 
 def weighted_percentile(

@@ -236,10 +236,9 @@ def min_constellation_size(
     is re-checked by linear scan.  An unreachable target returns the best
     evaluated size with reachable=False.
     """
-    if altitude_km <= 0.0:
-        raise ValueError(f"altitude_km ({altitude_km}) must be strictly positive")
-    if not target_pdop > 0.0:
-        raise ValueError(f"target_pdop ({target_pdop}) must be strictly positive")
+    for name, value in (("altitude_km", altitude_km), ("target_pdop", target_pdop)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} ({value}) must be finite and strictly positive")
     if ceiling < 1:
         raise ValueError(f"ceiling ({ceiling}) must be >= 1")
 

@@ -199,6 +199,27 @@ class TestExitCodes:
         assert main(["dop-sweep", "--config", cfg, "--threads", "0", "--quiet"]) == 1
         assert "threads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["optimize", "baseline"])
+    def test_threads_flag_checked_by_every_report(self, command, capsys):
+        assert main([command, "--threads", "0", "--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert "argument --threads: 0 must be >= 1" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag", ["--altitude-km", "--target-pdop"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_optimize_rejects_non_finite_numbers(self, tmp_path, capsys, flag, value):
+        cfg = write_config(tmp_path)
+        args = {"--altitude-km": "900", "--target-pdop": "3", flag: value}
+        argv = ["optimize", "--config", cfg, "--quiet"]
+        for name, text in args.items():
+            argv += [name, text]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        key = flag[2:].replace("-", "_")
+        assert f"{key} ({value}) must be finite and strictly positive" in captured.err
+        assert captured.out == ""
+
     def test_missing_config_file(self, capsys):
         assert main(["pathloss", "--config", "/does/not/exist.json"]) == 1
         assert "cannot read config" in capsys.readouterr().err

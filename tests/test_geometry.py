@@ -48,6 +48,7 @@ from leonav.orbits import (
     site_to_ecef,
     walker_constellation,
 )
+from leonav.tradestudy import GPS_LIKE
 
 
 class TestTimeWindow:
@@ -401,6 +402,63 @@ class TestPdopSamplesEngine:
         w = np.broadcast_to(grid.weight[:, None], defined.shape)
         p99 = weighted_percentile(samples.pdop[defined], w[defined], 99.0)
         assert p99 == pytest.approx(4000.268018480448, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [WalkerSpec(200, 10, phasing=0, altitude_km=600.0), GPS_LIKE],
+        ids=["200-600km-F0", "gps-like"],
+    )
+    def test_closed_form_agrees_with_lapack(self, monkeypatch, spec):
+        """With _SURE_CONDITION = 0 every sample takes eigvalsh + inv."""
+        grid = GroundGrid.fibonacci(100)
+        window = TimeWindow(21600.0, 2160.0)
+        eigvalsh = np.linalg.eigvalsh
+        fallback = []
+
+        def counting_eigvalsh(matrices):
+            fallback.append(len(matrices))
+            return eigvalsh(matrices)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        shipped = pdop_samples(spec, grid, window)
+        solvable = int((shipped.visible_count >= 4).sum())
+        assert 0 < sum(fallback) < solvable  # both paths ran
+        fallback.clear()
+        monkeypatch.setattr(geometry, "_SURE_CONDITION", 0.0)
+        lapack = pdop_samples(spec, grid, window)
+        assert sum(fallback) == solvable
+        assert np.array_equal(shipped.visible_count, lapack.visible_count)
+        assert np.array_equal(shipped.defined, lapack.defined)
+        defined = lapack.defined
+        np.testing.assert_allclose(
+            shipped.pdop[defined], lapack.pdop[defined], rtol=1e-12, atol=0.0
+        )
+
+    def test_closed_form_bound_holds_on_random_rows(self):
+        """Wherever the bound clears, the eigenvalue condition number is
+        within _SURE_CONDITION and the closed form matches the inverse."""
+        rng = np.random.default_rng(5)
+        normal = np.empty((2000, 4, 4))
+        for t in range(len(normal)):
+            k = int(rng.integers(4, 13))
+            # Azimuth and elevation spans from narrow to full sky, so some
+            # row sets clear the bound and others do not.
+            az = np.radians(rng.uniform(0.0, rng.uniform(30.0, 360.0), k))
+            el = np.radians(5.0 + rng.uniform(0.0, rng.uniform(10.0, 85.0), k))
+            g = np.column_stack([
+                -np.cos(el) * np.sin(az), -np.cos(el) * np.cos(az), -np.sin(el),
+                np.ones(k),
+            ])
+            normal[t] = g.T @ g
+        sure, value = geometry._closed_form_pdop(
+            normal[:, 3, 3], normal[:, :3, 3].T, normal[:, :3, :3].transpose(1, 2, 0)
+        )
+        assert 0 < sure.sum() < len(normal)
+        eig = np.linalg.eigvalsh(normal)
+        assert np.all(eig[sure, -1] / eig[sure, 0] <= geometry._SURE_CONDITION)
+        q = np.linalg.inv(normal[sure])
+        expected = np.sqrt(q[:, 0, 0] + q[:, 1, 1] + q[:, 2, 2])
+        np.testing.assert_allclose(value, expected, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("mask_deg", [0.0, 5.0, 30.0])
     def test_cull_keeps_every_pair_at_the_mask(self, mask_deg):
