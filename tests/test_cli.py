@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 
@@ -179,6 +180,70 @@ class TestEngineCommands:
         cfg = write_config(tmp_path)
         assert main(["dop-sweep", "--config", cfg, "--quiet"]) == 1
         assert "LEO_NAV_THREADS" in capsys.readouterr().err
+
+
+#: A small scenario on which every report runs in milliseconds.
+PIN_SCENARIO = {
+    "grid": {"resolution": 60},
+    "window": {"duration_s": 1200.0, "step_s": 600.0},
+    "walker": {"total_sats": 120, "altitude_km": 1000.0},
+    "sweep": {"sizes": [96, 120], "altitudes_km": [900.0, 1000.0], "percentile": 90.0},
+}
+
+PIN_FLAGS = {
+    "dop-sweep": ["--threads", "2"],
+    "optimize": ["--altitude-km", "1000", "--target-pdop", "3", "--ceiling", "300"],
+}
+
+#: SHA-256 of every report on PIN_SCENARIO in every format; None marks a
+#: table report, which has no SVG form and exits 1.  Any change to a
+#: report's bytes must change this table on purpose.
+PINNED_REPORTS = {
+    ("dop-map", "csv"): "3a53dafb62604204f01b93c041b0ce91ae8b5fac2f06d6754a65051a072f7821",
+    ("dop-map", "json"): "13856f185543dcbbe74f300136684211f14ff6f764f1e28edde820e0b88f1ed5",
+    ("dop-map", "svg"): None,
+    ("dop-sweep", "csv"): "8851a25d34501adf7496201f23c381c3d5fad1bcd020cb9f7328f1b2595ad7c6",
+    ("dop-sweep", "json"): "3ecee1d48a899abeb6cbdb7929f3a077883151b1616073593f1bfb40259034f3",
+    ("dop-sweep", "svg"): "77bbab348ff998dba3a2747adebbd42f685fab6ac8f0e151d05e91d9cfefb254",
+    ("optimize", "csv"): "84d128e5df7e51f7f900043120cafb4d3642c3e37d500b3298cd5679313d493c",
+    ("optimize", "json"): "687b7e5da31e3ac0ba91a13ced6aee16d334e6bf09dcc8e1b6fb337b0e0e88c3",
+    ("optimize", "svg"): None,
+    ("baseline", "csv"): "6dcc56448c62a0e11bc42ea6cf1057199433806e519934d3a6144a9a4115f222",
+    ("baseline", "json"): "db40363570c94e69bfb79a3672dbc0692db34195ad9cc50bf288d381e0bc19b0",
+    ("baseline", "svg"): None,
+    ("pathloss", "csv"): "7254c1c65fba0b6c72bc4f7528ddc1f0be1b7a4e1ae8f6d27aba84025e98b8c7",
+    ("pathloss", "json"): "220be48177f3f0dd79f03a5e02de0c20a7a0b0f9ee20fecf36f906fe2f8a2925",
+    ("pathloss", "svg"): "39f7a6a5fd485841a9ec4f6fc49b2f3bbf2d25571274ab65dd199d9a038a120e",
+    ("footprint", "csv"): "bc4c286358a3ccfe58bb2bb0f65253abb932bf806d5447f6ff13e5de1d00a533",
+    ("footprint", "json"): "5bc32dab885520929a75838e0ab0a16af96a721bb0b0d4f176432b135264e58c",
+    ("footprint", "svg"): "ec214967ebe6e3fca8357cef29f9ffc59193798b7ce81a81359f56c52b4a4da3",
+    ("jammer", "csv"): "641711abeb893852785eec37893fe2bcf3508579e7ab62e83e3559e9a4a25644",
+    ("jammer", "json"): "cfa0cd8cc2a30b666d0e08dfdd5fc8bef4f98fa4e7a3013ff13d4db8413ec705",
+    ("jammer", "svg"): None,
+    ("power", "csv"): "de31c327e6ba341d96bfabd258a965ee12df1866c7783f6fc123742975181d3c",
+    ("power", "json"): "172c8b831fa6858664b3fd2b166b03d8944beb9a81af4ff10b335b588d109809",
+    ("power", "svg"): None,
+}
+
+
+@pytest.mark.parametrize(("command", "fmt"), list(PINNED_REPORTS))
+def test_report_bytes_are_pinned(command, fmt, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    cfg = tmp_path / "pin.json"
+    cfg.write_text(json.dumps(PIN_SCENARIO), encoding="utf-8")
+    out = tmp_path / f"report.{fmt}"
+    code = main([
+        command, "--config", str(cfg), "--format", fmt, "--out", str(out),
+        "--quiet", *PIN_FLAGS.get(command, []),
+    ])
+    digest = PINNED_REPORTS[(command, fmt)]
+    if digest is None:
+        assert code == 1
+        assert "svg output supports series and matrix results" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestExitCodes:

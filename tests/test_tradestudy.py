@@ -207,6 +207,15 @@ class TestMinConstellationSize:
         assert result.total_sats <= 100
         assert result.evaluations >= 2
 
+    def test_unreachable_answer_is_the_best_evaluated_size(self):
+        # Best means most coverage first, then lowest PDOP.
+        result = min_constellation_size(900.0, 0.001, tiny(), ceiling=100)
+        assert (result.total_sats, result.planes, result.phasing) == (100, 10, 1)
+        assert result.achieved_pdop == pytest.approx(115.91078250467537, rel=1e-9)
+        assert result.coverage == 194 / 384
+        assert result.evaluations == 4
+        assert not result.reachable
+
     def test_validation(self):
         sc = tiny()
         with pytest.raises(ValueError, match="altitude_km"):
