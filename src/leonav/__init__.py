@@ -35,10 +35,6 @@ from .orbits import (
     EcefPosition,
     WalkerSpec,
     default_planes,
-    eci_to_ecef,
-    mean_motion_rad_s,
-    orbital_period_s,
-    propagate,
     site_to_ecef,
     walker_constellation,
 )

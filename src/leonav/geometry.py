@@ -121,13 +121,6 @@ class GroundGrid:
     def __len__(self) -> int:
         return int(self.lat_deg.size)
 
-    @property
-    def sites(self) -> list[tuple[float, float, float]]:
-        """(lat_deg, lon_deg, weight) tuples, site-index order."""
-        return list(
-            zip(self.lat_deg.tolist(), self.lon_deg.tolist(), self.weight.tolist())
-        )
-
     @classmethod
     def fibonacci(cls, n_sites: int = 500) -> "GroundGrid":
         """Equal-area Fibonacci-sphere lattice; every site weighs 1/n."""

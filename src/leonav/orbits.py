@@ -3,7 +3,7 @@
 Spherical Earth, circular orbits, abstract epoch (t = 0 s).  Public
 interfaces use kilometres and degrees; element state is stored in
 radians.  Frames: propagation happens in a non-rotating Earth-centered
-inertial frame; ``eci_to_ecef`` rotates into the Earth-fixed frame by
+inertial frame; ``rotate_eci_to_ecef`` rotates into the Earth-fixed frame by
 the sidereal angle accumulated since epoch.
 """
 
@@ -48,9 +48,6 @@ class EcefPosition:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x_km, self.y_km, self.z_km], dtype=float)
-
-    def norm_km(self) -> float:
-        return math.hypot(self.x_km, self.y_km, self.z_km)
 
 
 @dataclass(frozen=True)
@@ -168,18 +165,6 @@ def walker_constellation(
     return elements
 
 
-def mean_motion_rad_s(semimajor_km: float, earth: EarthModel = EARTH) -> float:
-    """Circular mean motion n = sqrt(mu / a^3)."""
-    if semimajor_km <= 0.0:
-        raise ValueError(f"semimajor_km ({semimajor_km}) must be strictly positive")
-    return math.sqrt(earth.mu_km3_s2 / semimajor_km**3)
-
-
-def orbital_period_s(semimajor_km: float, earth: EarthModel = EARTH) -> float:
-    """Keplerian period 2*pi*sqrt(a^3 / mu)."""
-    return _TWO_PI / mean_motion_rad_s(semimajor_km, earth)
-
-
 def propagate_arrays(
     semimajor_km: np.ndarray,
     inclination_rad: np.ndarray,
@@ -205,20 +190,6 @@ def propagate_arrays(
     return np.stack([x, y, z], axis=-1)
 
 
-def propagate(
-    elements: CircularElements, t_s: float, earth: EarthModel = EARTH
-) -> np.ndarray:
-    """Inertial position (km triple) of one satellite at time t_s past epoch."""
-    return propagate_arrays(
-        elements.semimajor_km,
-        elements.inclination_rad,
-        elements.raan_rad,
-        elements.initial_anomaly_rad,
-        t_s,
-        earth,
-    )
-
-
 def rotate_eci_to_ecef(
     pos_eci_km: np.ndarray, t_s: float, earth: EarthModel = EARTH
 ) -> np.ndarray:
@@ -234,12 +205,6 @@ def rotate_eci_to_ecef(
     x = pos[..., 0] * cos_t + pos[..., 1] * sin_t
     y = -pos[..., 0] * sin_t + pos[..., 1] * cos_t
     return np.stack([x, y, pos[..., 2]], axis=-1)
-
-
-def eci_to_ecef(pos_eci_km, t_s: float, earth: EarthModel = EARTH) -> EcefPosition:
-    """Earth-fixed position of an inertial km triple at time t_s past epoch."""
-    out = rotate_eci_to_ecef(np.asarray(pos_eci_km, dtype=float), t_s, earth)
-    return EcefPosition(float(out[0]), float(out[1]), float(out[2]))
 
 
 def site_to_ecef(

@@ -21,6 +21,7 @@ import sys
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from operator import itemgetter
 from typing import Any, Sequence
 
 
@@ -78,39 +79,41 @@ def utc_timestamp() -> str:
     )
 
 
-def make_envelope(
-    kind: str,
-    columns: Sequence[Column],
-    rows: Sequence[Sequence],
-    scenario_hash: str,
-    tool_version: str,
-    axes: dict[str, Sequence] | None = None,
-) -> ResultEnvelope:
-    return ResultEnvelope(
-        kind=kind,
-        columns=tuple(columns),
-        rows=tuple(tuple(r) for r in rows),
-        scenario_hash=scenario_hash,
-        tool_version=tool_version,
-        axes=None if axes is None else {k: tuple(v) for k, v in axes.items()},
-    )
+def _column_unit(name: str) -> str:
+    """Unit symbol of a report column, read from its name: a suffix _deg,
+    _km, _m or _w, or "_db" anywhere; text columns have none, and every
+    other column is a pure number ("1")."""
+    if name in ("canopy", "quantity", "note"):
+        return ""
+    if "_db" in name:
+        return "dB"
+    for suffix, unit in (("_deg", "deg"), ("_km", "km"), ("_m", "m"), ("_w", "W")):
+        if name.endswith(suffix):
+            return unit
+    return "1"
 
 
 def rows_envelope(
     kind: str,
     rows: Sequence[dict],
-    units: dict[str, str],
     scenario_hash: str,
     tool_version: str,
     axes: dict[str, Sequence] | None = None,
 ) -> ResultEnvelope:
-    """Envelope from homogeneous dict rows; column order follows the first row."""
+    """Envelope from homogeneous dict rows; column order follows the first
+    row, and each column's unit follows from its name."""
     if not rows:
         raise EmitError("cannot build an envelope from zero rows")
-    names = list(rows[0].keys())
-    columns = [Column(name, units.get(name, "")) for name in names]
-    data = [tuple(row[name] for name in names) for row in rows]
-    return make_envelope(kind, columns, data, scenario_hash, tool_version, axes)
+    names = list(rows[0])
+    values = itemgetter(*names) if len(names) > 1 else lambda row: (row[names[0]],)
+    return ResultEnvelope(
+        kind=kind,
+        columns=tuple(Column(name, _column_unit(name)) for name in names),
+        rows=tuple(map(values, rows)),
+        scenario_hash=scenario_hash,
+        tool_version=tool_version,
+        axes=None if axes is None else {k: tuple(v) for k, v in axes.items()},
+    )
 
 
 def to_csv(envelope: ResultEnvelope) -> str:

@@ -225,6 +225,15 @@ class LinkConfig(_Section, key="link"):
         (0.0, 30.0), "in [0, 90)", lambda v: 0.0 <= v < 90.0
     )
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        masks = self.footprint_masks_deg
+        if len({f"{mask:g}" for mask in masks}) < len(masks):
+            raise ScenarioError(
+                "link.footprint_masks_deg: must differ at 6 significant digits, "
+                f"since each mask names one footprint column (got {list(masks)!r})"
+            )
+
     @property
     def params(self) -> LinkParams:
         return LinkParams(reference=self.reference, frequency_hz=self.frequency_hz)

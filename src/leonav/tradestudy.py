@@ -37,7 +37,6 @@ from .rflink import (
     penetration_report,
     slant_range_km,
 )
-from . import __version__
 from .scenario import Scenario, scenario_hash
 
 #: The MEO comparison constellation: 24 satellites, 6 planes, 55 degrees,
@@ -144,7 +143,6 @@ class SweepResult:
     cells: tuple[SweepCell, ...]
     percentile: float
     scenario_hash: str
-    version: str
 
 
 def pdop_sweep(scenario: Scenario, threads: int = 1) -> SweepResult:
@@ -190,7 +188,6 @@ def pdop_sweep(scenario: Scenario, threads: int = 1) -> SweepResult:
         cells=tuple(cells),
         percentile=scenario.sweep.percentile,
         scenario_hash=scenario_hash(scenario),
-        version=__version__,
     )
 
 
@@ -278,60 +275,54 @@ def min_constellation_size(
             (i for i in range(idx + 1, len(ladder)) if ladder[i] >= next_size),
             len(ladder) - 1,
         )
-    bracket_lo = lo  # doubling bracket floor; bisection narrows inside it
-
     if hi is None:
-        best_size = max(memo, key=lambda s: ((memo[s] or PercentilePdop(math.inf, 0.0)).coverage,
-                                             -(memo[s] or PercentilePdop(math.inf, 0.0)).value))
-        best = memo[best_size]
-        spec = build_walker(best_size, altitude_km, scenario)
-        return SizingResult(
-            altitude_km=altitude_km,
-            target_pdop=target_pdop,
-            total_sats=spec.total_sats,
-            planes=spec.planes,
-            phasing=spec.phasing,
-            achieved_pdop=None if best is None else best.value,
-            coverage=0.0 if best is None else best.coverage,
-            reachable=False,
-            evaluations=len(memo),
+        # Unreachable: the best evaluated size, most coverage first, then
+        # lowest PDOP.
+        size = max(memo, key=lambda s: (memo[s].coverage, -memo[s].value)
+                   if memo[s] else (0.0, -math.inf))
+    else:
+        bracket_lo = lo  # doubling bracket floor; bisection narrows inside it
+        while hi - lo > 1:
+            mid = (hi + lo) // 2
+            if _passes(evaluate(mid), target_pdop):
+                hi = mid
+            else:
+                lo = mid
+
+        # Bisection trusts monotonicity; verify on what was actually computed
+        # and fall back to a linear scan of the doubling bracket when violated.
+        evaluated = sorted(
+            (s, r) for s, r in memo.items() if r is not None and r.coverage == 1.0
         )
+        monotone = all(
+            earlier[1].value >= later[1].value * (1.0 - 1e-9)
+            for earlier, later in zip(evaluated, evaluated[1:])
+        )
+        if not monotone:
+            for i in range(bracket_lo + 1, hi + 1):
+                if _passes(evaluate(i), target_pdop):
+                    hi = i
+                    break
+        size = ladder[hi]
 
-    while hi - lo > 1:
-        mid = (hi + lo) // 2
-        if _passes(evaluate(mid), target_pdop):
-            hi = mid
-        else:
-            lo = mid
-
-    # Bisection trusts monotonicity; verify on what was actually computed
-    # and fall back to a linear scan of the doubling bracket when violated.
-    evaluated = sorted(
-        (s, r) for s, r in memo.items() if r is not None and r.coverage == 1.0
-    )
-    monotone = all(
-        earlier[1].value >= later[1].value * (1.0 - 1e-9)
-        for earlier, later in zip(evaluated, evaluated[1:])
-    )
-    if not monotone:
-        for i in range(bracket_lo + 1, hi + 1):
-            if _passes(evaluate(i), target_pdop):
-                hi = i
-                break
-
-    final = evaluate(hi)
-    spec = build_walker(ladder[hi], altitude_km, scenario)
+    result = memo[size]
+    spec = build_walker(size, altitude_km, scenario)
     return SizingResult(
         altitude_km=altitude_km,
         target_pdop=target_pdop,
         total_sats=spec.total_sats,
         planes=spec.planes,
         phasing=spec.phasing,
-        achieved_pdop=final.value if final else None,
-        coverage=final.coverage if final else 0.0,
-        reachable=True,
+        achieved_pdop=None if result is None else result.value,
+        coverage=0.0 if result is None else result.coverage,
+        reachable=hi is not None,
         evaluations=len(memo),
     )
+
+
+def pdop_column(scenario: Scenario) -> str:
+    """Report column name of the scenario's percentile PDOP, e.g. pdop_p95."""
+    return f"pdop_p{scenario.sweep.percentile:g}"
 
 
 def dop_map(scenario: Scenario) -> list[dict]:
@@ -356,6 +347,7 @@ def dop_map(scenario: Scenario) -> list[dict]:
         raise NoCoverageError(
             "no coverage: every site has undefined PDOP over the window"
         )
+    pdop = pdop_column(scenario)
     rows = []
     for i in range(len(grid)):
         rows.append(
@@ -363,7 +355,7 @@ def dop_map(scenario: Scenario) -> list[dict]:
                 "lat_deg": float(grid.lat_deg[i]),
                 "lon_deg": float(grid.lon_deg[i]),
                 "weight": float(grid.weight[i]),
-                "pdop": None if math.isnan(values[i]) else float(values[i]),
+                pdop: None if math.isnan(values[i]) else float(values[i]),
                 "coverage_fraction": float(coverage[i]),
             }
         )

@@ -6,10 +6,12 @@ import csv
 import hashlib
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from leonav.cli import main
+from leonav.cli import _REPORTS, main
 
 from conftest import TINY
 
@@ -326,6 +328,14 @@ class TestExitCodes:
         assert "link.pathloss_altitudes_km[0]: must be finite" in captured.err
         assert captured.out == ""
 
+    def test_footprint_masks_that_name_one_column(self, tmp_path, capsys):
+        path = tmp_path / "masks.json"
+        path.write_text('{"link": {"footprint_masks_deg": [5.0, 5.0000001]}}', encoding="utf-8")
+        assert main(["footprint", "--config", str(path), "--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert "link.footprint_masks_deg" in captured.err
+        assert captured.out == ""
+
     def test_source_date_epoch_must_be_integer(self, monkeypatch, capsys):
         monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
         assert main(["pathloss", "--quiet"]) == 0
@@ -350,6 +360,11 @@ class TestUserExperience:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.strip() == "leonav 0.1.0"
+
+    def test_readme_lists_every_subcommand_in_order(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+        table = re.search(r"\| Subcommand .*?\n\n", readme, re.DOTALL).group(0)
+        assert re.findall(r"^\| `([a-z-]+)`", table, re.MULTILINE) == list(_REPORTS)
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -43,8 +43,8 @@ from leonav.orbits import (
     EARTH,
     EcefPosition,
     WalkerSpec,
-    eci_to_ecef,
-    propagate,
+    propagate_arrays,
+    rotate_eci_to_ecef,
     site_to_ecef,
     walker_constellation,
 )
@@ -111,12 +111,6 @@ class TestGroundGrid:
         lat = grid.lat_deg.reshape(16, 32)[:, 0]
         ratio = grid.weight.reshape(16, 32)[:, 0] / np.cos(np.radians(lat))
         assert np.allclose(ratio, ratio[0])
-
-    def test_sites_property_order(self):
-        grid = GroundGrid.fibonacci(5)
-        sites = grid.sites
-        assert len(sites) == 5
-        assert sites[0] == (grid.lat_deg[0], grid.lon_deg[0], grid.weight[0])
 
     def test_rejects_bad_grids(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -370,9 +364,15 @@ class TestPdopSamplesEngine:
         elements = walker_constellation(spec)
         checked_defined = 0
         for j, t in enumerate(window.epochs()):
-            sats = [eci_to_ecef(propagate(e, float(t)), float(t)) for e in elements]
-            for i, (lat, lon, _) in enumerate(grid.sites):
-                site = site_to_ecef(lat, lon)
+            sats = [
+                EcefPosition(*rotate_eci_to_ecef(propagate_arrays(
+                    e.semimajor_km, e.inclination_rad, e.raan_rad,
+                    e.initial_anomaly_rad, float(t),
+                ), float(t)).tolist())
+                for e in elements
+            ]
+            for i in range(len(grid)):
+                site = site_to_ecef(float(grid.lat_deg[i]), float(grid.lon_deg[i]))
                 obs = visible_sats(site, sats, mask_deg=5.0)
                 assert samples.visible_count[i, j] == len(obs)
                 if len(obs) < 4:

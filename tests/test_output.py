@@ -13,7 +13,6 @@ from leonav.output import (
     EmitError,
     ResultEnvelope,
     emit,
-    make_envelope,
     rows_envelope,
     to_csv,
     to_json,
@@ -23,40 +22,40 @@ from leonav.output import (
 
 
 def table_envelope() -> ResultEnvelope:
-    return make_envelope(
+    return ResultEnvelope(
         "table",
-        [Column("altitude_km", "km"), Column("loss_db", "dB"), Column("note")],
-        [(500.0, 150.25, "a"), (1000.0, None, 'needs "quoting", really')],
+        (Column("altitude_km", "km"), Column("loss_db", "dB"), Column("note")),
+        ((500.0, 150.25, "a"), (1000.0, None, 'needs "quoting", really')),
         scenario_hash="ab" * 32,
         tool_version="0.1.0",
     )
 
 
 def series_envelope() -> ResultEnvelope:
-    return make_envelope(
+    return ResultEnvelope(
         "series",
-        [Column("altitude_km", "km"), Column("gain_db", "dB"), Column("delta_db", "dB")],
-        [(500.0, 10.0, -32.0), (900.0, 8.0, -28.0), (1400.0, 6.4, -24.5)],
+        (Column("altitude_km", "km"), Column("gain_db", "dB"), Column("delta_db", "dB")),
+        ((500.0, 10.0, -32.0), (900.0, 8.0, -28.0), (1400.0, 6.4, -24.5)),
         scenario_hash="cd" * 32,
         tool_version="0.1.0",
     )
 
 
 def matrix_envelope() -> ResultEnvelope:
-    rows = [
+    rows = (
         (24, 600.0, 1.0, 5.2),
         (24, 800.0, 0.9, None),
         (48, 600.0, 1.0, 3.1),
         (48, 800.0, 1.0, 2.8),
-    ]
-    return make_envelope(
+    )
+    return ResultEnvelope(
         "matrix",
-        [
+        (
             Column("requested_sats"),
             Column("altitude_km", "km"),
             Column("coverage"),
             Column("pdop_p95"),
-        ],
+        ),
         rows,
         scenario_hash="ef" * 32,
         tool_version="0.1.0",
@@ -67,30 +66,39 @@ def matrix_envelope() -> ResultEnvelope:
 class TestEnvelope:
     def test_kinds_validated(self):
         with pytest.raises(EmitError, match="kind"):
-            make_envelope("scatter", [Column("x")], [], "h", "v")
+            ResultEnvelope("scatter", (Column("x"),), (), "h", "v")
 
     def test_row_width_validated(self):
         with pytest.raises(EmitError, match="row 1 has 1 fields"):
-            make_envelope("table", [Column("x"), Column("y")], [(1, 2), (3,)], "h", "v")
+            ResultEnvelope("table", (Column("x"), Column("y")), ((1, 2), (3,)), "h", "v")
 
     def test_matrix_requires_axes(self):
         with pytest.raises(EmitError, match="axes"):
-            make_envelope("matrix", [Column("x")], [], "h", "v")
+            ResultEnvelope("matrix", (Column("x"),), (), "h", "v")
 
     def test_rows_envelope_preserves_first_row_order(self):
         env = rows_envelope(
             "table",
             [{"b_db": 1.0, "a_km": 2.0}, {"b_db": 3.0, "a_km": 4.0}],
-            units={"b_db": "dB", "a_km": "km"},
             scenario_hash="h",
             tool_version="v",
         )
         assert [c.name for c in env.columns] == ["b_db", "a_km"]
         assert env.rows == ((1.0, 2.0), (3.0, 4.0))
 
+    def test_rows_envelope_units_follow_column_names(self):
+        units = {
+            "lat_deg": "deg", "slant_range_km": "km", "jammer_radius_m": "m",
+            "low_w": "W", "fspl_db": "dB", "gain_db_mask5": "dB",
+            "canopy": "", "quantity": "", "note": "",
+            "walls_wood": "1", "pdop_p95": "1", "coverage_fraction": "1",
+        }
+        env = rows_envelope("table", [dict.fromkeys(units, 0)], "h", "v")
+        assert {c.name: c.unit for c in env.columns} == units
+
     def test_rows_envelope_rejects_empty(self):
         with pytest.raises(EmitError, match="zero rows"):
-            rows_envelope("table", [], {}, "h", "v")
+            rows_envelope("table", [], "h", "v")
 
 
 class TestTimestamp:
@@ -155,7 +163,7 @@ class TestJson:
         }
 
     def test_rejects_nan(self):
-        env = make_envelope("table", [Column("x")], [(float("nan"),)], "h", "v")
+        env = ResultEnvelope("table", (Column("x"),), ((float("nan"),),), "h", "v")
         with pytest.raises(ValueError):
             to_json(env)
 
@@ -170,10 +178,10 @@ class TestSvg:
         assert "gain_db / delta_db" in text
 
     def test_series_skips_undefined_points(self):
-        env = make_envelope(
+        env = ResultEnvelope(
             "series",
-            [Column("x"), Column("y")],
-            [(0.0, 1.0), (1.0, None), (2.0, 3.0)],
+            (Column("x"), Column("y")),
+            ((0.0, 1.0), (1.0, None), (2.0, 3.0)),
             "h",
             "v",
         )
@@ -182,7 +190,7 @@ class TestSvg:
         assert polyline.count(",") == 2  # two plotted points
 
     def test_empty_series_renders_placeholder(self):
-        env = make_envelope("series", [Column("x"), Column("y")], [], "h", "v")
+        env = ResultEnvelope("series", (Column("x"), Column("y")), (), "h", "v")
         assert "no data" in to_svg(env)
 
     def test_matrix_heatmap(self):

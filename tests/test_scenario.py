@@ -139,6 +139,9 @@ class TestRejections:
             ('{"link": {"frequency_hz": 0}}', "link.frequency_hz"),
             ('{"link": {"elevation_deg": 95}}', "link.elevation_deg"),
             ('{"link": {"footprint_masks_deg": [0, 90]}}', "footprint_masks_deg"),
+            ('{"link": {"footprint_masks_deg": [5.0, 5.0000001]}}',
+             "link.footprint_masks_deg: must differ at 6 significant digits"),
+            ('{"link": {"footprint_masks_deg": [5.0, 5.0]}}', "link.footprint_masks_deg"),
             ('{"jammer": {"ref_power_w": 0}}', "jammer.ref_power_w"),
             ('{"jammer": {"margins_db": [-5]}}', "jammer.margins_db"),
             ('{"materials": {"wood_db": 0}}', "materials.wood_db"),

@@ -231,10 +231,10 @@ class TestDopMap:
         rows = dop_map(tiny())
         assert len(rows) == 64
         assert list(rows[0]) == [
-            "lat_deg", "lon_deg", "weight", "pdop", "coverage_fraction",
+            "lat_deg", "lon_deg", "weight", "pdop_p95", "coverage_fraction",
         ]
         for row in rows:
-            assert (row["pdop"] is None) == (row["coverage_fraction"] == 0.0)
+            assert (row["pdop_p95"] is None) == (row["coverage_fraction"] == 0.0)
             assert 0.0 <= row["coverage_fraction"] <= 1.0
 
     def test_raises_without_any_coverage(self):
