@@ -30,7 +30,6 @@ from .geometry import (
 )
 from .orbits import (
     EARTH,
-    CircularElements,
     EarthModel,
     EcefPosition,
     WalkerSpec,

@@ -35,8 +35,9 @@ CONDITION_LIMIT = 1.0e12
 _SURE_CONDITION = 1.0e4
 
 #: Site x satellite pairs the PDOP engine tests for visibility at once; the
-#: site axis is processed in blocks of this many pairs, which bounds its
-#: working memory whatever the grid and constellation sizes.
+#: site axis is processed in blocks of this many pairs, and the epoch axis
+#: propagated in chunks of as many epoch x satellite pairs, which bounds its
+#: working memory whatever the grid, window and constellation sizes.
 _PAIR_BUDGET = 1 << 18
 
 _GOLDEN_ANGLE_RAD = math.pi * (3.0 - math.sqrt(5.0))
@@ -311,16 +312,13 @@ def pdop_samples(
 
     Vectorized equivalent of visible_sats + dop over the whole grid and
     window; undefined samples (insufficient or singular geometry) are NaN.
-    Sites are taken in blocks of about ``_PAIR_BUDGET`` site x satellite
-    pairs, so memory does not grow with grid size times constellation size.
+    Epochs are propagated in chunks, and sites taken in blocks, of about
+    ``_PAIR_BUDGET`` epoch or site x satellite pairs, so memory does not
+    grow with window length or grid size times constellation size.
     """
     if not 0.0 <= mask_deg < 90.0:
         raise ValueError(f"mask_deg ({mask_deg}) must lie in [0, 90)")
     elements = walker_constellation(spec, earth)
-    a = np.array([e.semimajor_km for e in elements])
-    inc = np.array([e.inclination_rad for e in elements])
-    raan = np.array([e.raan_rad for e in elements])
-    m0 = np.array([e.initial_anomaly_rad for e in elements])
 
     lat = np.radians(grid.lat_deg)
     lon = np.radians(grid.lon_deg)
@@ -333,14 +331,15 @@ def pdop_samples(
     counts = np.zeros((n_sites, epochs.size), dtype=np.int32)
     block = max(1, _PAIR_BUDGET // spec.total_sats)
 
-    for j, t in enumerate(epochs):
-        eci = propagate_arrays(a, inc, raan, m0, float(t), earth)
-        ecef = rotate_eci_to_ecef(eci, float(t), earth)  # (s, 3)
-        for lo in range(0, n_sites, block):
-            rows = slice(lo, lo + block)
-            counts[rows, j], values[rows, j] = _block_pdop(
-                basis[rows], ecef, earth.radius_km, mask_rad
-            )
+    for start in range(0, epochs.size, block):
+        t = epochs[start : start + block, None]
+        ecef = rotate_eci_to_ecef(propagate_arrays(*elements, t, earth), t, earth)
+        for j, sats in enumerate(ecef, start):
+            for lo in range(0, n_sites, block):
+                rows = slice(lo, lo + block)
+                counts[rows, j], values[rows, j] = _block_pdop(
+                    basis[rows], sats, earth.radius_km, mask_rad
+                )
 
     return PdopSamples(pdop=values, visible_count=counts)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,25 +51,16 @@ class EcefPosition:
         return np.array([self.x_km, self.y_km, self.z_km], dtype=float)
 
 
-@dataclass(frozen=True)
-class CircularElements:
-    """Circular orbit state: size, orientation, and epoch anomaly.
+class WalkerElements(NamedTuple):
+    """Circular elements of every satellite, plane-major; angles in radians.
 
-    Angles are radians and are normalized to [0, 2*pi) on construction.
+    RAAN and initial anomaly are normalized to [0, 2*pi).
     """
 
-    semimajor_km: float
-    inclination_rad: float
-    raan_rad: float
-    initial_anomaly_rad: float
-
-    def __post_init__(self) -> None:
-        if self.semimajor_km <= 0.0:
-            raise ValueError(f"semimajor_km ({self.semimajor_km}) must be strictly positive")
-        object.__setattr__(self, "raan_rad", self.raan_rad % _TWO_PI)
-        object.__setattr__(
-            self, "initial_anomaly_rad", self.initial_anomaly_rad % _TWO_PI
-        )
+    semimajor_km: np.ndarray
+    inclination_rad: np.ndarray
+    raan_rad: np.ndarray
+    initial_anomaly_rad: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -128,19 +120,20 @@ def default_planes(total_sats: int) -> int:
     """Plane count used when none is configured.
 
     Returns the divisor of ``total_sats`` nearest to sqrt(total_sats);
-    exact ties break toward the larger divisor (more planes).
+    exact ties break toward the larger divisor (more planes).  Divisors
+    pair up as (d, T/d) around the root, so the answer is the largest
+    divisor d <= sqrt(T) or its partner T/d.
     """
     if total_sats < 1:
         raise ValueError(f"total_sats ({total_sats}) must be >= 1")
     root = math.sqrt(total_sats)
-    divisors = [d for d in range(1, total_sats + 1) if total_sats % d == 0]
-    return min(divisors, key=lambda d: (abs(d - root), -d))
+    low = next(d for d in range(math.isqrt(total_sats), 0, -1) if total_sats % d == 0)
+    high = total_sats // low
+    return low if root - low < high - root else high
 
 
-def walker_constellation(
-    spec: WalkerSpec, earth: EarthModel = EARTH
-) -> list[CircularElements]:
-    """Enumerates the constellation's orbital elements, plane-major order.
+def walker_constellation(spec: WalkerSpec, earth: EarthModel = EARTH) -> WalkerElements:
+    """The constellation's orbital elements, plane-major order.
 
     Plane j in [0, P) is placed at raan = j * raan_spread / P.  Slot k in
     [0, T/P) of plane j starts at anomaly k * (360 P / T) + j * F * (360 / T)
@@ -152,17 +145,18 @@ def walker_constellation(
             f"semimajor_km ({semimajor}) must exceed the Earth radius "
             f"({earth.radius_km} km)"
         )
-    inc = math.radians(spec.inclination_deg)
-    per_plane = spec.sats_per_plane
     in_plane_step = 360.0 * spec.planes / spec.total_sats
     phase_step = spec.phasing * 360.0 / spec.total_sats
-    elements = []
-    for j in range(spec.planes):
-        raan = math.radians(j * spec.raan_spread_deg / spec.planes)
-        for k in range(per_plane):
-            anomaly = math.radians(k * in_plane_step + j * phase_step)
-            elements.append(CircularElements(semimajor, inc, raan, anomaly))
-    return elements
+    j = np.arange(spec.planes)[:, None]
+    k = np.arange(spec.sats_per_plane)
+    raan = np.radians(j * spec.raan_spread_deg / spec.planes) % _TWO_PI
+    anomaly = np.radians(k * in_plane_step + j * phase_step) % _TWO_PI
+    return WalkerElements(
+        np.full(spec.total_sats, semimajor),
+        np.full(spec.total_sats, math.radians(spec.inclination_deg)),
+        np.repeat(raan.ravel(), spec.sats_per_plane),
+        anomaly.ravel(),
+    )
 
 
 def propagate_arrays(
@@ -170,13 +164,14 @@ def propagate_arrays(
     inclination_rad: np.ndarray,
     raan_rad: np.ndarray,
     initial_anomaly_rad: np.ndarray,
-    t_s: float,
+    t_s: float | np.ndarray,
     earth: EarthModel = EARTH,
 ) -> np.ndarray:
     """Vectorized circular propagation; returns inertial positions, shape (..., 3).
 
     Position is the in-plane point at anomaly M0 + n*t rotated by
     inclination about the node line and by raan about the polar axis.
+    An epoch column ``t_s`` of shape (c, 1) gives positions (c, sats, 3).
     """
     a = np.asarray(semimajor_km, dtype=float)
     n = np.sqrt(earth.mu_km3_s2 / a**3)
@@ -191,17 +186,18 @@ def propagate_arrays(
 
 
 def rotate_eci_to_ecef(
-    pos_eci_km: np.ndarray, t_s: float, earth: EarthModel = EARTH
+    pos_eci_km: np.ndarray, t_s: float | np.ndarray, earth: EarthModel = EARTH
 ) -> np.ndarray:
     """Rotates inertial positions into the Earth-fixed frame at time t_s.
 
     The Earth-fixed frame has rotated by theta = rotation_rate * t since
     epoch, so Earth-fixed coordinates are the inertial ones rotated by
-    -theta about the polar axis.
+    -theta about the polar axis.  ``t_s`` may be an array that broadcasts
+    against ``pos_eci_km[..., 0]``, such as an epoch column.
     """
     pos = np.asarray(pos_eci_km, dtype=float)
     theta = earth.rotation_rate_rad_s * t_s
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
     x = pos[..., 0] * cos_t + pos[..., 1] * sin_t
     y = -pos[..., 0] * sin_t + pos[..., 1] * cos_t
     return np.stack([x, y, pos[..., 2]], axis=-1)

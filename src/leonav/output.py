@@ -73,10 +73,11 @@ def utc_timestamp() -> str:
         seconds = int(epoch) if epoch else int(time.time())
     except ValueError:
         raise ValueError(f"SOURCE_DATE_EPOCH ({epoch!r}) must be an integer") from None
-    return (
-        datetime.fromtimestamp(seconds, tz=timezone.utc)
-        .strftime("%Y-%m-%dT%H:%M:%SZ")
-    )
+    try:
+        stamp = datetime.fromtimestamp(seconds, tz=timezone.utc)
+    except (OverflowError, OSError, ValueError) as exc:
+        raise ValueError(f"SOURCE_DATE_EPOCH ({epoch!r}) is out of range: {exc}") from None
+    return stamp.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 def _column_unit(name: str) -> str:

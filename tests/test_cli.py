@@ -347,6 +347,15 @@ class TestExitCodes:
         assert main(["pathloss", "--quiet"]) == 0
         assert capsys.readouterr().out == plain
 
+    @pytest.mark.parametrize("pin", ["99999999999999999999", "-99999999999", "253402300800"])
+    def test_source_date_epoch_out_of_range(self, monkeypatch, capsys, pin):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", pin)
+        assert main(["pathloss", "--format", "json", "--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert f"SOURCE_DATE_EPOCH ('{pin}') is out of range" in captured.err
+        assert captured.out == ""
+        assert main(["pathloss", "--quiet"]) == 0
+
     def test_unwritable_output_path(self, tmp_path, capsys):
         assert main(["pathloss", "--out", str(tmp_path / "no" / "dir" / "x.csv")]) == 1
         capsys.readouterr()

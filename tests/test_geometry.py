@@ -366,10 +366,9 @@ class TestPdopSamplesEngine:
         for j, t in enumerate(window.epochs()):
             sats = [
                 EcefPosition(*rotate_eci_to_ecef(propagate_arrays(
-                    e.semimajor_km, e.inclination_rad, e.raan_rad,
-                    e.initial_anomaly_rad, float(t),
+                    *(field[i] for field in elements), float(t)
                 ), float(t)).tolist())
-                for e in elements
+                for i in range(spec.total_sats)
             ]
             for i in range(len(grid)):
                 site = site_to_ecef(float(grid.lat_deg[i]), float(grid.lon_deg[i]))
@@ -492,6 +491,58 @@ class TestPdopSamplesEngine:
         assert np.array_equal(blocked.pdop, whole.pdop, equal_nan=True)
         assert np.array_equal(blocked.visible_count, whole.visible_count)
         assert np.isnan(whole.pdop).any() and np.isfinite(whole.pdop).any()
+
+    @pytest.mark.parametrize("epochs_per_chunk", [1, 3, 7])
+    def test_epoch_chunks_do_not_change_samples(self, monkeypatch, epochs_per_chunk):
+        spec = WalkerSpec(60, 6, phasing=0, altitude_km=600.0)
+        grid = GroundGrid.fibonacci(50)
+        window = TimeWindow(4800.0, 240.0)
+        monkeypatch.setattr(geometry, "_PAIR_BUDGET", 10**9)
+        whole = pdop_samples(spec, grid, window)
+        monkeypatch.setattr(geometry, "_PAIR_BUDGET", epochs_per_chunk * spec.total_sats)
+        chunked = pdop_samples(spec, grid, window)
+        assert np.array_equal(chunked.pdop, whole.pdop, equal_nan=True)
+        assert np.array_equal(chunked.visible_count, whole.visible_count)
+        assert np.isnan(whole.pdop).any() and np.isfinite(whole.pdop).any()
+
+    def test_wrapped_orbit_calls_follow_the_chunks(self, monkeypatch):
+        """One walker call per pdop_samples call and one propagate and one
+        rotate call per epoch chunk, looked up as geometry's attributes."""
+        calls = {"walker_constellation": 0, "propagate_arrays": 0, "rotate_eci_to_ecef": 0}
+
+        def counting(name):
+            fn = getattr(geometry, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(geometry, name, counting(name))
+        spec = WalkerSpec(60, 6, phasing=1, altitude_km=900.0)
+        monkeypatch.setattr(geometry, "_PAIR_BUDGET", 7 * spec.total_sats)
+        pdop_samples(spec, GroundGrid.fibonacci(10), TimeWindow(4800.0, 240.0))
+        # 20 epochs in chunks of 7, 7 and 6.
+        assert calls == {"walker_constellation": 1, "propagate_arrays": 3,
+                         "rotate_eci_to_ecef": 3}
+
+    @pytest.mark.parametrize("n_epochs", [1000, 2000])
+    def test_memory_stays_bounded_over_a_long_window(self, n_epochs):
+        """1,000 satellites over up to 2,000 epochs: propagating every epoch
+        at once would peak near 170 MB; chunks keep it near 24 MB."""
+        spec = WalkerSpec(1000, 25, phasing=1, altitude_km=600.0)
+        grid = GroundGrid.fibonacci(4)
+        tracemalloc.start()
+        try:
+            samples = pdop_samples(spec, grid, TimeWindow(60.0 * n_epochs, 60.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert samples.pdop.shape == (len(grid), n_epochs)
+        assert samples.defined.any()
+        assert peak < 48 * 2**20
 
     def test_memory_stays_bounded_on_a_wide_grid(self):
         """One epoch of 1,000 satellites over ~20,000 sites: a dense

@@ -9,7 +9,6 @@ import pytest
 
 from leonav.orbits import (
     EARTH,
-    CircularElements,
     EarthModel,
     EcefPosition,
     WalkerSpec,
@@ -19,6 +18,7 @@ from leonav.orbits import (
     site_to_ecef,
     walker_constellation,
 )
+from leonav.tradestudy import is_plane_friendly
 
 
 class TestEarthModel:
@@ -39,20 +39,6 @@ class TestEcefPosition:
         p = EcefPosition(3.0, 4.0, 12.0)
         assert np.linalg.norm(p.as_array()) == pytest.approx(13.0)
         assert np.allclose(p.as_array(), [3.0, 4.0, 12.0])
-
-
-class TestCircularElements:
-    def test_angles_normalized(self):
-        el = CircularElements(7000.0, 1.0, -0.5, 3.0 * math.pi)
-        assert el.raan_rad == pytest.approx(2.0 * math.pi - 0.5)
-        assert el.initial_anomaly_rad == pytest.approx(math.pi)
-
-    def test_rejects_subsurface_orbit(self):
-        # The elements know no body, so only a non-positive radius is rejected
-        # here; walker_constellation checks the orbit against its Earth model.
-        with pytest.raises(ValueError, match="semimajor_km"):
-            CircularElements(0.0, 0.0, 0.0, 0.0)
-        assert CircularElements(6000.0, 0.0, 0.0, 0.0).semimajor_km == 6000.0
 
 
 class TestWalkerSpec:
@@ -77,6 +63,31 @@ class TestWalkerSpec:
             WalkerSpec(**kwargs)
 
 
+def nearest_divisor_oracle(total: int) -> int:
+    """Every divisor of total, nearest to sqrt(total), ties to the larger."""
+    root = math.sqrt(total)
+    divisors = [d for d in range(1, total + 1) if total % d == 0]
+    return min(divisors, key=lambda d: (abs(d - root), -d))
+
+
+def walker_oracle(spec: WalkerSpec) -> list[tuple[float, float, float, float]]:
+    """Per-satellite elements by the scalar formulas, plane-major."""
+    semimajor = EARTH.radius_km + spec.altitude_km
+    inc = math.radians(spec.inclination_deg)
+    in_plane_step = 360.0 * spec.planes / spec.total_sats
+    phase_step = spec.phasing * 360.0 / spec.total_sats
+    return [
+        (
+            semimajor,
+            inc,
+            math.radians(j * spec.raan_spread_deg / spec.planes) % (2.0 * math.pi),
+            math.radians(k * in_plane_step + j * phase_step) % (2.0 * math.pi),
+        )
+        for j in range(spec.planes)
+        for k in range(spec.sats_per_plane)
+    ]
+
+
 class TestDefaultPlanes:
     @pytest.mark.parametrize(
         "total, planes",
@@ -87,6 +98,15 @@ class TestDefaultPlanes:
         assert got == planes
         assert total % got == 0
 
+    def test_matches_all_divisor_oracle(self):
+        mismatches = [
+            t for t in range(1, 3001) if default_planes(t) != nearest_divisor_oracle(t)
+        ]
+        assert mismatches == []
+
+    def test_plane_friendly_ladder_is_unchanged(self):
+        assert sum(is_plane_friendly(t) for t in range(1, 1001)) == 336
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             default_planes(0)
@@ -96,31 +116,48 @@ class TestWalkerConstellation:
     def test_star_pattern_geometry(self):
         spec = WalkerSpec(6, 3, phasing=1, altitude_km=1000.0, raan_spread_deg=180.0)
         elements = walker_constellation(spec)
-        assert len(elements) == 6
-        assert all(e.semimajor_km == pytest.approx(EARTH.radius_km + 1000.0) for e in elements)
-        raans = [math.degrees(e.raan_rad) for e in elements]
-        assert raans == pytest.approx([0, 0, 60, 60, 120, 120])
-        anomalies = [math.degrees(e.initial_anomaly_rad) for e in elements]
+        assert all(len(field) == 6 for field in elements)
+        assert elements.semimajor_km == pytest.approx([EARTH.radius_km + 1000.0] * 6)
+        assert np.degrees(elements.raan_rad) == pytest.approx([0, 0, 60, 60, 120, 120])
         # in-plane step 360 P / T = 180 deg, inter-plane phase F * 360 / T = 60 deg
-        assert anomalies == pytest.approx([0, 180, 60, 240, 120, 300])
+        assert np.degrees(elements.initial_anomaly_rad) == pytest.approx(
+            [0, 180, 60, 240, 120, 300]
+        )
 
     def test_delta_pattern_spreads_full_circle(self):
         spec = WalkerSpec(6, 3, phasing=1, raan_spread_deg=360.0)
-        raans = sorted({math.degrees(e.raan_rad) for e in walker_constellation(spec)})
+        raans = np.unique(np.degrees(walker_constellation(spec).raan_rad))
         assert raans == pytest.approx([0, 120, 240])
 
     def test_zero_phasing_aligns_planes(self):
         spec = WalkerSpec(8, 4, phasing=0)
-        anomalies = {
-            round(math.degrees(e.initial_anomaly_rad), 9)
-            for e in walker_constellation(spec)
-        }
-        assert anomalies == {0.0, 180.0}
+        anomalies = np.degrees(walker_constellation(spec).initial_anomaly_rad)
+        assert set(np.round(anomalies, 9)) == {0.0, 180.0}
+
+    def test_angles_normalized(self):
+        # 10/5/4: plane 4's second slot starts at 180 + 4 * 144 = 756 deg,
+        # which wraps to 36 deg.
+        spec = WalkerSpec(10, 5, phasing=4, raan_spread_deg=360.0)
+        elements = walker_constellation(spec)
+        for angles in (elements.raan_rad, elements.initial_anomaly_rad):
+            assert np.all((angles >= 0.0) & (angles < 2.0 * math.pi))
+        assert math.degrees(elements.initial_anomaly_rad[9]) == pytest.approx(36.0)
+
+    @pytest.mark.parametrize("spread", [180.0, 360.0])
+    @pytest.mark.parametrize(
+        "total, planes, phasing",
+        [(1, 1, 0), (24, 6, 1), (24, 6, 5), (40, 5, 2), (97, 97, 48), (300, 15, 7)],
+    )
+    def test_matches_per_satellite_formula(self, total, planes, phasing, spread):
+        spec = WalkerSpec(total, planes, phasing, 600.0, 53.0, spread)
+        assert np.array_equal(
+            np.column_stack(walker_constellation(spec)), np.array(walker_oracle(spec))
+        )
 
     def test_small_body_uses_its_own_radius(self):
         moon = EarthModel(radius_km=1737.4, mu_km3_s2=4902.8, rotation_rate_rad_s=2.6617e-6)
         elements = walker_constellation(WalkerSpec(6, 3, altitude_km=100.0), moon)
-        assert all(e.semimajor_km == pytest.approx(1837.4) for e in elements)
+        assert elements.semimajor_km == pytest.approx([1837.4] * 6)
 
 
 class TestPropagation:

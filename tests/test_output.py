@@ -111,6 +111,12 @@ class TestTimestamp:
         with pytest.raises(ValueError, match="SOURCE_DATE_EPOCH"):
             utc_timestamp()
 
+    @pytest.mark.parametrize("pin", ["99999999999999999999", "-99999999999", "253402300800"])
+    def test_rejects_out_of_range_pin(self, monkeypatch, pin):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", pin)
+        with pytest.raises(ValueError, match=f"SOURCE_DATE_EPOCH \\('{pin}'\\) is out of range"):
+            utc_timestamp()
+
     def test_iso_shape_without_pin(self, monkeypatch):
         monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
         stamp = utc_timestamp()
