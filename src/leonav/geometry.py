@@ -24,6 +24,7 @@ from .orbits import (
     rotate_eci_to_ecef,
     walker_constellation,
 )
+from .schema import _Record
 
 #: Condition-number ceiling for the normal matrix; above it the solution
 #: is treated as singular rather than inverted.
@@ -60,7 +61,7 @@ class NoCoverageError(GeometryError):
 
 
 @dataclass(frozen=True)
-class TimeWindow:
+class TimeWindow(_Record, key="window"):
     """Sampling window: epochs k*step_s for k in [0, duration_s/step_s).
 
     The step must divide the duration; the end point is excluded.
@@ -69,9 +70,7 @@ class TimeWindow:
     duration_s: float = 21600.0
     step_s: float = 120.0
 
-    def __post_init__(self) -> None:
-        if self.step_s <= 0.0:
-            raise ValueError(f"step_s ({self.step_s}) must be strictly positive")
+    def _check_across_fields(self) -> None:
         if self.duration_s < self.step_s:
             raise ValueError(
                 f"duration_s ({self.duration_s}) must be >= step_s ({self.step_s})"
@@ -94,7 +93,8 @@ class TimeWindow:
 class GroundGrid:
     """Weighted set of ground sites used for global statistics.
 
-    Weights are strictly positive and sum to one.
+    Every value is finite and latitudes lie in [-90, 90]; weights are
+    strictly positive and sum to one.
     """
 
     lat_deg: np.ndarray
@@ -111,7 +111,12 @@ class GroundGrid:
             raise ValueError("GroundGrid needs at least one site")
         if not (lat.shape == lon.shape == w.shape):
             raise ValueError("lat_deg, lon_deg, weight must have matching shapes")
-        if np.any(w <= 0.0):
+        for name, values in (("lat_deg", lat), ("lon_deg", lon), ("weight", w)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} must be finite")
+        if not np.all(np.abs(lat) <= 90.0):
+            raise ValueError("lat_deg must lie in [-90, 90]")
+        if not np.all(w > 0.0):
             raise ValueError("site weights must be strictly positive")
         if abs(float(w.sum()) - 1.0) > 1e-9:
             raise ValueError(f"site weights must sum to 1 (got {w.sum()!r})")
@@ -443,6 +448,7 @@ def weighted_percentile(
 ) -> float:
     """Weighted percentile with linear interpolation between order statistics.
 
+    Values and weights must be finite, weights strictly positive.
     Reduces exactly to numpy's linear method for equal weights; ties in
     value break by sample index, so the result is permutation-stable for
     (value, weight) pairs and deterministic for a fixed input order.
@@ -455,8 +461,10 @@ def weighted_percentile(
         raise ValueError("cannot take a percentile of zero samples")
     if v.shape != w.shape:
         raise ValueError("values and weights must have matching shapes")
-    if np.any(w <= 0.0):
-        raise ValueError("weights must be strictly positive")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("values must be finite")
+    if not np.all((w > 0.0) & np.isfinite(w)):
+        raise ValueError("weights must be finite and strictly positive")
     if v.size == 1:
         return float(v[0])
     order = np.argsort(v, kind="stable")

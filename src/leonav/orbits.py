@@ -15,11 +15,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .schema import _non_negative, _Record, _rule
+
 _TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
-class EarthModel:
+class EarthModel(_Record, key="earth"):
     """Spherical Earth constants.
 
     Defaults are the WGS-84 equatorial radius, the standard gravitational
@@ -29,11 +31,6 @@ class EarthModel:
     radius_km: float = 6378.137
     mu_km3_s2: float = 398600.4418
     rotation_rate_rad_s: float = 7.2921159e-5
-
-    def __post_init__(self) -> None:
-        for name in ("radius_km", "mu_km3_s2", "rotation_rate_rad_s"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"EarthModel.{name} must be strictly positive")
 
 
 EARTH = EarthModel()
@@ -64,7 +61,7 @@ class WalkerElements(NamedTuple):
 
 
 @dataclass(frozen=True)
-class WalkerSpec:
+class WalkerSpec(_Record, key="walker"):
     """Symmetric circular constellation: T satellites, P planes, phasing F.
 
     ``raan_spread_deg`` selects the pattern family: 180 spreads the
@@ -82,33 +79,19 @@ class WalkerSpec:
 
     total_sats: int
     planes: int
-    phasing: int = 1
+    phasing: int = _non_negative(1)
     altitude_km: float = 900.0
-    inclination_deg: float = 90.0
-    raan_spread_deg: float = 180.0
+    inclination_deg: float = _rule(90.0, "in [0, 180]", lambda v: 0.0 <= v <= 180.0)
+    raan_spread_deg: float = _rule(180.0, "180 or 360", lambda v: v in (180.0, 360.0))
 
-    def __post_init__(self) -> None:
-        if self.total_sats < 1:
-            raise ValueError(f"total_sats ({self.total_sats}) must be >= 1")
-        if self.planes < 1:
-            raise ValueError(f"planes ({self.planes}) must be >= 1")
+    def _check_across_fields(self) -> None:
         if self.total_sats % self.planes != 0:
             raise ValueError(
                 f"planes ({self.planes}) does not divide total_sats ({self.total_sats})"
             )
-        if not 0 <= self.phasing < self.planes:
+        if self.phasing >= self.planes:
             raise ValueError(
                 f"phasing ({self.phasing}) must lie in [0, planes) = [0, {self.planes})"
-            )
-        if self.altitude_km <= 0.0:
-            raise ValueError(f"altitude_km ({self.altitude_km}) must be strictly positive")
-        if not 0.0 <= self.inclination_deg <= 180.0:
-            raise ValueError(
-                f"inclination_deg ({self.inclination_deg}) must lie in [0, 180]"
-            )
-        if self.raan_spread_deg not in (180.0, 360.0):
-            raise ValueError(
-                f"raan_spread_deg ({self.raan_spread_deg}) must be 180 (star) or 360 (delta)"
             )
 
     @property

@@ -10,24 +10,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .schema import _Record, _rule
+
 
 @dataclass(frozen=True)
-class ClockUnit:
+class ClockUnit(_Record, key="clock"):
     """One frequency-standard line item of the heritage budget."""
 
     name: str
     unit_power_w: float
     count: int = 1
 
-    def __post_init__(self) -> None:
-        if self.unit_power_w <= 0.0:
-            raise ValueError(f"unit_power_w ({self.unit_power_w}) must be positive")
-        if self.count < 1:
-            raise ValueError(f"count ({self.count}) must be >= 1")
-
 
 @dataclass(frozen=True)
-class PayloadHeritage:
+class PayloadHeritage(_Record, key="payload"):
     """Heritage MEO payload figures the LEO estimate scales from.
 
     Defaults describe a ~900 W navigation payload broadcasting ten
@@ -38,32 +34,19 @@ class PayloadHeritage:
     total_payload_w: float = 900.0
     rf_output_w_low: float = 254.0
     rf_output_w_high: float = 273.0
-    pa_efficiency: float = 0.51
+    pa_efficiency: float = _rule(0.51, "in (0, 1]", lambda v: 0.0 < v <= 1.0)
     n_signals: int = 10
     clocks: tuple[ClockUnit, ...] = (
         ClockUnit("rubidium", 35.0, 2),
         ClockUnit("hydrogen_maser", 70.0, 2),
     )
 
-    def __post_init__(self) -> None:
-        if self.total_payload_w <= 0.0:
-            raise ValueError(f"total_payload_w ({self.total_payload_w}) must be positive")
-        if self.rf_output_w_low <= 0.0:
-            raise ValueError(f"rf_output_w_low ({self.rf_output_w_low}) must be positive")
+    def _check_across_fields(self) -> None:
         if self.rf_output_w_high < self.rf_output_w_low:
             raise ValueError(
                 f"rf_output_w_high ({self.rf_output_w_high}) must be >= "
                 f"rf_output_w_low ({self.rf_output_w_low})"
             )
-        if not 0.0 < self.pa_efficiency <= 1.0:
-            raise ValueError(
-                f"pa_efficiency ({self.pa_efficiency}) must lie in (0, 1]"
-            )
-        if self.n_signals < 1:
-            raise ValueError(f"n_signals ({self.n_signals}) must be >= 1")
-
-
-DEFAULT_HERITAGE = PayloadHeritage()
 
 
 def clock_budget_w(clocks: tuple[ClockUnit, ...]) -> float:

@@ -7,10 +7,12 @@ jammer range model, and one-pass material penetration counts.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 from .orbits import EARTH
+from .schema import _one_of, _Record
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
@@ -27,20 +29,11 @@ GALILEO_ALTITUDE_KM = 23222.0
 
 
 @dataclass(frozen=True)
-class LinkParams:
+class LinkParams(_Record, key="link"):
     """Carrier selection for path-loss work: a named band or raw frequency."""
 
-    reference: str = "L1"
+    reference: str = _one_of(*BAND_HZ)
     frequency_hz: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.frequency_hz is None:
-            if self.reference not in BAND_HZ:
-                raise ValueError(
-                    f"reference ({self.reference!r}) must be one of {sorted(BAND_HZ)}"
-                )
-        elif self.frequency_hz <= 0.0:
-            raise ValueError(f"frequency_hz ({self.frequency_hz}) must be positive")
 
     @property
     def carrier_hz(self) -> float:
@@ -125,7 +118,7 @@ def footprint_gain_db(
 
 
 @dataclass(frozen=True)
-class JammerCalibration:
+class JammerCalibration(_Record, key="jammer"):
     """Anchor of the inverse-square jammer range model.
 
     A jammer of ``ref_power_w`` denies up to ``ref_radius_m`` at zero
@@ -137,12 +130,6 @@ class JammerCalibration:
 
     ref_power_w: float = 0.01
     ref_radius_m: float = 100.0
-
-    def __post_init__(self) -> None:
-        if self.ref_power_w <= 0.0:
-            raise ValueError(f"ref_power_w ({self.ref_power_w}) must be positive")
-        if self.ref_radius_m <= 0.0:
-            raise ValueError(f"ref_radius_m ({self.ref_radius_m}) must be positive")
 
 
 DEFAULT_JAMMER_CALIBRATION = JammerCalibration()
@@ -189,41 +176,31 @@ def jammer_power_for_radius_w(
 
 
 @dataclass(frozen=True)
-class MaterialLossTable:
-    """One-pass attenuation (dB) of common structures, plus canopy classes.
+class MaterialLossTable(_Record, key="materials"):
+    """One-pass attenuation (dB) of common structures."""
 
-    ``walls`` maps material name to loss per pass and preserves insertion
-    order; ``canopy`` maps a minimum margin (dB) to the densest foliage
-    class penetrable at that margin.
-    """
+    wood_db: float = 10.0
+    brick_db: float = 12.0
+    concrete_db: float = 15.0
+    glass_db: float = 17.0
+    container_db: float = 25.0
 
-    walls: tuple[tuple[str, float], ...] = (
-        ("wood", 10.0),
-        ("brick", 12.0),
-        ("concrete", 15.0),
-        ("glass", 17.0),
-        ("container", 25.0),
-    )
-    canopy: tuple[tuple[float, str], ...] = (
-        (0.0, "Limited"),
-        (5.0, "Deciduous"),
-        (10.0, "Redwoods"),
-        (20.0, "Most"),
-    )
+    @property
+    def walls(self) -> tuple[tuple[str, float], ...]:
+        """(material, loss per pass) pairs in field order."""
+        return tuple(
+            (f.name.removesuffix("_db"), getattr(self, f.name)) for f in dataclasses.fields(self)
+        )
 
-    def __post_init__(self) -> None:
-        seen = set()
-        for name, loss in self.walls:
-            if loss <= 0.0:
-                raise ValueError(f"wall loss for {name!r} ({loss}) must be positive")
-            if name in seen:
-                raise ValueError(f"duplicate wall material {name!r}")
-            seen.add(name)
-        thresholds = [t for t, _ in self.canopy]
-        if not thresholds or thresholds[0] != 0.0:
-            raise ValueError("canopy classes must start at a 0 dB threshold")
-        if sorted(thresholds) != thresholds or len(set(thresholds)) != len(thresholds):
-            raise ValueError("canopy thresholds must be strictly increasing")
+
+#: Minimum margin (dB), ascending from 0, and the densest foliage class
+#: penetrable at that margin.
+CANOPY_CLASSES = (
+    (0.0, "Limited"),
+    (5.0, "Deciduous"),
+    (10.0, "Redwoods"),
+    (20.0, "Most"),
+)
 
 
 DEFAULT_MATERIALS = MaterialLossTable()
@@ -246,13 +223,10 @@ def penetration_report(
     Counts are floor(margin / loss); the canopy class is the densest one
     whose threshold the margin meets.
     """
-    if margin_db < 0.0:
+    if not margin_db >= 0.0:
         raise ValueError(f"margin_db ({margin_db}) must be >= 0")
     counts = tuple(
         (name, int(margin_db // loss)) for name, loss in materials.walls
     )
-    canopy = materials.canopy[0][1]
-    for threshold, label in materials.canopy:
-        if margin_db >= threshold:
-            canopy = label
+    canopy = [label for threshold, label in CANOPY_CLASSES if margin_db >= threshold][-1]
     return PenetrationReport(margin_db=margin_db, canopy=canopy, wall_counts=counts)

@@ -1,0 +1,176 @@
+"""Declared field rules: how records and scenario sections check themselves.
+
+A record is a frozen dataclass whose field names are its JSON keys, whose
+defaults are the defaults and whose annotations are the accepted types.
+The reader of every field, the known keys and the canonical form behind
+the scenario hash are all derived from those fields.  Numbers must be
+finite and integers integral; a number is strictly positive and an
+integer at least 1 unless the field's metadata states another rule;
+lists must not be empty, and a rule on a list field applies to each
+entry.  Cross-field rules live in each record's ``_check_across_fields``.
+A record checks itself on construction, so one built in Python meets the
+same rules, with the same messages, as one read from a file.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import math
+import numbers
+import sys
+import typing
+from dataclasses import field
+from typing import Any, Callable
+
+
+class ScenarioError(ValueError):
+    """A scenario file or record failed validation; the message names the key at fault."""
+
+
+def _rule(default: Any, text: str, ok: Callable[[Any], bool]) -> Any:
+    """A field whose parsed value (each entry, for a list) must satisfy ``ok``."""
+    return field(default=default, metadata={"rule": (text, ok)})
+
+
+def _one_of(*allowed: str) -> Any:
+    """A string field that defaults to the first allowed value."""
+    return _rule(allowed[0], f"one of {sorted(allowed)}", allowed.__contains__)
+
+
+def _non_negative(default: Any) -> Any:
+    return _rule(default, ">= 0", lambda v: v >= 0)
+
+
+_Reader = Callable[[Any, str], Any]
+
+
+def _expect(value: Any, kinds: type | tuple[type, ...], key: str, constraint: str) -> Any:
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ScenarioError(f"{key}: must be {constraint} (got {value!r})")
+    return value
+
+
+def _number(value: Any, key: str) -> float:
+    try:
+        number = float(_expect(value, numbers.Real, key, "a number"))
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ScenarioError(f"{key}: must be finite (got {value!r})")
+    return number
+
+
+def _integer(value: Any, key: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return int(_expect(value, numbers.Integral, key, "an integer"))
+
+
+def _string(value: Any, key: str) -> str:
+    return _expect(value, str, key, "a string")
+
+
+#: Scalar kinds: reader, rule when the field states none, plural noun.
+_SCALARS: dict[type, tuple[_Reader, tuple | None, str]] = {
+    float: (_number, ("> 0", lambda v: v > 0.0), "numbers"),
+    int: (_integer, (">= 1", lambda v: v >= 1), "numbers"),
+    str: (_string, None, "strings"),
+}
+
+
+def _reader(hint: Any, rule: tuple | None) -> _Reader:
+    """Builds the reader of one annotated value kind."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        item = _reader(args[0], rule)
+        noun = _SCALARS[args[0]][2] if args[0] in _SCALARS else "objects"
+
+        def read_list(value: Any, key: str) -> tuple:
+            if not _expect(value, (list, tuple), key, f"a list of {noun}"):
+                raise ScenarioError(f"{key}: must not be empty")
+            return tuple(item(v, f"{key}[{i}]") for i, v in enumerate(value))
+
+        return read_list
+    if type(None) in args:
+        inner = _reader(args[0], rule)
+        return lambda value, key: None if value is None else inner(value, key)
+    if dataclasses.is_dataclass(hint):
+        return lambda value, key: value if isinstance(value, hint) else _build(
+            hint, _expect(value, dict, key, "an object"), key, strict=True
+        )
+    read, default_rule, _ = _SCALARS[hint]
+    rule = rule or default_rule
+    if rule is None:
+        return read
+    text, ok = rule
+
+    def read_checked(value: Any, key: str) -> Any:
+        value = read(value, key)
+        if not ok(value):
+            raise ScenarioError(f"{key}: must be {text} (got {value!r})")
+        return value
+
+    return read_checked
+
+
+@functools.cache
+def _readers(cls: type) -> dict[str, _Reader]:
+    """Field name -> reader, for one record class."""
+    hints = typing.get_type_hints(cls)
+    return {
+        f.name: _reader(hints[f.name], f.metadata.get("rule"))
+        for f in dataclasses.fields(cls)
+    }
+
+
+class _Record:
+    """Base of the parameter records and the scenario sections.
+
+    Construction, whether by the parser or directly, reads every field
+    through its reader (types, finiteness, the field's rule) and then the
+    record's cross-field rules, raising ``ScenarioError`` naming
+    ``key.field``.  A scenario section is a record or extends one.
+    """
+
+    _key: typing.ClassVar[str]
+
+    def __init_subclass__(cls, key: str, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._key = key
+
+    def __post_init__(self) -> None:
+        for name, read in _readers(type(self)).items():
+            object.__setattr__(self, name, read(getattr(self, name), f"{self._key}.{name}"))
+        try:
+            self._check_across_fields()
+        except ValueError as exc:
+            raise ScenarioError(f"{self._key}: {exc}") from None
+
+    def _check_across_fields(self) -> None:
+        """Rules that involve more than one field; none by default."""
+
+
+def _check_keys(section: dict, known: typing.Iterable[str], where: str, strict: bool) -> None:
+    for key in section:
+        if key not in known:
+            message = f"unknown key {where}.{key!r} (known keys: {', '.join(known)})"
+            if strict:
+                raise ScenarioError(message)
+            print(f"warning: ignoring {message}", file=sys.stderr)
+
+
+def _build(cls: type, raw: dict, where: str, strict: bool) -> Any:
+    """One record from its JSON object; messages name each key from ``where``."""
+    readers = _readers(cls)
+    _check_keys(raw, readers, where, strict)
+    missing = [
+        f.name for f in dataclasses.fields(cls)
+        if f.default is dataclasses.MISSING and f.name not in raw
+    ]
+    if missing:
+        raise ScenarioError(f"{where}: requires {' and '.join(map(repr, missing))}")
+    return cls(**{
+        name: read(raw[name], f"{where}.{name}")
+        for name, read in readers.items() if name in raw
+    })

@@ -82,7 +82,6 @@ def snap_walker_size(total_sats: int, planes: int | None = None) -> tuple[int, i
         for candidate in (total_sats + delta, total_sats - delta):
             if candidate >= 1 and is_plane_friendly(candidate):
                 return candidate, default_planes(candidate)
-    return 1, 1
 
 
 def build_walker(
@@ -138,10 +137,7 @@ class SweepCell:
 class SweepResult:
     """Size-by-altitude PDOP matrix with the snapped sizes it actually ran."""
 
-    sizes: tuple[int, ...]
-    altitudes_km: tuple[float, ...]
     cells: tuple[SweepCell, ...]
-    percentile: float
     scenario_hash: str
 
 
@@ -152,12 +148,11 @@ def pdop_sweep(scenario: Scenario, threads: int = 1) -> SweepResult:
     cells with no coverage carry pdop=None and keep the sweep going.
     Cell order is size-major and independent of the worker count.
     """
-    sizes = scenario.sweep.sizes
-    altitudes = scenario.sweep.altitudes_km
     if threads < 1:
         raise ValueError(f"threads ({threads}) must be >= 1")
 
-    points = [(size, alt) for size in sizes for alt in altitudes]
+    sweep = scenario.sweep
+    points = [(size, alt) for size in sweep.sizes for alt in sweep.altitudes_km]
 
     def run(point: tuple[int, float]) -> SweepCell:
         size, alt = point
@@ -176,19 +171,9 @@ def pdop_sweep(scenario: Scenario, threads: int = 1) -> SweepResult:
             coverage=coverage,
         )
 
-    if threads == 1:
-        cells = [run(p) for p in points]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = list(pool.map(run, points))
-
-    return SweepResult(
-        sizes=tuple(sizes),
-        altitudes_km=tuple(altitudes),
-        cells=tuple(cells),
-        percentile=scenario.sweep.percentile,
-        scenario_hash=scenario_hash(scenario),
-    )
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        cells = tuple(pool.map(run, points))
+    return SweepResult(cells=cells, scenario_hash=scenario_hash(scenario))
 
 
 def gps_baseline(scenario: Scenario) -> PercentilePdop:
@@ -364,7 +349,7 @@ def dop_map(scenario: Scenario) -> list[dict]:
 
 def pathloss_curve(scenario: Scenario) -> list[dict]:
     """Slant range and free-space path loss at each configured altitude."""
-    frequency = scenario.link.params.carrier_hz
+    frequency = scenario.link.carrier_hz
     elevation = scenario.link.elevation_deg
     rows = []
     for alt in scenario.link.pathloss_altitudes_km:
@@ -402,19 +387,15 @@ def jammer_table(scenario: Scenario) -> list[dict]:
     radius of the configured report jammer, and the jammer power needed
     at the configured report radius.
     """
-    cal = scenario.jammer.calibration
+    jammer = scenario.jammer
     rows = []
-    for margin in scenario.jammer.margins_db:
-        pen = penetration_report(margin, scenario.materials.table)
+    for margin in jammer.margins_db:
+        pen = penetration_report(margin, scenario.materials)
         row: dict = {"margin_db": margin, "canopy": pen.canopy}
         for name, count in pen.wall_counts:
             row[f"walls_{name}"] = count
-        row["jammer_radius_m"] = jammer_effective_radius_m(
-            scenario.jammer.report_power_w, margin, cal
-        )
-        row["jammer_power_w"] = jammer_power_for_radius_w(
-            scenario.jammer.report_radius_m, margin, cal
-        )
+        row["jammer_radius_m"] = jammer_effective_radius_m(jammer.report_power_w, margin, jammer)
+        row["jammer_power_w"] = jammer_power_for_radius_w(jammer.report_radius_m, margin, jammer)
         rows.append(row)
     return rows
 
@@ -425,16 +406,14 @@ def power_report(scenario: Scenario) -> list[dict]:
     The GNSS-equivalent line derives its gain range from the footprint
     advantage at the scenario's altitude extremes (horizon mask).
     """
-    heritage = scenario.payload.heritage
-    clock_w = clock_budget_w(heritage.clocks)
-    gen_low = signal_generation_w(heritage.rf_output_w_low, heritage.pa_efficiency)
-    gen_high = signal_generation_w(heritage.rf_output_w_high, heritage.pa_efficiency)
+    payload = scenario.payload
+    clock_w = clock_budget_w(payload.clocks)
+    gen_low = signal_generation_w(payload.rf_output_w_low, payload.pa_efficiency)
+    gen_high = signal_generation_w(payload.rf_output_w_high, payload.pa_efficiency)
     per_signal = per_signal_bus_power_w(
-        heritage.rf_output_w_high, heritage.n_signals, heritage.pa_efficiency
+        payload.rf_output_w_high, payload.n_signals, payload.pa_efficiency
     )
-    leo_range = leo_payload_power_w(
-        scenario.payload.leo_signals, per_signal, scenario.payload.overhead_range
-    )
+    leo_range = leo_payload_power_w(payload.leo_signals, per_signal, payload.overhead_range)
     alts = scenario.link.footprint_altitudes_km
     gain_low = footprint_gain_db(
         max(alts), scenario.link.meo_altitude_km, 0.0, scenario.earth.radius_km
@@ -446,8 +425,8 @@ def power_report(scenario: Scenario) -> list[dict]:
     return [
         {
             "quantity": "heritage_payload_w",
-            "low_w": heritage.total_payload_w,
-            "high_w": heritage.total_payload_w,
+            "low_w": payload.total_payload_w,
+            "high_w": payload.total_payload_w,
             "note": "total heritage navigation payload",
         },
         {
@@ -472,7 +451,7 @@ def power_report(scenario: Scenario) -> list[dict]:
             "quantity": "leo_payload_w",
             "low_w": leo_range[0],
             "high_w": leo_range[1],
-            "note": f"{scenario.payload.leo_signals} signals across the overhead range",
+            "note": f"{payload.leo_signals} signals across the overhead range",
         },
         {
             "quantity": "gnss_equivalent_w",

@@ -126,6 +126,25 @@ class TestGroundGrid:
         with pytest.raises(ValueError):
             GroundGrid.latlon(0)
 
+    @pytest.mark.parametrize(
+        "lat, lon, weight, message",
+        [
+            ([math.nan, 0.0], [0.0, 0.0], [0.5, 0.5], "lat_deg must be finite"),
+            ([0.0, 0.0], [0.0, math.inf], [0.5, 0.5], "lon_deg must be finite"),
+            ([0.0, 0.0], [0.0, 0.0], [math.nan, 1.0], "weight must be finite"),
+            ([0.0, 0.0], [0.0, 0.0], [math.inf, 1.0], "weight must be finite"),
+            ([200.0, 0.0], [0.0, 0.0], [0.5, 0.5], r"lat_deg must lie in \[-90, 90\]"),
+            ([0.0, -90.5], [0.0, 0.0], [0.5, 0.5], r"lat_deg must lie in \[-90, 90\]"),
+        ],
+    )
+    def test_rejects_non_finite_and_off_globe_sites(self, lat, lon, weight, message):
+        with pytest.raises(ValueError, match=message):
+            GroundGrid(np.array(lat), np.array(lon), np.array(weight), "x", 2)
+
+    def test_poles_are_on_the_globe(self):
+        grid = GroundGrid(np.array([90.0, -90.0]), np.zeros(2), np.full(2, 0.5), "x", 2)
+        assert len(grid) == 2
+
 
 class TestAzElRange:
     def test_zenith(self):
@@ -349,6 +368,19 @@ class TestWeightedPercentile:
             weighted_percentile(v, np.ones(3), 50.0)
         with pytest.raises(ValueError, match="strictly positive"):
             weighted_percentile(v, np.array([1.0, 0.0]), 50.0)
+
+    @pytest.mark.parametrize(
+        "values, weights, message",
+        [
+            ([1.0, 2.0, 3.0], [1.0, math.nan, 1.0], "weights must be finite"),
+            ([1.0, 2.0, 3.0], [1.0, math.inf, 1.0], "weights must be finite"),
+            ([1.0, math.nan, 3.0], [1.0, 1.0, 1.0], "values must be finite"),
+            ([1.0, -math.inf, 3.0], [1.0, 1.0, 1.0], "values must be finite"),
+        ],
+    )
+    def test_rejects_non_finite_input(self, values, weights, message):
+        with pytest.raises(ValueError, match=message):
+            weighted_percentile(np.array(values), np.array(weights), 50.0)
 
 
 class TestPdopSamplesEngine:

@@ -7,7 +7,6 @@ import math
 import pytest
 
 from leonav.payload import (
-    DEFAULT_HERITAGE,
     ClockUnit,
     PayloadHeritage,
     clock_budget_w,
@@ -20,7 +19,7 @@ from leonav.payload import (
 
 class TestHeritage:
     def test_default_figures(self):
-        h = DEFAULT_HERITAGE
+        h = PayloadHeritage()
         assert h.total_payload_w == 900.0
         assert (h.rf_output_w_low, h.rf_output_w_high) == (254.0, 273.0)
         assert h.pa_efficiency == 0.51
@@ -54,7 +53,7 @@ class TestHeritage:
 
 class TestBudgetPieces:
     def test_clock_budget(self):
-        assert clock_budget_w(DEFAULT_HERITAGE.clocks) == pytest.approx(210.0)
+        assert clock_budget_w(PayloadHeritage().clocks) == pytest.approx(210.0)
         assert clock_budget_w((ClockUnit("csac", 0.12, 3),)) == pytest.approx(0.36)
 
     def test_signal_generation(self):

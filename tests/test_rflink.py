@@ -9,6 +9,7 @@ import pytest
 
 from leonav.rflink import (
     BAND_HZ,
+    CANOPY_CLASSES,
     DEFAULT_JAMMER_CALIBRATION,
     DEFAULT_MATERIALS,
     GALILEO_ALTITUDE_KM,
@@ -27,6 +28,7 @@ from leonav.rflink import (
     penetration_report,
     slant_range_km,
 )
+from leonav.schema import ScenarioError
 
 R_EARTH_KM = 6378.137
 
@@ -225,7 +227,7 @@ class TestMaterials:
         }
 
     def test_canopy_classes(self):
-        assert DEFAULT_MATERIALS.canopy == (
+        assert CANOPY_CLASSES == (
             (0.0, "Limited"),
             (5.0, "Deciduous"),
             (10.0, "Redwoods"),
@@ -261,11 +263,7 @@ class TestMaterials:
     def test_validation(self):
         with pytest.raises(ValueError, match="margin_db"):
             penetration_report(-1.0)
-        with pytest.raises(ValueError, match="must be positive"):
-            MaterialLossTable(walls=(("foam", 0.0),))
-        with pytest.raises(ValueError, match="duplicate"):
-            MaterialLossTable(walls=(("wood", 10.0), ("wood", 11.0)))
-        with pytest.raises(ValueError, match="0 dB threshold"):
-            MaterialLossTable(canopy=((5.0, "Deciduous"),))
-        with pytest.raises(ValueError, match="increasing"):
-            MaterialLossTable(canopy=((0.0, "a"), (10.0, "b"), (5.0, "c")))
+        with pytest.raises(ValueError, match="margin_db"):
+            penetration_report(math.nan)
+        with pytest.raises(ScenarioError, match=r"materials.wood_db: must be > 0"):
+            MaterialLossTable(wood_db=0)

@@ -7,8 +7,13 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from leonav.geometry import TimeWindow
+from leonav.orbits import EarthModel, WalkerSpec
+from leonav.payload import ClockUnit, PayloadHeritage
+from leonav.rflink import JammerCalibration, LinkParams, MaterialLossTable
 from leonav.scenario import (
     Scenario,
     ScenarioError,
@@ -66,12 +71,12 @@ class TestOverrides:
     def test_link_custom_frequency(self):
         s = parse_scenario('{"link": {"frequency_hz": 2.4e9}}')
         assert s.link.frequency_hz == 2.4e9
-        assert s.link.params.carrier_hz == 2.4e9
+        assert s.link.carrier_hz == 2.4e9
 
     def test_materials_override(self):
         s = parse_scenario('{"materials": {"wood_db": 9}}')
-        assert dict(s.materials.table.walls)["wood"] == 9.0
-        assert dict(s.materials.table.walls)["brick"] == 12.0
+        assert dict(s.materials.walls)["wood"] == 9.0
+        assert dict(s.materials.walls)["brick"] == 12.0
 
     def test_payload_clocks(self):
         s = parse_scenario(
@@ -79,7 +84,7 @@ class TestOverrides:
             '{"name": "csac", "unit_power_w": 0.12, "count": 3},'
             '{"name": "usO", "unit_power_w": 5.5}]}}'
         )
-        clocks = s.payload.heritage.clocks
+        clocks = s.payload.clocks
         assert [(c.name, c.unit_power_w, c.count) for c in clocks] == [
             ("csac", 0.12, 3),
             ("usO", 5.5, 1),
@@ -177,6 +182,18 @@ class TestRejections:
              r"sweep.mask_deg: must be in \[0, 90\)"),
             (lambda: WalkerConfig(total_sats=10, planes=4),
              '{"walker": {"total_sats": 10, "planes": 4}}', "walker: planes"),
+            (lambda: EarthModel(radius_km=math.nan), '{"earth": {"radius_km": NaN}}',
+             "earth.radius_km: must be finite"),
+            (lambda: TimeWindow(duration_s=1000.0, step_s=300.0),
+             '{"window": {"duration_s": 1000, "step_s": 300}}', "window: step_s"),
+            (lambda: JammerCalibration(ref_power_w=0), '{"jammer": {"ref_power_w": 0}}',
+             "jammer.ref_power_w: must be > 0"),
+            (lambda: LinkParams(reference="S"), '{"link": {"reference": "S"}}',
+             "link.reference: must be one of"),
+            (lambda: PayloadHeritage(rf_output_w_high=100),
+             '{"payload": {"rf_output_w_high": 100}}', "payload: rf_output_w_high"),
+            (lambda: MaterialLossTable(wood_db=0), '{"materials": {"wood_db": 0}}',
+             "materials.wood_db: must be > 0"),
         ],
     )
     def test_direct_construction_applies_the_same_rules(self, build, text, message):
@@ -189,6 +206,62 @@ class TestRejections:
     def test_section_must_be_object(self):
         with pytest.raises(ScenarioError, match="walker"):
             parse_scenario('{"walker": 7}')
+
+
+#: Every parameter record: its key, arguments that build it, a number field
+#: and an integer field (None where it has none).
+RECORDS = [
+    (EarthModel, "earth", {}, "radius_km", None),
+    (WalkerSpec, "walker", {"total_sats": 24, "planes": 6}, "altitude_km", "total_sats"),
+    (TimeWindow, "window", {}, "step_s", None),
+    (ClockUnit, "clock", {"name": "x", "unit_power_w": 1.0}, "unit_power_w", "count"),
+    (PayloadHeritage, "payload", {}, "total_payload_w", "n_signals"),
+    (LinkParams, "link", {}, "frequency_hz", None),
+    (JammerCalibration, "jammer", {}, "ref_power_w", None),
+    (MaterialLossTable, "materials", {}, "glass_db", None),
+]
+
+
+def _bad_values():
+    for cls, key, kwargs, number, integer in RECORDS:
+        for value in (math.nan, math.inf, -math.inf, True):
+            yield pytest.param(cls, kwargs, number, value, f"{key}.{number}",
+                               id=f"{cls.__name__}-{number}-{value}")
+        if integer:
+            for value in (1.5, True, math.nan):
+                yield pytest.param(cls, kwargs, integer, value, f"{key}.{integer}",
+                                   id=f"{cls.__name__}-{integer}-{value}")
+
+
+class TestRecords:
+    @pytest.mark.parametrize("cls, kwargs, name, value, where", _bad_values())
+    def test_direct_construction_names_the_key(self, cls, kwargs, name, value, where):
+        with pytest.raises(ScenarioError, match=rf"^{re.escape(where)}: must be"):
+            cls(**{**kwargs, name: value})
+
+    def test_numpy_scalars_are_read_as_python_numbers(self):
+        spec = WalkerSpec(np.int64(24), np.int32(6), altitude_km=np.float64(900))
+        assert (spec.total_sats, spec.planes) == (24, 6)
+        assert type(spec.total_sats) is int and type(spec.planes) is int
+        assert type(spec.altitude_km) is float
+        window = TimeWindow(np.float32(600), 300.0)
+        assert window.duration_s == 600.0 and type(window.duration_s) is float
+        assert window.n_epochs == 2
+
+    def test_numpy_bool_is_not_a_number(self):
+        with pytest.raises(ScenarioError, match="walker.total_sats: must be an integer"):
+            WalkerSpec(np.bool_(True), 1)
+
+    def test_sections_extend_the_records(self):
+        s = Scenario()
+        assert isinstance(s.link, LinkParams)
+        assert isinstance(s.jammer, JammerCalibration)
+        assert isinstance(s.payload, PayloadHeritage)
+        assert type(s.materials) is MaterialLossTable
+        assert s.materials.walls == (
+            ("wood", 10.0), ("brick", 12.0), ("concrete", 15.0),
+            ("glass", 17.0), ("container", 25.0),
+        )
 
 
 class TestLenientMode:

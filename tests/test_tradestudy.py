@@ -109,12 +109,9 @@ class TestPdopSweep:
     def test_cell_grid_is_size_major(self):
         sc = tiny()
         result = pdop_sweep(sc)
-        assert result.sizes == (24, 36)
-        assert result.altitudes_km == (800.0, 1000.0)
         assert [(c.requested_sats, c.altitude_km) for c in result.cells] == [
             (24, 800.0), (24, 1000.0), (36, 800.0), (36, 1000.0),
         ]
-        assert result.percentile == 95.0
         assert result.scenario_hash == scenario_hash(sc)
 
     def test_cells_match_direct_evaluation(self):
