@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -18,7 +19,8 @@ from leonav.orbits import (
     site_to_ecef,
     walker_constellation,
 )
-from leonav.tradestudy import is_plane_friendly
+from leonav.scenario import Scenario, WalkerConfig
+from leonav.tradestudy import build_walker, is_plane_friendly
 
 
 class TestEarthModel:
@@ -110,6 +112,41 @@ class TestDefaultPlanes:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             default_planes(0)
+
+
+def _design(config: WalkerConfig, total_sats: int) -> WalkerSpec:
+    return build_walker(total_sats, 900.0, Scenario(walker=config))
+
+
+def _request(planes: int | None, phasing: int = 1) -> WalkerConfig:
+    return WalkerConfig(total_sats=planes or 1, planes=planes, phasing=phasing)
+
+
+class TestWalkerDesign:
+    #: SHA-256 of "T,P,F;" for every design on the grid of ``test_design_digest``.
+    DIGEST = "7c421d4138153d303dfcfc561d024fddcd00055923bd557daf1f7544ee86f6a5"
+
+    def test_design_digest(self):
+        """Unpinned T in 1..3000 and pinned P in 1..40 with T in 1..400,
+        each at phasing 0..3: the snapped size, planes and folded phasing."""
+        digest = hashlib.sha256()
+        for phasing in range(4):
+            cases = [(None, 3000)] + [(planes, 400) for planes in range(1, 41)]
+            for planes, ceiling in cases:
+                config = _request(planes, phasing)
+                for total in range(1, ceiling + 1):
+                    spec = _design(config, total)
+                    digest.update(f"{spec.total_sats},{spec.planes},{spec.phasing};".encode())
+        assert digest.hexdigest() == self.DIGEST
+
+    @pytest.mark.parametrize(
+        "total, planes, snapped",
+        # round() takes halves to even: 10/4 = 2.5 and 6/4 = 1.5 both give 2 x 4
+        [(10, 4, 8), (6, 4, 8), (14, 4, 16), (2, 4, 4), (100, 24, 96), (36, 5, 35)],
+    )
+    def test_pinned_planes_round_half_to_even(self, total, planes, snapped):
+        spec = _design(_request(planes), total)
+        assert (spec.total_sats, spec.planes) == (snapped, planes)
 
 
 class TestWalkerConstellation:
