@@ -72,7 +72,6 @@ from .tradestudy import (
     gps_baseline,
     min_constellation_size,
     pdop_sweep,
-    snap_walker_size,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

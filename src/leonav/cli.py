@@ -77,8 +77,9 @@ def _row(record, **renamed: str) -> dict:
 # caller may replace the module attribute (as a tracing harness does).
 
 def _dop_map_rows(args, scenario: Scenario) -> list[dict]:
-    _say(args, f"dop-map: {scenario.walker.total_sats} sats at "
-               f"{scenario.walker.altitude_km:g} km")
+    spec = scenario.walker.design(scenario.walker.total_sats, scenario.walker.altitude_km)
+    _say(args, f"dop-map: Walker {spec.total_sats}/{spec.planes}/{spec.phasing} "
+               f"at {spec.altitude_km:g} km")
     return tradestudy.dop_map(scenario)
 
 

@@ -100,8 +100,6 @@ class GroundGrid:
     lat_deg: np.ndarray
     lon_deg: np.ndarray
     weight: np.ndarray
-    scheme: str
-    resolution: int
 
     def __post_init__(self) -> None:
         lat = np.asarray(self.lat_deg, dtype=float)
@@ -138,7 +136,7 @@ class GroundGrid:
         lon = np.degrees((i * _GOLDEN_ANGLE_RAD) % (2.0 * math.pi))
         lon = np.where(lon >= 180.0, lon - 360.0, lon)
         weight = np.full(n_sites, 1.0 / n_sites)
-        return cls(lat, lon, weight, scheme="fibonacci", resolution=n_sites)
+        return cls(lat, lon, weight)
 
     @classmethod
     def latlon(cls, n_sites: int = 500) -> "GroundGrid":
@@ -157,7 +155,7 @@ class GroundGrid:
         lon = np.tile(lon_centers, n_lat)
         weight = np.cos(np.radians(lat))
         weight = weight / weight.sum()
-        return cls(lat, lon, weight, scheme="latlon", resolution=n_sites)
+        return cls(lat, lon, weight)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ the sidereal angle accumulated since epoch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -61,34 +61,73 @@ class WalkerElements(NamedTuple):
 
 
 @dataclass(frozen=True)
-class WalkerSpec(_Record, key="walker"):
-    """Symmetric circular constellation: T satellites, P planes, phasing F.
+class WalkerConfig(_Record, key="walker"):
+    """A Walker design request; ``design`` resolves it into the WalkerSpec
+    that runs.
 
+    Size T, plane count P (None: ``default_planes`` per size) and phasing
+    F, with the circular altitude and inclination every satellite shares.
     ``raan_spread_deg`` selects the pattern family: 180 spreads the
-    ascending nodes over a half circle (star, counter-rotating seam),
-    360 over the full circle (delta).
-
-    Args:
-        total_sats: total satellite count T (P must divide T).
-        planes: orbital plane count P.
-        phasing: Walker phasing index F in [0, P).
-        altitude_km: circular orbit altitude above the spherical Earth.
-        inclination_deg: orbital inclination, 0..180.
-        raan_spread_deg: 180 (star) or 360 (delta).
+    ascending nodes over a half circle (star, counter-rotating seam), 360
+    over the full circle (delta).
     """
 
-    total_sats: int
-    planes: int
+    total_sats: int = 300
+    planes: int | None = None
     phasing: int = _non_negative(1)
     altitude_km: float = 900.0
     inclination_deg: float = _rule(90.0, "in [0, 180]", lambda v: 0.0 <= v <= 180.0)
     raan_spread_deg: float = _rule(180.0, "180 or 360", lambda v: v in (180.0, 360.0))
 
     def _check_across_fields(self) -> None:
-        if self.total_sats % self.planes != 0:
+        if self.planes and self.total_sats % self.planes != 0:
             raise ValueError(
                 f"planes ({self.planes}) does not divide total_sats ({self.total_sats})"
             )
+
+    def fits(self, total_sats: int) -> bool:
+        """Whether ``design`` runs ``total_sats`` unchanged: a multiple of
+        the pinned plane count, or a plane-friendly size when none is pinned."""
+        if self.planes is None:
+            return is_plane_friendly(total_sats)
+        return total_sats >= 1 and total_sats % self.planes == 0
+
+    def design(self, total_sats: int, altitude_km: float) -> WalkerSpec:
+        """The design that runs for a requested size at an altitude.
+
+        Pinned planes snap the size to their nearest positive multiple
+        (``round``: halves go to the even one); otherwise it snaps to the
+        nearest plane-friendly size, ties toward the larger.  Phasing folds
+        into [0, P).  Never silent: callers record the design.
+        """
+        if total_sats < 1:
+            raise ValueError(f"total_sats ({total_sats}) must be >= 1")
+        if self.planes is None:
+            total_sats = next(
+                candidate
+                for delta in range(total_sats)
+                for candidate in (total_sats + delta, total_sats - delta)
+                if is_plane_friendly(candidate)
+            )
+            planes = default_planes(total_sats)
+        else:
+            planes = self.planes
+            total_sats = max(planes, round(total_sats / planes) * planes)
+        return WalkerSpec(
+            total_sats, planes, self.phasing % planes,
+            altitude_km, self.inclination_deg, self.raan_spread_deg,
+        )
+
+
+@dataclass(frozen=True)
+class WalkerSpec(WalkerConfig, key="walker"):
+    """A resolved symmetric design T/P/F: P divides T and F lies in [0, P)."""
+
+    total_sats: int = field()  # field() drops the inherited default
+    planes: int = field()
+
+    def _check_across_fields(self) -> None:
+        super()._check_across_fields()
         if self.phasing >= self.planes:
             raise ValueError(
                 f"phasing ({self.phasing}) must lie in [0, planes) = [0, {self.planes})"
@@ -113,6 +152,20 @@ def default_planes(total_sats: int) -> int:
     low = next(d for d in range(math.isqrt(total_sats), 0, -1) if total_sats % d == 0)
     high = total_sats // low
     return low if root - low < high - root else high
+
+
+#: Largest balance ratio max(P, T/P) / min(P, T/P) a size may have and
+#: still count as plane-friendly for snapping and sizing searches.
+_BALANCE_LIMIT = 2.0
+
+
+def is_plane_friendly(total_sats: int) -> bool:
+    """Whether the default plane rule yields a balanced constellation."""
+    if total_sats < 1:
+        return False
+    p = default_planes(total_sats)
+    s = total_sats // p
+    return max(p, s) <= _BALANCE_LIMIT * min(p, s)
 
 
 def walker_constellation(spec: WalkerSpec, earth: EarthModel = EARTH) -> WalkerElements:

@@ -8,6 +8,7 @@ given the LEO footprint advantage.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .schema import _Record, _rule
@@ -56,8 +57,8 @@ def clock_budget_w(clocks: tuple[ClockUnit, ...]) -> float:
 
 def signal_generation_w(rf_output_w: float, pa_efficiency: float) -> float:
     """Bus power drawn to produce a given RF output at a PA efficiency."""
-    if rf_output_w <= 0.0:
-        raise ValueError(f"rf_output_w ({rf_output_w}) must be positive")
+    if not 0.0 < rf_output_w < math.inf:
+        raise ValueError(f"rf_output_w ({rf_output_w}) must be finite and strictly positive")
     if not 0.0 < pa_efficiency <= 1.0:
         raise ValueError(f"pa_efficiency ({pa_efficiency}) must lie in (0, 1]")
     return rf_output_w / pa_efficiency
@@ -67,8 +68,8 @@ def per_signal_bus_power_w(
     rf_output_w: float, n_signals: int, pa_efficiency: float
 ) -> float:
     """Bus power per broadcast signal: (RF output / efficiency) / signals."""
-    if n_signals < 1:
-        raise ValueError(f"n_signals ({n_signals}) must be >= 1")
+    if not 1 <= n_signals < math.inf:
+        raise ValueError(f"n_signals ({n_signals}) must be finite and >= 1")
     return signal_generation_w(rf_output_w, pa_efficiency) / n_signals
 
 
@@ -82,14 +83,14 @@ def leo_payload_power_w(
     Returns (low, high) = n * per_signal * (1 + overhead) at the two
     overhead endpoints.
     """
-    if n_signals < 1:
-        raise ValueError(f"n_signals ({n_signals}) must be >= 1")
-    if per_signal_w <= 0.0:
-        raise ValueError(f"per_signal_w ({per_signal_w}) must be positive")
+    if not 1 <= n_signals < math.inf:
+        raise ValueError(f"n_signals ({n_signals}) must be finite and >= 1")
+    if not 0.0 < per_signal_w < math.inf:
+        raise ValueError(f"per_signal_w ({per_signal_w}) must be finite and strictly positive")
     low, high = overhead_range
-    if low < 0.0 or high < low:
+    if not 0.0 <= low <= high < math.inf:
         raise ValueError(
-            f"overhead_range ({overhead_range}) must satisfy 0 <= low <= high"
+            f"overhead_range ({overhead_range}) must satisfy 0 <= low <= high < inf"
         )
     base = n_signals * per_signal_w
     return (base * (1.0 + low), base * (1.0 + high))
@@ -107,14 +108,14 @@ def gnss_equivalent_power_w(
     gain leaves powers unchanged.
     """
     p_low, p_high = leo_total_w_range
-    if p_low <= 0.0 or p_high < p_low:
+    if not 0.0 < p_low <= p_high < math.inf:
         raise ValueError(
-            f"leo_total_w_range ({leo_total_w_range}) must satisfy 0 < low <= high"
+            f"leo_total_w_range ({leo_total_w_range}) must satisfy 0 < low <= high < inf"
         )
     g_low, g_high = footprint_gain_db_range
-    if g_low < 0.0 or g_high < g_low:
+    if not 0.0 <= g_low <= g_high < math.inf:
         raise ValueError(
             f"footprint_gain_db_range ({footprint_gain_db_range}) must satisfy "
-            f"0 <= low <= high"
+            f"0 <= low <= high < inf"
         )
     return (p_high / 10.0 ** (g_high / 10.0), p_high / 10.0 ** (g_low / 10.0))

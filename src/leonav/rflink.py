@@ -47,10 +47,9 @@ def fspl_db(distance_km: float, frequency_hz: float) -> float:
         distance_km: propagation distance, > 0.
         frequency_hz: carrier frequency, > 0.
     """
-    if distance_km <= 0.0:
-        raise ValueError(f"distance_km ({distance_km}) must be strictly positive")
-    if frequency_hz <= 0.0:
-        raise ValueError(f"frequency_hz ({frequency_hz}) must be strictly positive")
+    for name, value in (("distance_km", distance_km), ("frequency_hz", frequency_hz)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} ({value}) must be finite and strictly positive")
     return 20.0 * math.log10(
         4.0 * math.pi * distance_km * 1000.0 * frequency_hz / SPEED_OF_LIGHT_M_S
     )
@@ -64,8 +63,8 @@ def slant_range_km(
     Spherical-Earth geometry: d = -R sin(e) + sqrt(R^2 sin^2(e) + h^2 + 2 R h).
     At zenith this is the altitude; at the horizon sqrt(h^2 + 2 R h).
     """
-    if altitude_km <= 0.0:
-        raise ValueError(f"altitude_km ({altitude_km}) must be strictly positive")
+    if not 0.0 < altitude_km < math.inf:
+        raise ValueError(f"altitude_km ({altitude_km}) must be finite and strictly positive")
     if not 0.0 <= elevation_deg <= 90.0:
         raise ValueError(f"elevation_deg ({elevation_deg}) must lie in [0, 90]")
     r = earth_radius_km
@@ -78,8 +77,8 @@ def coverage_half_angle_rad(
     altitude_km: float, mask_deg: float, earth_radius_km: float = EARTH.radius_km
 ) -> float:
     """Earth-central half angle of the cap a satellite covers above a mask."""
-    if altitude_km <= 0.0:
-        raise ValueError(f"altitude_km ({altitude_km}) must be strictly positive")
+    if not 0.0 < altitude_km < math.inf:
+        raise ValueError(f"altitude_km ({altitude_km}) must be finite and strictly positive")
     if not 0.0 <= mask_deg < 90.0:
         raise ValueError(f"mask_deg ({mask_deg}) must lie in [0, 90)")
     mask = math.radians(mask_deg)
@@ -147,10 +146,10 @@ def jammer_effective_radius_m(
     Each 6.02 dB of extra receiver margin halves the radius; quadrupling
     jammer power doubles it.
     """
-    if power_w <= 0.0:
-        raise ValueError(f"power_w ({power_w}) must be strictly positive")
-    if margin_db < 0.0:
-        raise ValueError(f"margin_db ({margin_db}) must be >= 0")
+    if not 0.0 < power_w < math.inf:
+        raise ValueError(f"power_w ({power_w}) must be finite and strictly positive")
+    if not 0.0 <= margin_db < math.inf:
+        raise ValueError(f"margin_db ({margin_db}) must be finite and >= 0")
     return (
         calibration.ref_radius_m
         * math.sqrt(power_w / calibration.ref_power_w)
@@ -164,10 +163,10 @@ def jammer_power_for_radius_w(
     calibration: JammerCalibration = DEFAULT_JAMMER_CALIBRATION,
 ) -> float:
     """Jammer power needed to deny a given radius; inverse of the radius model."""
-    if radius_m <= 0.0:
-        raise ValueError(f"radius_m ({radius_m}) must be strictly positive")
-    if margin_db < 0.0:
-        raise ValueError(f"margin_db ({margin_db}) must be >= 0")
+    if not 0.0 < radius_m < math.inf:
+        raise ValueError(f"radius_m ({radius_m}) must be finite and strictly positive")
+    if not 0.0 <= margin_db < math.inf:
+        raise ValueError(f"margin_db ({margin_db}) must be finite and >= 0")
     return (
         calibration.ref_power_w
         * (radius_m / calibration.ref_radius_m) ** 2
@@ -223,8 +222,8 @@ def penetration_report(
     Counts are floor(margin / loss); the canopy class is the densest one
     whose threshold the margin meets.
     """
-    if not margin_db >= 0.0:
-        raise ValueError(f"margin_db ({margin_db}) must be >= 0")
+    if not 0.0 <= margin_db < math.inf:
+        raise ValueError(f"margin_db ({margin_db}) must be finite and >= 0")
     counts = tuple(
         (name, int(margin_db // loss)) for name, loss in materials.walls
     )

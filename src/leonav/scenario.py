@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .geometry import TimeWindow
-from .orbits import EarthModel
+from .orbits import EarthModel, WalkerConfig
 from .payload import PayloadHeritage
 from .rflink import (
     GALILEO_ALTITUDE_KM,
@@ -40,23 +40,6 @@ from .schema import (
     _Record,
     _rule,
 )
-
-@dataclass(frozen=True)
-class WalkerConfig(_Record, key="walker"):
-    """Constellation defaults: the single-run design and sweep conventions."""
-
-    total_sats: int = 300
-    planes: int | None = None
-    phasing: int = _non_negative(1)
-    altitude_km: float = 900.0
-    inclination_deg: float = _rule(90.0, "in [0, 180]", lambda v: 0.0 <= v <= 180.0)
-    raan_spread_deg: float = _rule(180.0, "180 or 360", lambda v: v in (180.0, 360.0))
-
-    def _check_across_fields(self) -> None:
-        if self.planes and self.total_sats % self.planes != 0:
-            raise ValueError(
-                f"planes ({self.planes}) does not divide total_sats ({self.total_sats})"
-            )
 
 
 @dataclass(frozen=True)

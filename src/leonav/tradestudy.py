@@ -21,7 +21,7 @@ from .geometry import (
     pdop_field,
     percentile_pdop,
 )
-from .orbits import WalkerSpec, default_planes
+from .orbits import WalkerSpec
 from .payload import (
     clock_budget_w,
     gnss_equivalent_power_w,
@@ -49,58 +49,6 @@ GPS_LIKE = WalkerSpec(
     inclination_deg=55.0,
     raan_spread_deg=360.0,
 )
-
-#: Largest balance ratio max(P, T/P) / min(P, T/P) a size may have and
-#: still count as plane-friendly for snapping and sizing searches.
-_BALANCE_LIMIT = 2.0
-
-
-def is_plane_friendly(total_sats: int) -> bool:
-    """Whether the default plane rule yields a balanced constellation."""
-    if total_sats < 1:
-        return False
-    p = default_planes(total_sats)
-    s = total_sats // p
-    return max(p, s) <= _BALANCE_LIMIT * min(p, s)
-
-
-def snap_walker_size(total_sats: int, planes: int | None = None) -> tuple[int, int]:
-    """Nearest valid (total_sats, planes) pair to a requested size.
-
-    With a pinned plane count the size snaps to the nearest positive
-    multiple of it; otherwise to the nearest plane-friendly size (ties
-    toward the larger size).  Never silent: callers record the result.
-    """
-    if total_sats < 1:
-        raise ValueError(f"total_sats ({total_sats}) must be >= 1")
-    if planes is not None:
-        if planes < 1:
-            raise ValueError(f"planes ({planes}) must be >= 1")
-        snapped = max(planes, round(total_sats / planes) * planes)
-        return snapped, planes
-    for delta in range(total_sats):
-        for candidate in (total_sats + delta, total_sats - delta):
-            if candidate >= 1 and is_plane_friendly(candidate):
-                return candidate, default_planes(candidate)
-
-
-def build_walker(
-    total_sats: int, altitude_km: float, scenario: Scenario
-) -> WalkerSpec:
-    """WalkerSpec for a (possibly snapped) size at an altitude.
-
-    Plane count comes from the scenario when pinned, otherwise from the
-    default divisor-nearest-sqrt rule; phasing F folds into [0, P).
-    """
-    snapped, planes = snap_walker_size(total_sats, scenario.walker.planes)
-    return WalkerSpec(
-        total_sats=snapped,
-        planes=planes,
-        phasing=scenario.walker.phasing % planes,
-        altitude_km=altitude_km,
-        inclination_deg=scenario.walker.inclination_deg,
-        raan_spread_deg=scenario.walker.raan_spread_deg,
-    )
 
 
 def _grid(scenario: Scenario) -> GroundGrid:
@@ -156,7 +104,7 @@ def pdop_sweep(scenario: Scenario, threads: int = 1) -> SweepResult:
 
     def run(point: tuple[int, float]) -> SweepCell:
         size, alt = point
-        spec = build_walker(size, alt, scenario)
+        spec = scenario.walker.design(size, alt)
         try:
             result = _evaluate(spec, scenario)
             value, coverage = result.value, result.coverage
@@ -209,14 +157,18 @@ def min_constellation_size(
     scenario: Scenario,
     ceiling: int = 1000,
 ) -> SizingResult:
-    """Smallest valid Walker size meeting a PDOP target at an altitude.
+    """Smallest Walker size meeting a PDOP target at an altitude.
 
-    A size passes when coverage is complete and the percentile PDOP is at
-    or below the target.  Doubling search brackets the boundary, then
-    bisection over the valid-size ladder narrows it; if the evaluated
-    points are not monotone (plane-count jumps can do that), the bracket
-    is re-checked by linear scan.  An unreachable target returns the best
-    evaluated size with reachable=False.
+    The ladder holds the sizes up to ``ceiling`` that the scenario's
+    walker ``fits``; a size passes when coverage is complete and the
+    percentile PDOP is at or below the target.  Doubling from the size
+    nearest 24 brackets the boundary and bisection narrows it, assuming
+    PDOP is monotone between the points it evaluates; where those points
+    are not (plane-count jumps can do that), a linear scan re-checks the
+    bracket.  The answer is the smallest passing ladder size above the
+    last failing doubling point; the search never looks below that point.
+    An unreachable target returns the best evaluated size with
+    reachable=False.
     """
     for name, value in (("altitude_km", altitude_km), ("target_pdop", target_pdop)):
         if not (math.isfinite(value) and value > 0.0):
@@ -224,11 +176,7 @@ def min_constellation_size(
     if ceiling < 1:
         raise ValueError(f"ceiling ({ceiling}) must be >= 1")
 
-    pinned = scenario.walker.planes
-    if pinned is not None:
-        ladder = [t for t in range(pinned, ceiling + 1, pinned)]
-    else:
-        ladder = [t for t in range(1, ceiling + 1) if is_plane_friendly(t)]
+    ladder = [t for t in range(1, ceiling + 1) if scenario.walker.fits(t)]
     if not ladder:
         raise ValueError(f"no valid Walker size at or below ceiling ({ceiling})")
 
@@ -237,7 +185,7 @@ def min_constellation_size(
     def evaluate(idx: int) -> PercentilePdop | None:
         size = ladder[idx]
         if size not in memo:
-            spec = build_walker(size, altitude_km, scenario)
+            spec = scenario.walker.design(size, altitude_km)
             try:
                 memo[size] = _evaluate(spec, scenario)
             except NoCoverageError:
@@ -291,7 +239,7 @@ def min_constellation_size(
         size = ladder[hi]
 
     result = memo[size]
-    spec = build_walker(size, altitude_km, scenario)
+    spec = scenario.walker.design(size, altitude_km)
     return SizingResult(
         altitude_km=altitude_km,
         target_pdop=target_pdop,
@@ -316,9 +264,7 @@ def dop_map(scenario: Scenario) -> list[dict]:
     Raises:
         NoCoverageError: no site has a single defined sample.
     """
-    spec = build_walker(
-        scenario.walker.total_sats, scenario.walker.altitude_km, scenario
-    )
+    spec = scenario.walker.design(scenario.walker.total_sats, scenario.walker.altitude_km)
     grid = _grid(scenario)
     values, coverage = pdop_field(
         spec,

@@ -33,7 +33,6 @@ from leonav.rflink import (
 )
 from leonav.scenario import Scenario
 from leonav.tradestudy import (
-    build_walker,
     gps_baseline,
     min_constellation_size,
     power_report,
@@ -50,7 +49,7 @@ def desk():
     baseline = gps_baseline(scenario)
     baseline_s = time.perf_counter() - t0
 
-    spec = build_walker(300, 900.0, scenario)
+    spec = scenario.walker.design(300, 900.0)
     t0 = time.perf_counter()
     p300 = percentile_pdop(
         spec, GroundGrid.fibonacci(500), TimeWindow(), mask_deg=5.0, percentile=95.0

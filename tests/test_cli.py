@@ -89,6 +89,13 @@ class TestEngineCommands:
         ]
         assert len(rows) == 1 + 64
 
+    def test_dop_map_names_the_design_it_runs(self, tmp_path, capsys):
+        # 26 = 2 x 13 is not plane-friendly, so the map runs 25/5/1
+        cfg = write_config(tmp_path, {"walker": {"total_sats": 26}})
+        assert main(["dop-map", "--config", cfg, "--out", str(tmp_path / "m.csv")]) == 0
+        err = capsys.readouterr().err
+        assert "dop-map: Walker 25/5/1 at 900 km" in err
+
     def test_dop_map_small_body(self, tmp_path):
         cfg = write_config(tmp_path, {
             "earth": {"radius_km": 1737.4, "mu_km3_s2": 4902.8,

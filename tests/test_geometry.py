@@ -84,8 +84,6 @@ class TestGroundGrid:
     def test_fibonacci_layout(self):
         grid = GroundGrid.fibonacci(500)
         assert len(grid) == 500
-        assert grid.scheme == "fibonacci"
-        assert grid.resolution == 500
         assert np.allclose(grid.weight, 1.0 / 500)
         assert grid.weight.sum() == pytest.approx(1.0, abs=1e-12)
         # strictly descending latitude, never touching the poles
@@ -103,7 +101,6 @@ class TestGroundGrid:
         grid = GroundGrid.latlon(500)
         # nearest n_lat x 2 n_lat product: 16 x 32
         assert len(grid) == 512
-        assert grid.scheme == "latlon"
         assert grid.weight.sum() == pytest.approx(1.0, abs=1e-12)
         # area weights follow cos(latitude)
         w = grid.weight.reshape(16, 32)
@@ -114,13 +111,13 @@ class TestGroundGrid:
 
     def test_rejects_bad_grids(self):
         with pytest.raises(ValueError, match="at least one"):
-            GroundGrid(np.array([]), np.array([]), np.array([]), "x", 0)
+            GroundGrid(np.array([]), np.array([]), np.array([]))
         with pytest.raises(ValueError, match="matching shapes"):
-            GroundGrid(np.zeros(3), np.zeros(3), np.ones(2) / 2, "x", 3)
+            GroundGrid(np.zeros(3), np.zeros(3), np.ones(2) / 2)
         with pytest.raises(ValueError, match="strictly positive"):
-            GroundGrid(np.zeros(2), np.zeros(2), np.array([1.0, 0.0]), "x", 2)
+            GroundGrid(np.zeros(2), np.zeros(2), np.array([1.0, 0.0]))
         with pytest.raises(ValueError, match="sum to 1"):
-            GroundGrid(np.zeros(2), np.zeros(2), np.array([0.7, 0.7]), "x", 2)
+            GroundGrid(np.zeros(2), np.zeros(2), np.array([0.7, 0.7]))
         with pytest.raises(ValueError):
             GroundGrid.fibonacci(0)
         with pytest.raises(ValueError):
@@ -139,10 +136,10 @@ class TestGroundGrid:
     )
     def test_rejects_non_finite_and_off_globe_sites(self, lat, lon, weight, message):
         with pytest.raises(ValueError, match=message):
-            GroundGrid(np.array(lat), np.array(lon), np.array(weight), "x", 2)
+            GroundGrid(np.array(lat), np.array(lon), np.array(weight))
 
     def test_poles_are_on_the_globe(self):
-        grid = GroundGrid(np.array([90.0, -90.0]), np.zeros(2), np.full(2, 0.5), "x", 2)
+        grid = GroundGrid(np.array([90.0, -90.0]), np.zeros(2), np.full(2, 0.5))
         assert len(grid) == 2
 
 

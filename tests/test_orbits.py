@@ -12,15 +12,15 @@ from leonav.orbits import (
     EARTH,
     EarthModel,
     EcefPosition,
+    WalkerConfig,
     WalkerSpec,
     default_planes,
+    is_plane_friendly,
     propagate_arrays,
     rotate_eci_to_ecef,
     site_to_ecef,
     walker_constellation,
 )
-from leonav.scenario import Scenario, WalkerConfig
-from leonav.tradestudy import build_walker, is_plane_friendly
 
 
 class TestEarthModel:
@@ -114,10 +114,6 @@ class TestDefaultPlanes:
             default_planes(0)
 
 
-def _design(config: WalkerConfig, total_sats: int) -> WalkerSpec:
-    return build_walker(total_sats, 900.0, Scenario(walker=config))
-
-
 def _request(planes: int | None, phasing: int = 1) -> WalkerConfig:
     return WalkerConfig(total_sats=planes or 1, planes=planes, phasing=phasing)
 
@@ -135,7 +131,7 @@ class TestWalkerDesign:
             for planes, ceiling in cases:
                 config = _request(planes, phasing)
                 for total in range(1, ceiling + 1):
-                    spec = _design(config, total)
+                    spec = config.design(total, 900.0)
                     digest.update(f"{spec.total_sats},{spec.planes},{spec.phasing};".encode())
         assert digest.hexdigest() == self.DIGEST
 
@@ -145,8 +141,66 @@ class TestWalkerDesign:
         [(10, 4, 8), (6, 4, 8), (14, 4, 16), (2, 4, 4), (100, 24, 96), (36, 5, 35)],
     )
     def test_pinned_planes_round_half_to_even(self, total, planes, snapped):
-        spec = _design(_request(planes), total)
+        spec = _request(planes).design(total, 900.0)
         assert (spec.total_sats, spec.planes) == (snapped, planes)
+
+    @pytest.mark.parametrize(
+        "total, snapped, planes",
+        [
+            (300, 300, 15),
+            (24, 24, 4),
+            # 26 maps 2 x 13 and 27 maps 3 x 9 (unbalanced); 25 = 5 x 5
+            (26, 25, 5),
+            # 17 is prime; 16 and 18 are both friendly: ties go to the larger
+            (17, 18, 3),
+        ],
+    )
+    def test_unpinned_snaps_to_nearest_friendly(self, total, snapped, planes):
+        spec = WalkerConfig().design(total, 900.0)
+        assert (spec.total_sats, spec.planes) == (snapped, planes)
+
+    def test_defaults_from_request(self):
+        spec = WalkerConfig().design(300, 700.0)
+        assert spec == WalkerSpec(300, 15, 1, 700.0, 90.0, 180.0)
+
+    def test_phasing_folds_into_plane_count(self):
+        spec = WalkerConfig(phasing=3).design(1, 900.0)  # one plane forces F = 0
+        assert (spec.planes, spec.phasing) == (1, 0)
+        assert _request(6, 8).design(24, 900.0).phasing == 2
+
+    def test_pinned_planes_respected(self):
+        config = WalkerConfig(total_sats=24, planes=6, phasing=2, raan_spread_deg=360.0)
+        assert config.design(24, 1200.0) == WalkerSpec(24, 6, 2, 1200.0, 90.0, 360.0)
+
+    @pytest.mark.parametrize("planes", [None, 1, 4, 7])
+    def test_fits_exactly_the_sizes_design_keeps(self, planes):
+        config = _request(planes)
+        kept = [t for t in range(1, 201) if config.design(t, 900.0).total_sats == t]
+        assert [t for t in range(-1, 201) if config.fits(t)] == kept
+
+    def test_design_is_a_request(self):
+        """A resolved design is a WalkerConfig that designs itself."""
+        spec = WalkerSpec(24, 6, 5, 1100.0, 55.0, 360.0)
+        assert isinstance(spec, WalkerConfig)
+        assert spec.design(24, 1100.0) == spec
+
+    def test_rejects_nonpositive_size(self):
+        for config in (WalkerConfig(), _request(5)):
+            with pytest.raises(ValueError, match="total_sats"):
+                config.design(0, 900.0)
+
+
+class TestPlaneFriendly:
+    @pytest.mark.parametrize("total", [1, 2, 4, 18, 24, 25, 96, 300])
+    def test_friendly_sizes(self, total):
+        assert is_plane_friendly(total)
+        p = default_planes(total)
+        s = total // p
+        assert max(p, s) <= 2 * min(p, s)
+
+    @pytest.mark.parametrize("total", [0, 7, 13, 26, 27])
+    def test_unfriendly_sizes(self, total):
+        assert not is_plane_friendly(total)
 
 
 class TestWalkerConstellation:

@@ -7,6 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from leonav.payload import (
+    gnss_equivalent_power_w,
+    leo_payload_power_w,
+    per_signal_bus_power_w,
+    signal_generation_w,
+)
 from leonav.rflink import (
     BAND_HZ,
     CANOPY_CLASSES,
@@ -31,6 +37,39 @@ from leonav.rflink import (
 from leonav.schema import ScenarioError
 
 R_EARTH_KM = 6378.137
+NAN, INF = math.nan, math.inf
+
+#: (function, arguments, name of the argument at fault)
+NON_FINITE_CALLS = [
+    (fspl_db, (NAN, 1.5e9), "distance_km"),
+    (fspl_db, (INF, 1e9), "distance_km"),
+    (fspl_db, (1000.0, NAN), "frequency_hz"),
+    (slant_range_km, (NAN, 90.0), "altitude_km"),
+    (coverage_half_angle_rad, (NAN, 5.0), "altitude_km"),
+    (footprint_gain_db, (INF,), "altitude_km"),
+    (jammer_effective_radius_m, (NAN,), "power_w"),
+    (jammer_effective_radius_m, (1.0, INF), "margin_db"),
+    (jammer_power_for_radius_w, (NAN,), "radius_m"),
+    (jammer_power_for_radius_w, (100.0, NAN), "margin_db"),
+    (penetration_report, (INF,), "margin_db"),
+    (signal_generation_w, (NAN, 0.5), "rf_output_w"),
+    (per_signal_bus_power_w, (273.0, INF, 0.5), "n_signals"),
+    (leo_payload_power_w, (2, NAN, (0.0, 0.9)), "per_signal_w"),
+    (leo_payload_power_w, (2, 27.0, (0.0, INF)), "overhead_range"),
+    (gnss_equivalent_power_w, ((1.0, INF), (0.0, 1.0)), "leo_total_w_range"),
+    (gnss_equivalent_power_w, ((1.0, 2.0), (NAN, 1.0)), "footprint_gain_db_range"),
+]
+
+
+@pytest.mark.parametrize(
+    "function, args, argument",
+    NON_FINITE_CALLS,
+    ids=[f"{f.__name__}{args}" for f, args, _ in NON_FINITE_CALLS],
+)
+def test_model_functions_reject_non_finite_inputs(function, args, argument):
+    """NaN and inf are refused by name, never returned as a NaN, inf or 0."""
+    with pytest.raises(ValueError, match=argument):
+        function(*args)
 
 
 class TestLinkParams:

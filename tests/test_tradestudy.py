@@ -1,4 +1,4 @@
-"""Trade-study orchestration tests: snapping, sweeps, baseline, sizing, reports."""
+"""Trade-study orchestration tests: sweeps, baseline, sizing, reports."""
 
 from __future__ import annotations
 
@@ -9,24 +9,20 @@ import math
 import pytest
 
 from leonav.geometry import NoCoverageError, percentile_pdop
-from leonav.orbits import default_planes
 from leonav.rflink import footprint_gain_db, fspl_db, slant_range_km
 from leonav.scenario import Scenario, SweepConfig, parse_scenario, scenario_hash
 from leonav.tradestudy import (
     GPS_LIKE,
     SizingResult,
     SweepCell,
-    build_walker,
     dop_map,
     footprint_curve,
     gps_baseline,
-    is_plane_friendly,
     jammer_table,
     min_constellation_size,
     pathloss_curve,
     pdop_sweep,
     power_report,
-    snap_walker_size,
 )
 
 from conftest import TINY
@@ -46,65 +42,6 @@ class TestGpsLikeReference:
         assert GPS_LIKE.raan_spread_deg == 360.0
 
 
-class TestPlaneFriendly:
-    @pytest.mark.parametrize("total", [1, 2, 4, 18, 24, 25, 96, 300])
-    def test_friendly_sizes(self, total):
-        assert is_plane_friendly(total)
-        p = default_planes(total)
-        s = total // p
-        assert max(p, s) <= 2 * min(p, s)
-
-    @pytest.mark.parametrize("total", [0, 7, 13, 26, 27])
-    def test_unfriendly_sizes(self, total):
-        assert not is_plane_friendly(total)
-
-
-class TestSnapWalkerSize:
-    def test_friendly_size_is_unchanged(self):
-        assert snap_walker_size(300) == (300, 15)
-        assert snap_walker_size(24) == (24, 4)
-
-    def test_snaps_to_nearest_friendly(self):
-        # 26 maps 2 x 13 (unbalanced); 27 maps 3 x 9 (also unbalanced);
-        # 25 = 5 x 5 is the nearest balanced size
-        assert snap_walker_size(26) == (25, 5)
-
-    def test_tie_prefers_larger(self):
-        # 17 is prime; 16 and 18 are both friendly and equally near
-        assert snap_walker_size(17) == (18, 3)
-
-    def test_pinned_planes_snap_to_multiples(self):
-        assert snap_walker_size(100, planes=24) == (96, 24)
-        assert snap_walker_size(10, planes=24) == (24, 24)
-        assert snap_walker_size(36, planes=5) == (35, 5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="total_sats"):
-            snap_walker_size(0)
-        with pytest.raises(ValueError, match="planes"):
-            snap_walker_size(10, planes=0)
-
-
-class TestBuildWalker:
-    def test_defaults_from_scenario(self):
-        spec = build_walker(300, 900.0, Scenario())
-        assert spec.total_sats == 300
-        assert spec.planes == 15
-        assert spec.phasing == 1
-        assert spec.altitude_km == 900.0
-        assert spec.inclination_deg == 90.0
-        assert spec.raan_spread_deg == 180.0
-
-    def test_phasing_folds_into_plane_count(self):
-        spec = build_walker(1, 900.0, Scenario())  # one plane forces F = 0
-        assert (spec.planes, spec.phasing) == (1, 0)
-
-    def test_pinned_planes_respected(self):
-        sc = parse_scenario('{"walker": {"planes": 6, "phasing": 2}}')
-        spec = build_walker(24, 1200.0, sc)
-        assert (spec.total_sats, spec.planes, spec.phasing) == (24, 6, 2)
-
-
 class TestPdopSweep:
     def test_cell_grid_is_size_major(self):
         sc = tiny()
@@ -118,7 +55,7 @@ class TestPdopSweep:
         sc = tiny()
         result = pdop_sweep(sc)
         cell = result.cells[0]
-        spec = build_walker(24, 800.0, sc)
+        spec = sc.walker.design(24, 800.0)
         assert (cell.total_sats, cell.planes) == (spec.total_sats, spec.planes)
         from leonav.geometry import GroundGrid
 
@@ -171,13 +108,13 @@ class TestMinConstellationSize:
         assert result.reachable
         assert result.coverage == 1.0
         assert result.achieved_pdop <= 10.0
-        assert is_plane_friendly(result.total_sats)
+        assert sc.walker.fits(result.total_sats)
         assert result.evaluations >= 3
 
         # the next size down the ladder must genuinely fail
-        ladder = [t for t in range(1, 601) if is_plane_friendly(t)]
+        ladder = [t for t in range(1, 601) if sc.walker.fits(t)]
         idx = ladder.index(result.total_sats)
-        prev = build_walker(ladder[idx - 1], 900.0, sc)
+        prev = sc.walker.design(ladder[idx - 1], 900.0)
         from leonav.geometry import GroundGrid
 
         try:
