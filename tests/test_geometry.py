@@ -8,6 +8,7 @@ visible_sats + dop path.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import tracemalloc
 
@@ -42,6 +43,7 @@ from leonav.geometry import (
 from leonav.orbits import (
     EARTH,
     EcefPosition,
+    WalkerConfig,
     WalkerSpec,
     propagate_arrays,
     rotate_eci_to_ecef,
@@ -601,6 +603,45 @@ class TestPdopSamplesEngine:
                 WalkerSpec(8, 2), GroundGrid.fibonacci(4), TimeWindow(600.0, 600.0),
                 mask_deg=90.0,
             )
+
+
+class TestSampleDigest:
+    """The bytes of every sample, pinned: a change to the order of the
+    engine's floating-point operations shows here even where the pinned
+    reports (one 60-site scenario) would not."""
+
+    CASES = {
+        "gps-like": (GPS_LIKE, GroundGrid.fibonacci(100)),
+        # F=0 polar shell: the ill-conditioned case, with singular samples
+        "200@600-F0": (WalkerConfig(phasing=0).design(200, 600.0), GroundGrid.fibonacci(200)),
+        "300@900": (WalkerConfig().design(300, 900.0), GroundGrid.latlon(400)),
+    }
+    #: SHA-256 of the pdop bytes followed by the visible_count bytes.
+    DIGEST = {
+        ("gps-like", 0.0): "f3461148bb5431848a660548e8fe53f5a60128233ffed497683cffc3d1accd10",
+        ("gps-like", 5.0): "17c7a4c58b6348e628f9995c649b0b2cf657a72906f18908c21dcc7cef18ca62",
+        ("gps-like", 30.0): "faea4cdf16237ef81880871eac9b97c3912f2bfd1adc1c01d31f5540ad830c5e",
+        ("200@600-F0", 0.0): "beae9f692cb29f0e534e4a22d8f1c243ad068f51f130e81de4c6c267f58b4a6c",
+        ("200@600-F0", 5.0): "5ce1d8c1ad93ff6daebda6dd36c8ff2740a2c6525b6fa5e93c35985f04bb448f",
+        ("200@600-F0", 30.0): "5cfdc33b88cfee3d5d5f73b8c08b2f70b57318c6af62208e819a5efcf79f5aaf",
+        ("300@900", 0.0): "273a84e139748cd7c8ea7db4198daa68c4d6ede5579a665a8494460cd65ee98b",
+        ("300@900", 5.0): "b7589e3b5d6e2c57f6b3b70c4ad710b5d869c28d60bedaf706e4860c3b0dd8aa",
+        ("300@900", 30.0): "450d644f4993ed5971e182becd42af9ef5fba044ab0105379e9c87ee62e47c20",
+    }
+
+    @pytest.mark.parametrize(
+        "case, mask_deg, epochs_per_block",
+        [(case, mask, None) for case in CASES for mask in (0.0, 5.0, 30.0)]
+        # blocks of 7 sites and chunks of 7, 7 and 1 epochs: same bytes
+        + [("300@900", 5.0, 7)],
+    )
+    def test_sample_bytes(self, monkeypatch, case, mask_deg, epochs_per_block):
+        spec, grid = self.CASES[case]
+        if epochs_per_block is not None:
+            monkeypatch.setattr(geometry, "_PAIR_BUDGET", epochs_per_block * spec.total_sats + 5)
+        samples = pdop_samples(spec, grid, TimeWindow(3600.0, 240.0), mask_deg)
+        digest = hashlib.sha256(samples.pdop.tobytes() + samples.visible_count.tobytes())
+        assert digest.hexdigest() == self.DIGEST[case, mask_deg]
 
 
 class TestPercentilePdop:
