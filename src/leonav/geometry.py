@@ -206,14 +206,16 @@ class PdopSamples:
 
 
 def _enu_basis(lat_rad: np.ndarray, lon_rad: np.ndarray) -> np.ndarray:
-    """Rows of the east/north/up basis for each site, shape (n, 3, 3)."""
+    """The east/north/up basis of each site, component-major: shape
+    (3, 3, n), where ``basis[a, c]`` is component c of row a (east, north,
+    up) over all n sites, one contiguous array."""
     sin_lat, cos_lat = np.sin(lat_rad), np.cos(lat_rad)
     sin_lon, cos_lon = np.sin(lon_rad), np.cos(lon_rad)
-    zeros = np.zeros_like(lat_rad)
-    east = np.stack([-sin_lon, cos_lon, zeros], axis=-1)
-    north = np.stack([-sin_lat * cos_lon, -sin_lat * sin_lon, cos_lat], axis=-1)
-    up = np.stack([cos_lat * cos_lon, cos_lat * sin_lon, sin_lat], axis=-1)
-    return np.stack([east, north, up], axis=-2)
+    return np.array([
+        [-sin_lon, cos_lon, np.zeros_like(lat_rad)],
+        [-sin_lat * cos_lon, -sin_lat * sin_lon, cos_lat],
+        [cos_lat * cos_lon, cos_lat * sin_lon, sin_lat],
+    ])
 
 
 def az_el_range(
@@ -237,7 +239,7 @@ def az_el_range(
         raise ValueError("site position is at the Earth's center")
     lat = math.asin(site_v[2] / r_site)
     lon = math.atan2(site_v[1], site_v[0])
-    basis = _enu_basis(np.array([lat]), np.array([lon]))[0]
+    basis = _enu_basis(np.array([lat]), np.array([lon]))[..., 0]
     enu = basis @ (los / rng)
     elevation = math.degrees(math.asin(min(1.0, max(-1.0, enu[2]))))
     azimuth = math.degrees(math.atan2(enu[0], enu[1])) % 360.0
@@ -325,7 +327,7 @@ def pdop_samples(
 
     lat = np.radians(grid.lat_deg)
     lon = np.radians(grid.lon_deg)
-    basis = _enu_basis(lat, lon)  # (n, 3, 3)
+    basis = _enu_basis(lat, lon)  # (3, 3, n)
     mask_rad = math.radians(mask_deg)
 
     n_sites = len(grid)
@@ -341,7 +343,7 @@ def pdop_samples(
             for lo in range(0, n_sites, block):
                 rows = slice(lo, lo + block)
                 counts[rows, j], values[rows, j] = _block_pdop(
-                    basis[rows], sats, earth.radius_km, mask_rad
+                    basis[..., rows], sats, earth.radius_km, mask_rad
                 )
 
     return PdopSamples(pdop=values, visible_count=counts)
@@ -352,31 +354,41 @@ def _block_pdop(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Visible counts and PDOP of one block of sites at one epoch.
 
-    A satellite at radius r is seen at elevation e or higher exactly when
-    its central angle from the site is at most acos(R cos(e) / r) - e,
-    i.e. when up . sat clears a per-satellite bound; one matmul of the
-    site up-vectors with the satellite positions culls the rest.  Rows
-    are built only for the surviving pairs, and the elevation test runs on
-    their ENU up component, so the cull saves work without changing any
-    sample.  Rows stay in ENU rather than ECEF: PDOP is rotation-invariant
-    only in exact arithmetic, and a sample whose four satellites are
-    barely independent (PDOP ~1e5) magnifies the rounding of a change of
-    frame far past 1e-10.  Well-conditioned samples, nearly all of them,
-    take PDOP in closed form from the per-site sums.
+    Takes the block's component-major ENU basis (3, 3, m) and the
+    satellite positions (n, 3).  A satellite at radius r is seen at
+    elevation e or higher exactly when its central angle from the site is
+    at most acos(R cos(e) / r) - e, i.e. when up . sat clears a
+    per-satellite bound; one matmul of the site up-vectors with the
+    satellite positions culls the rest.  Each per-pair quantity of the
+    survivors is one flat array per component, in site-major pair order.
+    The elevation test runs on the up component, and east and north are
+    built for the visible pairs only, so the cull saves work without
+    changing any sample.  The norm and the ENU dot products sum in the
+    order ``np.linalg.norm`` and ``einsum`` take over (P, 3) rows, so the
+    samples are bit-identical to a site-major engine's; the sample digest
+    in tests/test_geometry.py pins that order.  Rows stay in ENU rather
+    than ECEF: PDOP is rotation-invariant only in exact arithmetic, and a
+    sample whose four satellites are barely independent (PDOP ~1e5)
+    magnifies the rounding of a change of frame far past 1e-10.
+    Well-conditioned samples, nearly all of them, take PDOP in closed form
+    from the per-site sums.
     """
-    m = basis.shape[0]
-    up = basis[:, 2, :]
+    m = basis.shape[-1]
     r = np.linalg.norm(ecef, axis=1)
     reach = np.arccos(np.minimum(1.0, radius_km * math.cos(mask_rad) / r)) - mask_rad
     # A millimetre of slack, so rounding never culls a pair the exact test keeps.
-    site, sat = np.nonzero(up @ ecef.T >= r * np.cos(reach) - 1e-6)
+    site, sat = np.nonzero(basis[2].T @ ecef.T >= r * np.cos(reach) - 1e-6)
 
-    los = ecef[sat] - radius_km * up[site]
-    unit = los / np.linalg.norm(los, axis=-1)[:, None]
-    enu = np.einsum("pab,pb->pa", basis[site], unit)
-    vis = enu[:, 2] >= math.sin(mask_rad)
+    site_up = [basis[2, c][site] for c in range(3)]
+    los = [ecef[:, c][sat] - radius_km * site_up[c] for c in range(3)]
+    norm = np.sqrt((los[0] * los[0] + los[1] * los[1]) + los[2] * los[2])
+    unit = [x / norm for x in los]
+    up = _dot(site_up, unit)
+    vis = up >= math.sin(mask_rad)
     site = site[vis]
-    e = enu[vis].T  # (3, visible pairs), site-major, satellites in input order
+    unit = [u[vis] for u in unit]
+    # (east, north, up) of the visible pairs: site-major, satellites in input order
+    e = [_dot([basis[a, c][site] for c in range(3)], unit) for a in range(2)] + [up[vis]]
 
     # Per-site sums of the geometry rows [-e, -n, -u, 1], for the sites with
     # the four satellites a solution needs: the count k, b = -sum e and
@@ -412,6 +424,12 @@ def _block_pdop(
             q = np.linalg.inv(sub[good])
             pdop[enough[good]] = np.sqrt(q[:, 0, 0] + q[:, 1, 1] + q[:, 2, 2])
     return count, pdop
+
+
+def _dot(x: list[np.ndarray], y: list[np.ndarray]) -> np.ndarray:
+    """Dot products of component-major 3-vectors, summed in the order
+    ``einsum("pab,pb->pa")`` takes: (x0 y0 + x2 y2) + x1 y1."""
+    return (x[0] * y[0] + x[2] * y[2]) + x[1] * y[1]
 
 
 def _closed_form_pdop(

@@ -497,7 +497,7 @@ class TestPdopSamplesEngine:
         rng = np.random.default_rng(47)
         grid = GroundGrid.fibonacci(20)
         basis = geometry._enu_basis(np.radians(grid.lat_deg), np.radians(grid.lon_deg))
-        sites = EARTH.radius_km * basis[:, 2, :]
+        sites = EARTH.radius_km * basis[2].T
         ecef = np.array([
             satellite_above(site, float(rng.uniform(0.0, 360.0)),
                             mask_deg + offset, float(rng.uniform(400.0, 4000.0)))
@@ -506,7 +506,7 @@ class TestPdopSamplesEngine:
         count, _ = geometry._block_pdop(basis, ecef, EARTH.radius_km, math.radians(mask_deg))
         los = ecef[None, :, :] - sites[:, None, :]
         unit = los / np.linalg.norm(los, axis=-1)[..., None]
-        up = np.einsum("nab,nsb->nsa", basis, unit)[..., 2]
+        up = np.einsum("nab,nsb->nsa", basis.transpose(2, 0, 1), unit)[..., 2]
         assert np.array_equal(count, (up >= math.sin(math.radians(mask_deg))).sum(axis=1))
         assert count.min() >= 2  # each site sees its own two just above the mask
 
