@@ -40,6 +40,13 @@ class LinkParams(_Record, key="link"):
         return self.frequency_hz if self.frequency_hz is not None else BAND_HZ[self.reference]
 
 
+def _check_positive(**values: float) -> None:
+    """Reject, by argument name, any value that is not finite and > 0."""
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} ({value}) must be finite and strictly positive")
+
+
 def fspl_db(distance_km: float, frequency_hz: float) -> float:
     """Free-space path loss 20*log10(4*pi*d*f/c) in dB.
 
@@ -47,9 +54,7 @@ def fspl_db(distance_km: float, frequency_hz: float) -> float:
         distance_km: propagation distance, > 0.
         frequency_hz: carrier frequency, > 0.
     """
-    for name, value in (("distance_km", distance_km), ("frequency_hz", frequency_hz)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} ({value}) must be finite and strictly positive")
+    _check_positive(distance_km=distance_km, frequency_hz=frequency_hz)
     return 20.0 * math.log10(
         4.0 * math.pi * distance_km * 1000.0 * frequency_hz / SPEED_OF_LIGHT_M_S
     )
@@ -63,8 +68,7 @@ def slant_range_km(
     Spherical-Earth geometry: d = -R sin(e) + sqrt(R^2 sin^2(e) + h^2 + 2 R h).
     At zenith this is the altitude; at the horizon sqrt(h^2 + 2 R h).
     """
-    if not 0.0 < altitude_km < math.inf:
-        raise ValueError(f"altitude_km ({altitude_km}) must be finite and strictly positive")
+    _check_positive(altitude_km=altitude_km, earth_radius_km=earth_radius_km)
     if not 0.0 <= elevation_deg <= 90.0:
         raise ValueError(f"elevation_deg ({elevation_deg}) must lie in [0, 90]")
     r = earth_radius_km
@@ -77,8 +81,7 @@ def coverage_half_angle_rad(
     altitude_km: float, mask_deg: float, earth_radius_km: float = EARTH.radius_km
 ) -> float:
     """Earth-central half angle of the cap a satellite covers above a mask."""
-    if not 0.0 < altitude_km < math.inf:
-        raise ValueError(f"altitude_km ({altitude_km}) must be finite and strictly positive")
+    _check_positive(altitude_km=altitude_km, earth_radius_km=earth_radius_km)
     if not 0.0 <= mask_deg < 90.0:
         raise ValueError(f"mask_deg ({mask_deg}) must lie in [0, 90)")
     mask = math.radians(mask_deg)
@@ -146,8 +149,7 @@ def jammer_effective_radius_m(
     Each 6.02 dB of extra receiver margin halves the radius; quadrupling
     jammer power doubles it.
     """
-    if not 0.0 < power_w < math.inf:
-        raise ValueError(f"power_w ({power_w}) must be finite and strictly positive")
+    _check_positive(power_w=power_w)
     if not 0.0 <= margin_db < math.inf:
         raise ValueError(f"margin_db ({margin_db}) must be finite and >= 0")
     return (
@@ -163,8 +165,7 @@ def jammer_power_for_radius_w(
     calibration: JammerCalibration = DEFAULT_JAMMER_CALIBRATION,
 ) -> float:
     """Jammer power needed to deny a given radius; inverse of the radius model."""
-    if not 0.0 < radius_m < math.inf:
-        raise ValueError(f"radius_m ({radius_m}) must be finite and strictly positive")
+    _check_positive(radius_m=radius_m)
     if not 0.0 <= margin_db < math.inf:
         raise ValueError(f"margin_db ({margin_db}) must be finite and >= 0")
     return (

@@ -72,6 +72,27 @@ def test_model_functions_reject_non_finite_inputs(function, args, argument):
         function(*args)
 
 
+#: (function, arguments) whose earth_radius_km is not finite or not > 0
+BAD_RADIUS_CALLS = [
+    (slant_range_km, (500.0, 90.0, NAN)),
+    (slant_range_km, (500.0, 0.0, -7000.0)),
+    (coverage_half_angle_rad, (500.0, 5.0, INF)),
+    (coverage_half_angle_rad, (500.0, 5.0, 0.0)),
+    (footprint_area_km2, (500.0, 0.0, NAN)),
+    (footprint_gain_db, (500.0, GPS_ALTITUDE_KM, 5.0, NAN)),
+]
+
+
+@pytest.mark.parametrize(
+    "function, args", BAD_RADIUS_CALLS, ids=[f"{f.__name__}{args}" for f, args in BAD_RADIUS_CALLS]
+)
+def test_earth_radius_must_be_finite_and_positive(function, args):
+    """A bad radius is refused by name, never returned as NaN or left to
+    a math domain error."""
+    with pytest.raises(ValueError, match="earth_radius_km"):
+        function(*args)
+
+
 class TestLinkParams:
     def test_default_band(self):
         assert LinkParams().carrier_hz == pytest.approx(1.57542e9)
