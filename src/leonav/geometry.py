@@ -319,7 +319,11 @@ def pdop_samples(
     window; undefined samples (insufficient or singular geometry) are NaN.
     Epochs are propagated in chunks, and sites taken in blocks, of about
     ``_PAIR_BUDGET`` epoch or site x satellite pairs, so memory does not
-    grow with window length or grid size times constellation size.
+    grow with window length or grid size times constellation size.  The
+    samples the closed form cannot clear are held with their normal
+    matrices and solved in one LAPACK batch; the batch is flushed early
+    only once about ``_PAIR_BUDGET // 16`` matrices (2 MiB at the shipped
+    budget) are held, so the held matrices are bounded by the budget too.
     """
     if not 0.0 <= mask_deg < 90.0:
         raise ValueError(f"mask_deg ({mask_deg}) must lie in [0, 90)")
@@ -335,6 +339,8 @@ def pdop_samples(
     values = np.full((n_sites, epochs.size), np.nan)
     counts = np.zeros((n_sites, epochs.size), dtype=np.int32)
     block = max(1, _PAIR_BUDGET // spec.total_sats)
+    held: list[tuple[np.ndarray, np.ndarray]] = []  # (flat sample index, normal)
+    n_held = 0
 
     for start in range(0, epochs.size, block):
         t = epochs[start : start + block, None]
@@ -342,42 +348,60 @@ def pdop_samples(
         for j, sats in enumerate(ecef, start):
             for lo in range(0, n_sites, block):
                 rows = slice(lo, lo + block)
-                counts[rows, j], values[rows, j] = _block_pdop(
+                counts[rows, j], values[rows, j], site, normal = _block_pdop(
                     basis[..., rows], sats, earth.radius_km, mask_rad
                 )
+                if site.size:
+                    held.append(((lo + site) * epochs.size + j, normal))
+                    n_held += site.size
+                    if n_held >= _PAIR_BUDGET // 16:
+                        _fallback_pdop(values, held)
+                        held, n_held = [], 0
+    if held:
+        _fallback_pdop(values, held)
 
     return PdopSamples(pdop=values, visible_count=counts)
 
 
 def _block_pdop(
     basis: np.ndarray, ecef: np.ndarray, radius_km: float, mask_rad: float
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Visible counts and PDOP of one block of sites at one epoch.
 
     Takes the block's component-major ENU basis (3, 3, m) and the
     satellite positions (n, 3).  A satellite at radius r is seen at
     elevation e or higher exactly when its central angle from the site is
     at most acos(R cos(e) / r) - e, i.e. when up . sat clears a
-    per-satellite bound; one matmul of the site up-vectors with the
-    satellite positions culls the rest.  Each per-pair quantity of the
-    survivors is one flat array per component, in site-major pair order.
-    The elevation test runs on the up component, and east and north are
-    built for the visible pairs only, so the cull saves work without
-    changing any sample.  The norm and the ENU dot products sum in the
-    order ``np.linalg.norm`` and ``einsum`` take over (P, 3) rows, so the
-    samples are bit-identical to a site-major engine's; the sample digest
-    in tests/test_geometry.py pins that order.  Rows stay in ENU rather
-    than ECEF: PDOP is rotation-invariant only in exact arithmetic, and a
+    per-satellite bound; one matmul of the satellite positions with the
+    site up-vectors culls the rest.  The survivors come out of one flat
+    index in satellite-major order, and each per-pair quantity is one flat
+    array per component.  The elevation test runs on the up component,
+    and east and north are built for the visible pairs only, so the cull
+    saves work without changing any sample.  The norm and the ENU dot
+    products sum in the order ``np.linalg.norm`` and ``einsum`` take over
+    (P, 3) rows, and ``bincount`` adds each site's pairs in input order,
+    which keeps its satellites in ascending order, so the samples are
+    bit-identical to a site-major engine's; the sample digest in
+    tests/test_geometry.py pins that order.  Rows stay in ENU rather than
+    ECEF: PDOP is rotation-invariant only in exact arithmetic, and a
     sample whose four satellites are barely independent (PDOP ~1e5)
     magnifies the rounding of a change of frame far past 1e-10.
     Well-conditioned samples, nearly all of them, take PDOP in closed form
     from the per-site sums.
+
+    Returns:
+        (count, pdop, site, normal): the visible count and PDOP of each
+        site, NaN where undefined or left to the fallback, and the block
+        sites whose samples the closed form could not clear with their
+        4x4 normal matrices.  ``pdop_samples`` holds those matrices for
+        ``_fallback_pdop``, about ``_PAIR_BUDGET // 16`` of them at most.
     """
     m = basis.shape[-1]
     r = np.linalg.norm(ecef, axis=1)
     reach = np.arccos(np.minimum(1.0, radius_km * math.cos(mask_rad) / r)) - mask_rad
     # A millimetre of slack, so rounding never culls a pair the exact test keeps.
-    site, sat = np.nonzero(basis[2].T @ ecef.T >= r * np.cos(reach) - 1e-6)
+    bound = r * np.cos(reach) - 1e-6
+    sat, site = np.divmod(np.flatnonzero(ecef @ basis[2] >= bound[:, None]), m)
 
     site_up = [basis[2, c][site] for c in range(3)]
     los = [ecef[:, c][sat] - radius_km * site_up[c] for c in range(3)]
@@ -387,7 +411,8 @@ def _block_pdop(
     vis = up >= math.sin(mask_rad)
     site = site[vis]
     unit = [u[vis] for u in unit]
-    # (east, north, up) of the visible pairs: site-major, satellites in input order
+    # (east, north, up) of the visible pairs: satellite-major, so each
+    # site's satellites stay in input order
     e = [_dot([basis[a, c][site] for c in range(3)], unit) for a in range(2)] + [up[vis]]
 
     # Per-site sums of the geometry rows [-e, -n, -u, 1], for the sites with
@@ -406,24 +431,34 @@ def _block_pdop(
     sure, value = _closed_form_pdop(k, b, a)
     pdop[enough[sure]] = value
 
-    # The rest keep the eigenvalue test and LAPACK's inverse, so undefined
-    # masks and the values of nearly singular samples do not depend on the
-    # closed form.
     rest = ~sure
-    enough = enough[rest]
-    if enough.size:
-        sub = np.empty((enough.size, 4, 4))
-        sub[:, :3, :3] = a[:, :, rest].transpose(2, 0, 1)
-        sub[:, :3, 3] = sub[:, 3, :3] = b[:, rest].T
-        sub[:, 3, 3] = k[rest]
-        eig = np.linalg.eigvalsh(sub)  # ascending; the matrices are symmetric PSD
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cond = np.where(eig[:, 0] > 0.0, eig[:, -1] / eig[:, 0], np.inf)
-        good = cond <= CONDITION_LIMIT
-        if good.any():
-            q = np.linalg.inv(sub[good])
-            pdop[enough[good]] = np.sqrt(q[:, 0, 0] + q[:, 1, 1] + q[:, 2, 2])
-    return count, pdop
+    normal = np.empty((int(rest.sum()), 4, 4))
+    normal[:, :3, :3] = a[:, :, rest].transpose(2, 0, 1)
+    normal[:, :3, 3] = normal[:, 3, :3] = b[:, rest].T
+    normal[:, 3, 3] = k[rest]
+    return count, pdop, enough[rest], normal
+
+
+def _fallback_pdop(
+    values: np.ndarray, held: list[tuple[np.ndarray, np.ndarray]]
+) -> None:
+    """PDOP of the held samples the closed form could not clear, written
+    into ``values`` at their flat (site, epoch) indices.
+
+    They keep the eigenvalue test and LAPACK's inverse, so undefined masks
+    and the values of nearly singular samples do not depend on the closed
+    form.  LAPACK solves each matrix of a stack on its own, so one call
+    over every held matrix gives the values one call per block would.
+    """
+    index = np.concatenate([i for i, _ in held])
+    normal = np.concatenate([n for _, n in held])
+    eig = np.linalg.eigvalsh(normal)  # ascending; the matrices are symmetric PSD
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(eig[:, 0] > 0.0, eig[:, -1] / eig[:, 0], np.inf)
+    good = cond <= CONDITION_LIMIT
+    if good.any():
+        q = np.linalg.inv(normal[good])
+        np.put(values, index[good], np.sqrt(q[:, 0, 0] + q[:, 1, 1] + q[:, 2, 2]))
 
 
 def _dot(x: list[np.ndarray], y: list[np.ndarray]) -> np.ndarray:

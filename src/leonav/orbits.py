@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .schema import _non_negative, _Record, _rule
+from .schema import MAX_SATS, _non_negative, _Record, _rule, _size
 
 _TWO_PI = 2.0 * math.pi
 
@@ -72,7 +72,7 @@ class WalkerConfig(_Record, key="walker"):
     over the full circle (delta).
     """
 
-    total_sats: int = 300
+    total_sats: int = _size(300)
     planes: int | None = None
     phasing: int = _non_negative(1)
     altitude_km: float = 900.0
@@ -100,8 +100,8 @@ class WalkerConfig(_Record, key="walker"):
         nearest plane-friendly size, ties toward the larger.  Phasing folds
         into [0, P).  Never silent: callers record the design.
         """
-        if total_sats < 1:
-            raise ValueError(f"total_sats ({total_sats}) must be >= 1")
+        if not 1 <= total_sats <= MAX_SATS:
+            raise ValueError(f"total_sats ({total_sats}) must be >= 1 and <= {MAX_SATS}")
         if self.planes is None:
             total_sats = next(
                 candidate

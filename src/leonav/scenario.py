@@ -39,6 +39,7 @@ from .schema import (
     _one_of,
     _Record,
     _rule,
+    _size,
 )
 
 
@@ -52,7 +53,7 @@ class GridConfig(_Record, key="grid"):
 class SweepConfig(_Record, key="sweep"):
     """DOP map/sweep controls shared by dop-map, dop-sweep, and optimize."""
 
-    sizes: tuple[int, ...] = (200, 250, 300, 350, 400)
+    sizes: tuple[int, ...] = _size((200, 250, 300, 350, 400))
     altitudes_km: tuple[float, ...] = (600.0, 800.0, 1000.0, 1200.0, 1400.0)
     mask_deg: float = _rule(5.0, "in [0, 90)", lambda v: 0.0 <= v < 90.0)
     percentile: float = _rule(95.0, "in (0, 100]", lambda v: 0.0 < v <= 100.0)

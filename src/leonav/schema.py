@@ -42,6 +42,17 @@ def _non_negative(default: Any) -> Any:
     return _rule(default, ">= 0", lambda v: v >= 0)
 
 
+#: Largest constellation size a scenario or sizing search may request.  The
+#: Walker design rule factors every size it snaps, so an unbounded size
+#: would hang it; the optimize ladder up to this bound builds in about 1 s.
+MAX_SATS = 100_000
+
+
+def _size(default: Any) -> Any:
+    """A constellation-size field (each entry, for a list): 1 to ``MAX_SATS``."""
+    return _rule(default, f">= 1 and <= {MAX_SATS}", lambda v: 1 <= v <= MAX_SATS)
+
+
 _Reader = Callable[[Any, str], Any]
 
 

@@ -38,6 +38,7 @@ from .rflink import (
     slant_range_km,
 )
 from .scenario import Scenario, scenario_hash
+from .schema import MAX_SATS
 
 #: The MEO comparison constellation: 24 satellites, 6 planes, 55 degrees,
 #: semi-synchronous altitude, full RAAN spread.
@@ -173,8 +174,8 @@ def min_constellation_size(
     for name, value in (("altitude_km", altitude_km), ("target_pdop", target_pdop)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} ({value}) must be finite and strictly positive")
-    if ceiling < 1:
-        raise ValueError(f"ceiling ({ceiling}) must be >= 1")
+    if not 1 <= ceiling <= MAX_SATS:
+        raise ValueError(f"ceiling ({ceiling}) must be >= 1 and <= {MAX_SATS}")
 
     ladder = [t for t in range(1, ceiling + 1) if scenario.walker.fits(t)]
     if not ladder:
@@ -279,18 +280,19 @@ def dop_map(scenario: Scenario) -> list[dict]:
             "no coverage: every site has undefined PDOP over the window"
         )
     pdop = pdop_column(scenario)
-    rows = []
-    for i in range(len(grid)):
-        rows.append(
-            {
-                "lat_deg": float(grid.lat_deg[i]),
-                "lon_deg": float(grid.lon_deg[i]),
-                "weight": float(grid.weight[i]),
-                pdop: None if math.isnan(values[i]) else float(values[i]),
-                "coverage_fraction": float(coverage[i]),
-            }
+    return [
+        {
+            "lat_deg": lat,
+            "lon_deg": lon,
+            "weight": weight,
+            pdop: None if math.isnan(value) else value,
+            "coverage_fraction": covered,
+        }
+        for lat, lon, weight, value, covered in zip(
+            grid.lat_deg.tolist(), grid.lon_deg.tolist(), grid.weight.tolist(),
+            values.tolist(), coverage.tolist(),
         )
-    return rows
+    ]
 
 
 def pathloss_curve(scenario: Scenario) -> list[dict]:

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -292,6 +293,23 @@ class TestExitCodes:
         captured = capsys.readouterr()
         key = flag[2:].replace("-", "_")
         assert f"{key} ({value}) must be finite and strictly positive" in captured.err
+        assert captured.out == ""
+
+    def test_huge_size_exits_at_once_and_names_the_key(self, tmp_path, capsys):
+        """A size of 10^29 is refused while parsing, before the Walker
+        design rule would try to factor it."""
+        cfg = write_config(tmp_path, {"walker": {"total_sats": 10**29}})
+        start = time.perf_counter()
+        assert main(["dop-map", "--config", cfg, "--quiet"]) == 1
+        assert time.perf_counter() - start < 5.0
+        captured = capsys.readouterr()
+        assert "walker.total_sats: must be >= 1 and <= 100000" in captured.err
+        assert captured.out == ""
+
+    def test_ceiling_shares_the_size_bound(self, capsys):
+        assert main(["optimize", "--ceiling", "100001", "--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert "argument --ceiling: 100001 must be <= 100000" in captured.err
         assert captured.out == ""
 
     def test_missing_config_file(self, capsys):

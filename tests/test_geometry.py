@@ -503,7 +503,7 @@ class TestPdopSamplesEngine:
                             mask_deg + offset, float(rng.uniform(400.0, 4000.0)))
             for site in sites for offset in (-1e-10, 1e-10, -1e-10, 1e-10)
         ])
-        count, _ = geometry._block_pdop(basis, ecef, EARTH.radius_km, math.radians(mask_deg))
+        count = geometry._block_pdop(basis, ecef, EARTH.radius_km, math.radians(mask_deg))[0]
         los = ecef[None, :, :] - sites[:, None, :]
         unit = los / np.linalg.norm(los, axis=-1)[..., None]
         up = np.einsum("nab,nsb->nsa", basis.transpose(2, 0, 1), unit)[..., 2]
@@ -642,6 +642,29 @@ class TestSampleDigest:
         samples = pdop_samples(spec, grid, TimeWindow(3600.0, 240.0), mask_deg)
         digest = hashlib.sha256(samples.pdop.tobytes() + samples.visible_count.tobytes())
         assert digest.hexdigest() == self.DIGEST[case, mask_deg]
+
+    def test_one_fallback_batch_per_call(self, monkeypatch):
+        """The samples the closed form cannot clear go to LAPACK in one
+        eigvalsh call at the shipped budget; a budget small enough to flush
+        the held matrices early splits the batch, not the bytes."""
+        spec, grid = self.CASES["gps-like"]
+        eigvalsh = np.linalg.eigvalsh
+        batches = []
+
+        def counting_eigvalsh(matrices):
+            batches.append(len(matrices))
+            return eigvalsh(matrices)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        for budget, one_batch in ((geometry._PAIR_BUDGET, True), (4 * 16, False)):
+            batches.clear()
+            monkeypatch.setattr(geometry, "_PAIR_BUDGET", budget)
+            samples = pdop_samples(spec, grid, TimeWindow(3600.0, 240.0), 5.0)
+            digest = hashlib.sha256(samples.pdop.tobytes() + samples.visible_count.tobytes())
+            assert digest.hexdigest() == self.DIGEST["gps-like", 5.0]
+            assert (len(batches) == 1) if one_batch else (len(batches) > 1)
+            # held matrices: the flush threshold plus at most one site block
+            assert max(batches) <= budget // 16 + budget // spec.total_sats
 
 
 class TestPercentilePdop:

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from leonav.schema import MAX_SATS
 from leonav.orbits import (
     EARTH,
     EarthModel,
@@ -188,6 +189,14 @@ class TestWalkerDesign:
         for config in (WalkerConfig(), _request(5)):
             with pytest.raises(ValueError, match="total_sats"):
                 config.design(0, 900.0)
+
+    def test_size_bound(self):
+        """Sizes up to MAX_SATS design; above it design refuses at once
+        rather than factoring the size."""
+        assert WalkerConfig().design(MAX_SATS, 900.0).total_sats == MAX_SATS
+        for config in (WalkerConfig(), _request(5)):
+            with pytest.raises(ValueError, match=f"total_sats .* <= {MAX_SATS}"):
+                config.design(10**29, 900.0)
 
 
 class TestPlaneFriendly:

@@ -156,6 +156,10 @@ class TestRejections:
             ('{"payload": {"clocks": [{"unit_power_w": 3}]}}', "clocks"),
             ('{"payload": {"clocks": [{"name": "x", "unit_power_w": 3, "w": 1}]}}', "clocks"),
             ('{"sweep": {"sizes": [250.7]}}', r"sweep.sizes\[0\]: must be an integer"),
+            ('{"walker": {"total_sats": 100001}}',
+             "walker.total_sats: must be >= 1 and <= 100000"),
+            ('{"sweep": {"sizes": [300, 1e29]}}',
+             r"sweep.sizes\[1\]: must be >= 1 and <= 100000"),
             ('{"walker": {"altitude_km": NaN}}', "walker.altitude_km: must be finite"),
             ('{"earth": {"mu_km3_s2": -Infinity}}', "earth.mu_km3_s2: must be finite"),
             ('{"link": {"pathloss_altitudes_km": [Infinity]}}',
