@@ -20,7 +20,6 @@ from . import __version__
 from .geometry import GeometryError
 from .output import ResultEnvelope, emit, rows_envelope
 from .scenario import Scenario, ScenarioError, parse_scenario, scenario_hash
-from .schema import MAX_SATS
 from . import tradestudy
 
 
@@ -32,17 +31,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str, upper: int | None = None) -> int:
-    """An integer >= 1, and <= ``upper`` if given, from a flag or
-    LEO_NAV_THREADS."""
+def _positive_int(text: str) -> int:
+    """Thread count from --threads or LEO_NAV_THREADS: an integer >= 1."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} must be an integer") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"{value} must be >= 1")
-    if upper is not None and value > upper:
-        raise argparse.ArgumentTypeError(f"{value} must be <= {upper}")
     return value
 
 
@@ -197,9 +193,8 @@ def build_parser() -> _Parser:
                 help="PDOP target (default: the GPS-like baseline value)",
             )
             p.add_argument(
-                "--ceiling", default=1000,
-                type=lambda text: _positive_int(text, MAX_SATS),
-                help=f"largest size the search may try, at most {MAX_SATS} (default 1000)",
+                "--ceiling", type=int, default=1000,
+                help="largest size the search may try (default 1000)",
             )
     return parser
 

@@ -306,10 +306,12 @@ class TestExitCodes:
         assert "walker.total_sats: must be >= 1 and <= 100000" in captured.err
         assert captured.out == ""
 
-    def test_ceiling_shares_the_size_bound(self, capsys):
-        assert main(["optimize", "--ceiling", "100001", "--quiet"]) == 1
+    def test_ceiling_shares_the_size_bound(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        argv = ["optimize", "--config", cfg, "--target-pdop", "3", "--ceiling", "100001"]
+        assert main([*argv, "--quiet"]) == 1
         captured = capsys.readouterr()
-        assert "argument --ceiling: 100001 must be <= 100000" in captured.err
+        assert "ceiling (100001) must be >= 1 and <= 100000" in captured.err
         assert captured.out == ""
 
     def test_missing_config_file(self, capsys):
