@@ -97,8 +97,10 @@ class WalkerConfig(_Record, key="walker"):
 
         Pinned planes snap the size to their nearest positive multiple
         (``round``: halves go to the even one); otherwise it snaps to the
-        nearest plane-friendly size, ties toward the larger.  Phasing folds
-        into [0, P).  Never silent: callers record the design.
+        nearest plane-friendly size, ties toward the larger.  Neither snaps
+        past ``MAX_SATS``: the largest multiple of P, or the nearest smaller
+        friendly size, is taken instead.  Phasing folds into [0, P).  Never
+        silent: callers record the design.
         """
         if not 1 <= total_sats <= MAX_SATS:
             raise ValueError(f"total_sats ({total_sats}) must be >= 1 and <= {MAX_SATS}")
@@ -107,12 +109,13 @@ class WalkerConfig(_Record, key="walker"):
                 candidate
                 for delta in range(total_sats)
                 for candidate in (total_sats + delta, total_sats - delta)
-                if is_plane_friendly(candidate)
+                if candidate <= MAX_SATS and is_plane_friendly(candidate)
             )
             planes = default_planes(total_sats)
         else:
             planes = self.planes
-            total_sats = max(planes, round(total_sats / planes) * planes)
+            nearest = max(planes, round(total_sats / planes) * planes)
+            total_sats = min(nearest, MAX_SATS // planes * planes)
         return WalkerSpec(
             total_sats, planes, self.phasing % planes,
             altitude_km, self.inclination_deg, self.raan_spread_deg,

@@ -21,6 +21,7 @@ import sys
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain
 from operator import itemgetter
 from typing import Any, Sequence
 
@@ -43,7 +44,8 @@ class ResultEnvelope:
 
     kind is "table" (plain rows), "series" (first column is the x axis),
     or "matrix" (rows are long-form cells with ``axes`` giving the two
-    axis vectors for chart layout).
+    axis vectors for chart layout).  Every cell is a scalar: a string,
+    number, bool or None.
     """
 
     kind: str
@@ -57,11 +59,16 @@ class ResultEnvelope:
         if self.kind not in ("table", "series", "matrix"):
             raise EmitError(f"envelope kind ({self.kind!r}) must be table, series, or matrix")
         width = len(self.columns)
+        if not width:
+            raise EmitError("envelopes need at least one column")
         for i, row in enumerate(self.rows):
             if len(row) != width:
                 raise EmitError(
                     f"row {i} has {len(row)} fields, expected {width}"
                 )
+        cell_types = set(map(type, chain.from_iterable(self.rows)))
+        if any(issubclass(t, (list, tuple, dict)) for t in cell_types):
+            raise EmitError("row cells must be scalars, not lists or objects")
         if self.kind == "matrix" and not self.axes:
             raise EmitError("matrix envelopes require axes")
 
@@ -120,19 +127,32 @@ def rows_envelope(
 def to_csv(envelope: ResultEnvelope) -> str:
     """RFC 4180 text: one unit-suffixed header row, then data rows.
 
-    Undefined numeric cells (None) serialize as empty fields.
+    The csv module writes undefined numeric cells (None) as empty fields
+    and floats by ``repr``.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
     writer.writerow([c.name for c in envelope.columns])
-    for row in envelope.rows:
-        writer.writerow(["" if v is None else v for v in row])
+    writer.writerows(envelope.rows)
     return buf.getvalue()
+
+
+#: Encodes the rows in C (``indent`` would select the pure-Python encoder):
+#: every separator is the newline and indent that ``indent=2`` puts
+#: between two cells of a row.
+_encode_rows = json.JSONEncoder(separators=(",\n      ", ": "), allow_nan=False).encode
 
 
 def to_json(envelope: ResultEnvelope) -> str:
     """The envelope itself plus its creation time, key-sorted; floats
-    round-trip exactly.  Only this format carries a timestamp."""
+    round-trip exactly.  Only this format carries a timestamp.
+
+    The bytes are ``json.dumps(doc, sort_keys=True, indent=2,
+    allow_nan=False) + "\\n"``.  The head is encoded that way; the rows go
+    through ``_encode_rows``, and since cells are scalars and an encoded
+    string holds no raw newline, "],<separator>[" occurs only between two
+    rows, where it becomes the indented row boundary.
+    """
     doc = {
         "kind": envelope.kind,
         "scenario_hash": envelope.scenario_hash,
@@ -140,11 +160,20 @@ def to_json(envelope: ResultEnvelope) -> str:
         "created_utc": utc_timestamp(),
         "columns": [c.name for c in envelope.columns],
         "units": {c.name: c.unit for c in envelope.columns if c.unit},
-        "rows": [list(row) for row in envelope.rows],
+        "rows": [],
     }
     if envelope.axes is not None:
         doc["axes"] = {k: list(v) for k, v in envelope.axes.items()}
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    head = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    if not envelope.rows:
+        return head
+    rows = _encode_rows(envelope.rows)[2:-2].replace(
+        "],\n      [", "\n    ],\n    [\n      "
+    )
+    # Only a top-level key follows a newline and two spaces.
+    return head.replace(
+        '\n  "rows": []', '\n  "rows": [\n    [\n      ' + rows + "\n    ]\n  ]", 1
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,11 @@ from .rflink import (
     MaterialLossTable,
 )
 from .schema import (
+    MAX_SITES,
     ScenarioError,
     _build,
     _check_keys,
+    _count,
     _expect,
     _non_negative,
     _one_of,
@@ -46,7 +48,7 @@ from .schema import (
 @dataclass(frozen=True)
 class GridConfig(_Record, key="grid"):
     scheme: str = _one_of("fibonacci", "latlon")
-    resolution: int = 500
+    resolution: int = _count(500, MAX_SITES)
 
 
 @dataclass(frozen=True)

@@ -42,15 +42,25 @@ def _non_negative(default: Any) -> Any:
     return _rule(default, ">= 0", lambda v: v >= 0)
 
 
+def _count(default: Any, most: int) -> Any:
+    """A count field (each entry, for a list): 1 to ``most``."""
+    return _rule(default, f">= 1 and <= {most}", lambda v: 1 <= v <= most)
+
+
 #: Largest constellation size a scenario or sizing search may request.  The
 #: Walker design rule factors every size it snaps, so an unbounded size
 #: would hang it; the optimize ladder up to this bound builds in about 1 s.
 MAX_SATS = 100_000
 
+#: Largest ground grid (``grid.resolution``) a scenario may request.  A PDOP
+#: report holds one sample per site and epoch, so an unbounded grid would
+#: fail deep in numpy instead of naming its key.
+MAX_SITES = 1_000_000
+
 
 def _size(default: Any) -> Any:
     """A constellation-size field (each entry, for a list): 1 to ``MAX_SATS``."""
-    return _rule(default, f">= 1 and <= {MAX_SATS}", lambda v: 1 <= v <= MAX_SATS)
+    return _count(default, MAX_SATS)
 
 
 _Reader = Callable[[Any, str], Any]

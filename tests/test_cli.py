@@ -6,12 +6,16 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import leonav
 from leonav.cli import _REPORTS, main
 
 from conftest import TINY
@@ -306,6 +310,13 @@ class TestExitCodes:
         assert "walker.total_sats: must be >= 1 and <= 100000" in captured.err
         assert captured.out == ""
 
+    def test_huge_grid_names_the_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"grid": {"resolution": 1e308}})
+        assert main(["dop-map", "--config", cfg, "--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert "grid.resolution: must be >= 1 and <= 1000000" in captured.err
+        assert captured.out == ""
+
     def test_ceiling_shares_the_size_bound(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         argv = ["optimize", "--config", cfg, "--target-pdop", "3", "--ceiling", "100001"]
@@ -432,3 +443,28 @@ class TestUserExperience:
                      "--out", str(j), "--quiet"]) == 0
         doc = json.loads(j.read_text(encoding="utf-8"))
         assert len(doc["scenario_hash"]) == 64
+
+
+class TestModuleEntryPoint:
+    """``python -m leonav.cli`` runs the same command line as ``leonav``."""
+
+    @staticmethod
+    def _run(*argv: str) -> subprocess.CompletedProcess:
+        src = str(Path(leonav.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        return subprocess.run(
+            [sys.executable, "-m", "leonav.cli", *argv],
+            capture_output=True, env=env, timeout=60,
+        )
+
+    def test_runs_a_report(self):
+        done = self._run("pathloss", "--quiet")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith(b"altitude_km,slant_range_km,fspl_db\r\n")
+        assert done.stderr == b""
+
+    def test_bare_invocation_exits_1(self):
+        done = self._run()
+        assert done.returncode == 1
+        assert b"usage: leonav" in done.stderr

@@ -199,6 +199,27 @@ class TestWalkerDesign:
                 config.design(10**29, 900.0)
 
 
+    def test_pinned_seven_planes_at_the_bound(self):
+        assert _request(7).design(MAX_SATS, 900.0).total_sats == 99_995
+
+    @pytest.mark.parametrize("planes", [7, 13, 24, 40, 999, 50_000, MAX_SATS])
+    def test_pinned_planes_never_snap_past_the_bound(self, planes):
+        """The nearest multiple of P may exceed MAX_SATS (100,002 for
+        P = 7); the largest multiple of P within it is taken instead."""
+        largest = MAX_SATS // planes * planes
+        for total in (MAX_SATS - planes // 2, MAX_SATS - 1, MAX_SATS):
+            spec = _request(planes).design(total, 900.0)
+            assert (spec.total_sats, spec.planes) == (largest, planes)
+
+    def test_unpinned_never_snaps_past_the_bound(self, monkeypatch):
+        """Under a bound of 99,998 the nearest friendly size to 99,998 is
+        99,999 (one above) and 99,997 (one below); the bound keeps the lower."""
+        assert not is_plane_friendly(99_998)
+        assert is_plane_friendly(99_997) and is_plane_friendly(99_999)
+        monkeypatch.setattr("leonav.orbits.MAX_SATS", 99_998)
+        assert WalkerConfig().design(99_998, 900.0).total_sats == 99_997
+
+
 class TestPlaneFriendly:
     @pytest.mark.parametrize("total", [1, 2, 4, 18, 24, 25, 96, 300])
     def test_friendly_sizes(self, total):

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from leonav.output import (
@@ -71,6 +72,15 @@ class TestEnvelope:
     def test_row_width_validated(self):
         with pytest.raises(EmitError, match="row 1 has 1 fields"):
             ResultEnvelope("table", (Column("x"), Column("y")), ((1, 2), (3,)), "h", "v")
+
+    def test_needs_a_column(self):
+        with pytest.raises(EmitError, match="at least one column"):
+            ResultEnvelope("table", (), ((), ()), "h", "v")
+
+    @pytest.mark.parametrize("cell", [[1, 2], (1,), {"a": 1}, []])
+    def test_cells_are_scalars(self, cell):
+        with pytest.raises(EmitError, match="scalars"):
+            ResultEnvelope("table", (Column("x"), Column("y")), ((1, 2), (3, cell)), "h", "v")
 
     def test_matrix_requires_axes(self):
         with pytest.raises(EmitError, match="axes"):
@@ -168,10 +178,97 @@ class TestJson:
             "altitude_km": [600.0, 800.0],
         }
 
-    def test_rejects_nan(self):
-        env = ResultEnvelope("table", (Column("x"),), ((float("nan"),),), "h", "v")
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, value):
+        env = ResultEnvelope("table", (Column("x"), Column("y")), ((1.0, 2.0), (3.0, value)), "h", "v")
         with pytest.raises(ValueError):
             to_json(env)
+
+    def test_rejects_numpy_scalars(self):
+        env = ResultEnvelope("table", (Column("x"),), ((1,), (np.int64(2),)), "h", "v")
+        with pytest.raises(TypeError):
+            to_json(env)
+
+
+def _oracle(envelope: ResultEnvelope) -> str:
+    """The document ``to_json`` must write, by the stdlib's indenting encoder."""
+    doc = {
+        "kind": envelope.kind,
+        "scenario_hash": envelope.scenario_hash,
+        "tool_version": envelope.tool_version,
+        "created_utc": utc_timestamp(),
+        "columns": [c.name for c in envelope.columns],
+        "units": {c.name: c.unit for c in envelope.columns if c.unit},
+        "rows": [list(row) for row in envelope.rows],
+    }
+    if envelope.axes is not None:
+        doc["axes"] = {k: list(v) for k, v in envelope.axes.items()}
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+#: Cells that could break the row splice: brackets, commas, quotes,
+#: escapes, whitespace and non-ASCII text in strings; every other scalar.
+_AWKWARD_CELLS = (
+    "]", "[", "],", '"],\n      ["', "a \"quoted\" word", "back\\slash", "two\nlines",
+    "tab\there", "Zürich 東京 ☃", "", None, True, False, 0, -7, 10**30,
+    -0.0, 1e16, 5e-324, 1e308, 0.1, -2.5,
+)
+
+
+class TestJsonOracle:
+    """``to_json`` writes the bytes of the indenting stdlib encoder."""
+
+    @pytest.fixture(autouse=True)
+    def _pinned_clock(self, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+
+    @pytest.mark.parametrize(
+        "envelope",
+        [table_envelope(), series_envelope(), matrix_envelope()],
+        ids=["table", "series", "matrix"],
+    )
+    def test_fixture_envelopes(self, envelope):
+        assert to_json(envelope) == _oracle(envelope)
+
+    @pytest.mark.parametrize("cell", _AWKWARD_CELLS, ids=repr)
+    def test_every_cell_kind(self, cell):
+        env = ResultEnvelope(
+            "table",
+            (Column("a_km", "km"), Column("note"), Column("b")),
+            ((cell, "x", 1.5), ("y", cell, cell), (cell, cell, None)),
+            "h",
+            "v",
+        )
+        assert to_json(env) == _oracle(env)
+
+    def test_all_cells_in_one_document(self):
+        cells = _AWKWARD_CELLS
+        rows = tuple(zip(cells, cells[1:] + cells[:1], cells[2:] + cells[:2]))
+        env = ResultEnvelope("series", (Column("x"), Column("y"), Column("z")), rows, "h", "v")
+        assert to_json(env) == _oracle(env)
+
+    def test_one_column(self):
+        env = ResultEnvelope("table", (Column("x"),), (("]",), (2,), ("[",)), "h", "v")
+        assert to_json(env) == _oracle(env)
+
+    def test_one_row(self):
+        env = ResultEnvelope("table", (Column("x"), Column("y")), ((1, "],\n["),), "h", "v")
+        assert to_json(env) == _oracle(env)
+
+    def test_zero_rows(self):
+        env = ResultEnvelope("table", (Column("x"), Column("y_db", "dB")), (), "h", "v")
+        assert to_json(env) == _oracle(env)
+
+    def test_matrix_with_an_axis_named_rows(self):
+        env = ResultEnvelope(
+            "matrix",
+            (Column("rows"), Column("altitude_km", "km"), Column("pdop_p95")),
+            ((1, 600.0, 2.5), (2, 600.0, None)),
+            "h",
+            "v",
+            axes={"rows": (), "altitude_km": (600.0,)},
+        )
+        assert to_json(env) == _oracle(env)
 
 
 class TestSvg:

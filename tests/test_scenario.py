@@ -158,6 +158,9 @@ class TestRejections:
             ('{"sweep": {"sizes": [250.7]}}', r"sweep.sizes\[0\]: must be an integer"),
             ('{"walker": {"total_sats": 100001}}',
              "walker.total_sats: must be >= 1 and <= 100000"),
+            ('{"grid": {"resolution": 1e308}}',
+             "grid.resolution: must be >= 1 and <= 1000000"),
+            ('{"grid": {"resolution": 1000001}}', "grid.resolution"),
             ('{"sweep": {"sizes": [300, 1e29]}}',
              r"sweep.sizes\[1\]: must be >= 1 and <= 100000"),
             ('{"walker": {"altitude_km": NaN}}', "walker.altitude_km: must be finite"),
