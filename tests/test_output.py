@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 
@@ -311,6 +312,55 @@ class TestSvg:
     def test_table_not_drawable(self):
         with pytest.raises(EmitError, match="svg output supports"):
             to_svg(table_envelope())
+
+
+def _bare(kind: str, names: tuple, rows: tuple, axes: dict | None = None) -> ResultEnvelope:
+    return ResultEnvelope(kind, tuple(map(Column, names)), rows, "h", "v", axes=axes)
+
+
+#: Charts the report pins do not reach: (envelope, SHA-256 of its SVG).
+_SVG_EDGES = {
+    "series-no-plottable-point": (
+        _bare("series", ("x", "y"), ((0.0, None), (None, 2.0))),
+        "81e7ea98a37cc6f1d33b656e4e3479522d139e7801002fe1d58f658bd182894c",
+    ),
+    "series-none-x-and-y": (
+        _bare(
+            "series",
+            ("altitude_km", "a_db", "b_db"),
+            ((None, 1.0, 2.0), (500.0, None, 3.0), (900.0, 4.0, None), (1400.0, 5.5, 6.0)),
+        ),
+        "c4fcd200fce877faa1fd4e36fde34c4d19cbe556b525eacb599f545006cb0f1e",
+    ),
+    "series-single-point": (
+        _bare("series", ("x", "y"), ((5.0, 2.0),)),
+        "c1d0be50b6bce69c9a1567ca7718555558a3b440bb222c14950cc9ada6e44def",
+    ),
+    "matrix-none-cell-and-empty-row": (
+        _bare(
+            "matrix",
+            ("requested_sats", "altitude_km", "coverage", "pdop_p95"),
+            ((24, 600.0, 1.0, 5.2), (24, 800.0, 0.9, None), (48, 600.0, 1.0, 3.1)),
+            axes={"requested_sats": (24, 48, 96), "altitude_km": (600.0, 800.0)},
+        ),
+        "240fef6d74e743d3e513c87596ce4cb8969cd76f0c5e2f93aa5ccd1989bc119c",
+    ),
+    "matrix-1x2": (
+        _bare(
+            "matrix",
+            ("requested_sats", "altitude_km", "pdop_p95"),
+            ((24, 600.0, 2.5), (24, 800.0, 3.5)),
+            axes={"requested_sats": (24,), "altitude_km": (600.0, 800.0)},
+        ),
+        "1d448c8fb8329b6ffa27f5dbde895edc4a3f9363c47216f1661c3fee63671449",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _SVG_EDGES)
+def test_svg_edge_pins(case):
+    envelope, digest = _SVG_EDGES[case]
+    assert hashlib.sha256(to_svg(envelope).encode("utf-8")).hexdigest() == digest
 
 
 class TestEmit:
