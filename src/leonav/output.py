@@ -1,9 +1,9 @@
 """Result envelopes and the CSV / JSON / SVG emitters.
 
 Every report is wrapped in a ResultEnvelope carrying reproducibility
-metadata (scenario hash, tool version, UTC timestamp) and per-column units.  CSV holds the
+metadata (scenario hash, tool version, UTC timestamp).  CSV holds the
 bare table (RFC 4180, unit-suffixed headers); JSON mirrors the envelope
-verbatim; SVG renders a minimal dependency-free line chart (series) or
+and adds each column's unit, read from its name; SVG renders a minimal dependency-free line chart (series) or
 heatmap (matrix).
 
 Output bytes are a pure function of (scenario, format, version): the
@@ -31,25 +31,17 @@ class EmitError(ValueError):
 
 
 @dataclass(frozen=True)
-class Column:
-    """One output column: name carries the unit suffix, unit the symbol."""
-
-    name: str
-    unit: str = ""
-
-
-@dataclass(frozen=True)
 class ResultEnvelope:
     """Self-describing result table.
 
     kind is "table" (plain rows), "series" (first column is the x axis),
     or "matrix" (rows are long-form cells with ``axes`` giving the two
-    axis vectors for chart layout).  Every cell is a scalar: a string,
-    number, bool or None.
+    axis vectors for chart layout).  Column names carry their unit
+    suffix.  Every cell is a scalar: a string, number, bool or None.
     """
 
     kind: str
-    columns: tuple[Column, ...]
+    columns: tuple[str, ...]
     rows: tuple[tuple, ...]
     scenario_hash: str
     tool_version: str
@@ -109,14 +101,14 @@ def rows_envelope(
     axes: dict[str, Sequence] | None = None,
 ) -> ResultEnvelope:
     """Envelope from homogeneous dict rows; column order follows the first
-    row, and each column's unit follows from its name."""
+    row."""
     if not rows:
         raise EmitError("cannot build an envelope from zero rows")
     names = list(rows[0])
     values = itemgetter(*names) if len(names) > 1 else lambda row: (row[names[0]],)
     return ResultEnvelope(
         kind=kind,
-        columns=tuple(Column(name, _column_unit(name)) for name in names),
+        columns=tuple(names),
         rows=tuple(map(values, rows)),
         scenario_hash=scenario_hash,
         tool_version=tool_version,
@@ -132,7 +124,7 @@ def to_csv(envelope: ResultEnvelope) -> str:
     """
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
-    writer.writerow([c.name for c in envelope.columns])
+    writer.writerow(envelope.columns)
     writer.writerows(envelope.rows)
     return buf.getvalue()
 
@@ -144,8 +136,8 @@ _encode_rows = json.JSONEncoder(separators=(",\n      ", ": "), allow_nan=False)
 
 
 def to_json(envelope: ResultEnvelope) -> str:
-    """The envelope itself plus its creation time, key-sorted; floats
-    round-trip exactly.  Only this format carries a timestamp.
+    """The envelope itself plus its creation time and column units,
+    key-sorted; floats round-trip exactly.  Only this format carries a timestamp.
 
     The bytes are ``json.dumps(doc, sort_keys=True, indent=2,
     allow_nan=False) + "\\n"``.  The head is encoded that way; the rows go
@@ -158,8 +150,8 @@ def to_json(envelope: ResultEnvelope) -> str:
         "scenario_hash": envelope.scenario_hash,
         "tool_version": envelope.tool_version,
         "created_utc": utc_timestamp(),
-        "columns": [c.name for c in envelope.columns],
-        "units": {c.name: c.unit for c in envelope.columns if c.unit},
+        "columns": list(envelope.columns),
+        "units": {name: unit for name in envelope.columns if (unit := _column_unit(name))},
         "rows": [],
     }
     if envelope.axes is not None:
@@ -182,6 +174,9 @@ def to_json(envelope: ResultEnvelope) -> str:
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _WIDTH, _HEIGHT = 800.0, 480.0
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 72.0, 24.0, 36.0, 56.0
+#: The plot box: left and right x, bottom and top y (SVG y grows downward).
+_X0, _X1 = _MARGIN_L, _WIDTH - _MARGIN_R
+_Y0, _Y1 = _HEIGHT - _MARGIN_B, _MARGIN_T
 
 
 def _fmt(x: float) -> str:
@@ -195,97 +190,81 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
+def _text(
+    x: float, y: float, body: str, anchor: str = "middle", size: int = 12, attrs: str = ""
+) -> str:
+    return (
+        f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{size}" '
+        f'text-anchor="{anchor}"{attrs}>{body}</text>'
+    )
+
+
+def _line(x1: float, y1: float, x2: float, y2: float) -> str:
+    return (
+        f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" stroke="black"/>'
+    )
+
+
+def _page(body: list[str], x_title: str, y_title: str, *tail: str) -> str:
+    """One chart page: white canvas, ``body``, both axis titles, ``tail``."""
+    w, h, mid = _fmt(_WIDTH), _fmt(_HEIGHT), (_Y0 + _Y1) / 2
+    return "\n".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
+        f'viewBox="0 0 {w} {h}">',
+        f'<rect width="{w}" height="{h}" fill="white"/>',
+        *body,
+        _text((_X0 + _X1) / 2, _HEIGHT - 12, x_title, size=13),
+        _text(16, mid, y_title, size=13, attrs=f' transform="rotate(-90 16 {_fmt(mid)})"'),
+        *tail,
+        "</svg>",
+    ]) + "\n"
+
+
 def _series_svg(envelope: ResultEnvelope) -> str:
-    names = [c.name for c in envelope.columns]
-    x_name, y_names = names[0], names[1:]
+    x_name, *y_names = envelope.columns
     if not y_names:
         raise EmitError("series envelopes need at least one y column")
     rows = [r for r in envelope.rows if r[0] is not None]
-    xs = [float(r[0]) for r in rows]
-    series = {
-        name: [
-            (float(r[0]), float(r[i + 1])) for r in rows if r[i + 1] is not None
-        ]
-        for i, name in enumerate(y_names)
-    }
-    all_y = [y for pts in series.values() for _, y in pts]
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(_WIDTH)}" '
-        f'height="{_fmt(_HEIGHT)}" viewBox="0 0 {_fmt(_WIDTH)} {_fmt(_HEIGHT)}">',
-        f'<rect width="{_fmt(_WIDTH)}" height="{_fmt(_HEIGHT)}" fill="white"/>',
+    series = [
+        [(float(r[0]), float(r[i])) for r in rows if r[i] is not None]
+        for i in range(1, len(envelope.columns))
     ]
-    x0, x1 = _MARGIN_L, _WIDTH - _MARGIN_R
-    y0, y1 = _HEIGHT - _MARGIN_B, _MARGIN_T
-    parts.append(
-        f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y0)}" stroke="black"/>'
-    )
-    parts.append(
-        f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x0)}" y2="{_fmt(y1)}" stroke="black"/>'
-    )
+    all_y = [y for pts in series for _, y in pts]
+    body = [_line(_X0, _Y0, _X1, _Y0), _line(_X0, _Y0, _X0, _Y1)]
+    y_title = " / ".join(y_names)
+    if not all_y:
+        body.append(_text(_WIDTH / 2, _HEIGHT / 2, "no data", size=14))
+        return _page(body, x_name, y_title)
 
-    if xs and all_y:
-        x_lo, x_hi = min(xs), max(xs)
-        y_lo, y_hi = min(all_y), max(all_y)
-        if x_hi == x_lo:
-            x_hi = x_lo + 1.0
-        if y_hi == y_lo:
-            y_hi = y_lo + 1.0
-        pad = 0.05 * (y_hi - y_lo)
-        y_lo, y_hi = y_lo - pad, y_hi + pad
+    xs = [float(r[0]) for r in rows]
+    x_lo, x_hi = min(xs), max(xs)
+    y_lo, y_hi = min(all_y), max(all_y)
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    if y_hi == y_lo:
+        y_hi = y_lo + 1.0
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
 
-        def px(x: float) -> float:
-            return x0 + (x - x_lo) / (x_hi - x_lo) * (x1 - x0)
+    def px(x: float) -> float:
+        return _X0 + (x - x_lo) / (x_hi - x_lo) * (_X1 - _X0)
 
-        def py(y: float) -> float:
-            return y0 - (y - y_lo) / (y_hi - y_lo) * (y0 - y1)
+    def py(y: float) -> float:
+        return _Y0 - (y - y_lo) / (y_hi - y_lo) * (_Y0 - _Y1)
 
-        for t in _ticks(x_lo, x_hi):
-            parts.append(
-                f'<line x1="{_fmt(px(t))}" y1="{_fmt(y0)}" x2="{_fmt(px(t))}" '
-                f'y2="{_fmt(y0 + 5)}" stroke="black"/>'
+    for t in _ticks(x_lo, x_hi):
+        body += [_line(px(t), _Y0, px(t), _Y0 + 5), _text(px(t), _Y0 + 20, _fmt(t))]
+    for t in _ticks(y_lo, y_hi):
+        body += [_line(_X0 - 5, py(t), _X0, py(t)), _text(_X0 - 8, py(t) + 4, _fmt(t), "end")]
+    for i, (name, pts) in enumerate(zip(y_names, series)):
+        color = _PALETTE[i % len(_PALETTE)]
+        if pts:
+            coords = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in pts)
+            body.append(
+                f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
             )
-            parts.append(
-                f'<text x="{_fmt(px(t))}" y="{_fmt(y0 + 20)}" font-size="12" '
-                f'text-anchor="middle">{_fmt(t)}</text>'
-            )
-        for t in _ticks(y_lo, y_hi):
-            parts.append(
-                f'<line x1="{_fmt(x0 - 5)}" y1="{_fmt(py(t))}" x2="{_fmt(x0)}" '
-                f'y2="{_fmt(py(t))}" stroke="black"/>'
-            )
-            parts.append(
-                f'<text x="{_fmt(x0 - 8)}" y="{_fmt(py(t) + 4)}" font-size="12" '
-                f'text-anchor="end">{_fmt(t)}</text>'
-            )
-        for i, name in enumerate(y_names):
-            pts = series[name]
-            color = _PALETTE[i % len(_PALETTE)]
-            if pts:
-                coords = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in pts)
-                parts.append(
-                    f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-                )
-            parts.append(
-                f'<text x="{_fmt(x1 - 4)}" y="{_fmt(y1 + 14 * (i + 1))}" font-size="12" '
-                f'text-anchor="end" fill="{color}">{name}</text>'
-            )
-    else:
-        parts.append(
-            f'<text x="{_fmt(_WIDTH / 2)}" y="{_fmt(_HEIGHT / 2)}" font-size="14" '
-            f'text-anchor="middle">no data</text>'
-        )
-
-    parts.append(
-        f'<text x="{_fmt((x0 + x1) / 2)}" y="{_fmt(_HEIGHT - 12)}" font-size="13" '
-        f'text-anchor="middle">{x_name}</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{_fmt((y0 + y1) / 2)}" font-size="13" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_fmt((y0 + y1) / 2)})">{" / ".join(y_names)}</text>'
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        body.append(_text(_X1 - 4, _Y1 + 14 * (i + 1), name, "end", attrs=f' fill="{color}"'))
+    return _page(body, x_name, y_title)
 
 
 def _heat_color(frac: float) -> str:
@@ -309,7 +288,7 @@ def _heat_color(frac: float) -> str:
 
 def _matrix_svg(envelope: ResultEnvelope) -> str:
     axes = envelope.axes or {}
-    names = [c.name for c in envelope.columns]
+    names = envelope.columns
     if len(axes) != 2:
         raise EmitError("matrix envelopes need exactly two axes")
     (row_name, row_vals), (col_name, col_vals) = axes.items()
@@ -331,50 +310,27 @@ def _matrix_svg(envelope: ResultEnvelope) -> str:
     if v_hi == v_lo:
         v_hi = v_lo + 1.0
 
-    x0, x1 = _MARGIN_L, _WIDTH - _MARGIN_R
-    y0, y1 = _HEIGHT - _MARGIN_B, _MARGIN_T
-    cw = (x1 - x0) / len(col_vals)
-    ch = (y0 - y1) / len(row_vals)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(_WIDTH)}" '
-        f'height="{_fmt(_HEIGHT)}" viewBox="0 0 {_fmt(_WIDTH)} {_fmt(_HEIGHT)}">',
-        f'<rect width="{_fmt(_WIDTH)}" height="{_fmt(_HEIGHT)}" fill="white"/>',
-    ]
+    cw = (_X1 - _X0) / len(col_vals)
+    ch = (_Y0 - _Y1) / len(row_vals)
+    body = []
     for i, rv in enumerate(row_vals):
         for j, cv in enumerate(col_vals):
             value = cell.get((rv, cv))
             color = "#cccccc" if value is None else _heat_color(
                 (value - v_lo) / (v_hi - v_lo)
             )
-            parts.append(
-                f'<rect x="{_fmt(x0 + j * cw)}" y="{_fmt(y1 + i * ch)}" '
+            body.append(
+                f'<rect x="{_fmt(_X0 + j * cw)}" y="{_fmt(_Y1 + i * ch)}" '
                 f'width="{_fmt(cw)}" height="{_fmt(ch)}" fill="{color}" '
                 f'stroke="white" stroke-width="0.5"/>'
             )
-    for j, cv in enumerate(col_vals):
-        parts.append(
-            f'<text x="{_fmt(x0 + (j + 0.5) * cw)}" y="{_fmt(y0 + 18)}" font-size="12" '
-            f'text-anchor="middle">{_fmt(float(cv))}</text>'
-        )
-    for i, rv in enumerate(row_vals):
-        parts.append(
-            f'<text x="{_fmt(x0 - 8)}" y="{_fmt(y1 + (i + 0.5) * ch + 4)}" font-size="12" '
-            f'text-anchor="end">{_fmt(float(rv))}</text>'
-        )
-    parts.append(
-        f'<text x="{_fmt((x0 + x1) / 2)}" y="{_fmt(_HEIGHT - 12)}" font-size="13" '
-        f'text-anchor="middle">{col_name}</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{_fmt((y0 + y1) / 2)}" font-size="13" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_fmt((y0 + y1) / 2)})">{row_name}</text>'
-    )
-    parts.append(
-        f'<text x="{_fmt(x1)}" y="{_fmt(y1 - 8)}" font-size="12" text-anchor="end">'
-        f"{value_name}: {_fmt(v_lo)} (dark) to {_fmt(v_hi)} (bright)</text>"
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    body += [_text(_X0 + (j + 0.5) * cw, _Y0 + 18, _fmt(float(cv))) for j, cv in enumerate(col_vals)]
+    body += [
+        _text(_X0 - 8, _Y1 + (i + 0.5) * ch + 4, _fmt(float(rv)), "end")
+        for i, rv in enumerate(row_vals)
+    ]
+    legend = f"{value_name}: {_fmt(v_lo)} (dark) to {_fmt(v_hi)} (bright)"
+    return _page(body, col_name, row_name, _text(_X1, _Y1 - 8, legend, "end"))
 
 
 def to_svg(envelope: ResultEnvelope) -> str:

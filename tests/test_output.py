@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from leonav.output import (
-    Column,
     EmitError,
     ResultEnvelope,
     emit,
@@ -19,6 +18,7 @@ from leonav.output import (
     to_csv,
     to_json,
     to_svg,
+    _column_unit,
     utc_timestamp,
 )
 
@@ -26,7 +26,7 @@ from leonav.output import (
 def table_envelope() -> ResultEnvelope:
     return ResultEnvelope(
         "table",
-        (Column("altitude_km", "km"), Column("loss_db", "dB"), Column("note")),
+        ("altitude_km", "loss_db", "note"),
         ((500.0, 150.25, "a"), (1000.0, None, 'needs "quoting", really')),
         scenario_hash="ab" * 32,
         tool_version="0.1.0",
@@ -36,7 +36,7 @@ def table_envelope() -> ResultEnvelope:
 def series_envelope() -> ResultEnvelope:
     return ResultEnvelope(
         "series",
-        (Column("altitude_km", "km"), Column("gain_db", "dB"), Column("delta_db", "dB")),
+        ("altitude_km", "gain_db", "delta_db"),
         ((500.0, 10.0, -32.0), (900.0, 8.0, -28.0), (1400.0, 6.4, -24.5)),
         scenario_hash="cd" * 32,
         tool_version="0.1.0",
@@ -53,10 +53,10 @@ def matrix_envelope() -> ResultEnvelope:
     return ResultEnvelope(
         "matrix",
         (
-            Column("requested_sats"),
-            Column("altitude_km", "km"),
-            Column("coverage"),
-            Column("pdop_p95"),
+            "requested_sats",
+            "altitude_km",
+            "coverage",
+            "pdop_p95",
         ),
         rows,
         scenario_hash="ef" * 32,
@@ -68,11 +68,11 @@ def matrix_envelope() -> ResultEnvelope:
 class TestEnvelope:
     def test_kinds_validated(self):
         with pytest.raises(EmitError, match="kind"):
-            ResultEnvelope("scatter", (Column("x"),), (), "h", "v")
+            ResultEnvelope("scatter", ("x",), (), "h", "v")
 
     def test_row_width_validated(self):
         with pytest.raises(EmitError, match="row 1 has 1 fields"):
-            ResultEnvelope("table", (Column("x"), Column("y")), ((1, 2), (3,)), "h", "v")
+            ResultEnvelope("table", ("x", "y"), ((1, 2), (3,)), "h", "v")
 
     def test_needs_a_column(self):
         with pytest.raises(EmitError, match="at least one column"):
@@ -81,11 +81,11 @@ class TestEnvelope:
     @pytest.mark.parametrize("cell", [[1, 2], (1,), {"a": 1}, []])
     def test_cells_are_scalars(self, cell):
         with pytest.raises(EmitError, match="scalars"):
-            ResultEnvelope("table", (Column("x"), Column("y")), ((1, 2), (3, cell)), "h", "v")
+            ResultEnvelope("table", ("x", "y"), ((1, 2), (3, cell)), "h", "v")
 
     def test_matrix_requires_axes(self):
         with pytest.raises(EmitError, match="axes"):
-            ResultEnvelope("matrix", (Column("x"),), (), "h", "v")
+            ResultEnvelope("matrix", ("x",), (), "h", "v")
 
     def test_rows_envelope_preserves_first_row_order(self):
         env = rows_envelope(
@@ -94,7 +94,7 @@ class TestEnvelope:
             scenario_hash="h",
             tool_version="v",
         )
-        assert [c.name for c in env.columns] == ["b_db", "a_km"]
+        assert env.columns == ("b_db", "a_km")
         assert env.rows == ((1.0, 2.0), (3.0, 4.0))
 
     def test_rows_envelope_units_follow_column_names(self):
@@ -105,7 +105,8 @@ class TestEnvelope:
             "walls_wood": "1", "pdop_p95": "1", "coverage_fraction": "1",
         }
         env = rows_envelope("table", [dict.fromkeys(units, 0)], "h", "v")
-        assert {c.name: c.unit for c in env.columns} == units
+        assert {name: _column_unit(name) for name in env.columns} == units
+        assert json.loads(to_json(env))["units"] == {k: v for k, v in units.items() if v}
 
     def test_rows_envelope_rejects_empty(self):
         with pytest.raises(EmitError, match="zero rows"):
@@ -181,12 +182,12 @@ class TestJson:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite(self, value):
-        env = ResultEnvelope("table", (Column("x"), Column("y")), ((1.0, 2.0), (3.0, value)), "h", "v")
+        env = ResultEnvelope("table", ("x", "y"), ((1.0, 2.0), (3.0, value)), "h", "v")
         with pytest.raises(ValueError):
             to_json(env)
 
     def test_rejects_numpy_scalars(self):
-        env = ResultEnvelope("table", (Column("x"),), ((1,), (np.int64(2),)), "h", "v")
+        env = ResultEnvelope("table", ("x",), ((1,), (np.int64(2),)), "h", "v")
         with pytest.raises(TypeError):
             to_json(env)
 
@@ -198,8 +199,8 @@ def _oracle(envelope: ResultEnvelope) -> str:
         "scenario_hash": envelope.scenario_hash,
         "tool_version": envelope.tool_version,
         "created_utc": utc_timestamp(),
-        "columns": [c.name for c in envelope.columns],
-        "units": {c.name: c.unit for c in envelope.columns if c.unit},
+        "columns": list(envelope.columns),
+        "units": {n: _column_unit(n) for n in envelope.columns if _column_unit(n)},
         "rows": [list(row) for row in envelope.rows],
     }
     if envelope.axes is not None:
@@ -235,7 +236,7 @@ class TestJsonOracle:
     def test_every_cell_kind(self, cell):
         env = ResultEnvelope(
             "table",
-            (Column("a_km", "km"), Column("note"), Column("b")),
+            ("a_km", "note", "b"),
             ((cell, "x", 1.5), ("y", cell, cell), (cell, cell, None)),
             "h",
             "v",
@@ -245,25 +246,25 @@ class TestJsonOracle:
     def test_all_cells_in_one_document(self):
         cells = _AWKWARD_CELLS
         rows = tuple(zip(cells, cells[1:] + cells[:1], cells[2:] + cells[:2]))
-        env = ResultEnvelope("series", (Column("x"), Column("y"), Column("z")), rows, "h", "v")
+        env = ResultEnvelope("series", ("x", "y", "z"), rows, "h", "v")
         assert to_json(env) == _oracle(env)
 
     def test_one_column(self):
-        env = ResultEnvelope("table", (Column("x"),), (("]",), (2,), ("[",)), "h", "v")
+        env = ResultEnvelope("table", ("x",), (("]",), (2,), ("[",)), "h", "v")
         assert to_json(env) == _oracle(env)
 
     def test_one_row(self):
-        env = ResultEnvelope("table", (Column("x"), Column("y")), ((1, "],\n["),), "h", "v")
+        env = ResultEnvelope("table", ("x", "y"), ((1, "],\n["),), "h", "v")
         assert to_json(env) == _oracle(env)
 
     def test_zero_rows(self):
-        env = ResultEnvelope("table", (Column("x"), Column("y_db", "dB")), (), "h", "v")
+        env = ResultEnvelope("table", ("x", "y_db"), (), "h", "v")
         assert to_json(env) == _oracle(env)
 
     def test_matrix_with_an_axis_named_rows(self):
         env = ResultEnvelope(
             "matrix",
-            (Column("rows"), Column("altitude_km", "km"), Column("pdop_p95")),
+            ("rows", "altitude_km", "pdop_p95"),
             ((1, 600.0, 2.5), (2, 600.0, None)),
             "h",
             "v",
@@ -284,7 +285,7 @@ class TestSvg:
     def test_series_skips_undefined_points(self):
         env = ResultEnvelope(
             "series",
-            (Column("x"), Column("y")),
+            ("x", "y"),
             ((0.0, 1.0), (1.0, None), (2.0, 3.0)),
             "h",
             "v",
@@ -294,7 +295,7 @@ class TestSvg:
         assert polyline.count(",") == 2  # two plotted points
 
     def test_empty_series_renders_placeholder(self):
-        env = ResultEnvelope("series", (Column("x"), Column("y")), (), "h", "v")
+        env = ResultEnvelope("series", ("x", "y"), (), "h", "v")
         assert "no data" in to_svg(env)
 
     def test_matrix_heatmap(self):
@@ -315,7 +316,7 @@ class TestSvg:
 
 
 def _bare(kind: str, names: tuple, rows: tuple, axes: dict | None = None) -> ResultEnvelope:
-    return ResultEnvelope(kind, tuple(map(Column, names)), rows, "h", "v", axes=axes)
+    return ResultEnvelope(kind, names, rows, "h", "v", axes=axes)
 
 
 #: Charts the report pins do not reach: (envelope, SHA-256 of its SVG).
