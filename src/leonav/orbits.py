@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .schema import MAX_SATS, _non_negative, _Record, _rule, _size
+from .schema import MAX_SATS, _non_negative, _Record, _rule, _size, _within
 
 _TWO_PI = 2.0 * math.pi
 
@@ -25,10 +25,11 @@ class EarthModel(_Record, key="earth"):
     """Spherical Earth constants.
 
     Defaults are the WGS-84 equatorial radius, the standard gravitational
-    parameter, and the sidereal rotation rate; no flattening.
+    parameter, and the sidereal rotation rate; no flattening.  The radius
+    is bounded so that footprint areas and orbit radii stay finite.
     """
 
-    radius_km: float = 6378.137
+    radius_km: float = _within(6378.137, 1.0, 1e6)
     mu_km3_s2: float = 398600.4418
     rotation_rate_rad_s: float = 7.2921159e-5
 
@@ -76,7 +77,7 @@ class WalkerConfig(_Record, key="walker"):
     planes: int | None = None
     phasing: int = _non_negative(1)
     altitude_km: float = 900.0
-    inclination_deg: float = _rule(90.0, "in [0, 180]", lambda v: 0.0 <= v <= 180.0)
+    inclination_deg: float = _within(90.0, 0.0, 180.0)
     raan_spread_deg: float = _rule(180.0, "180 or 360", lambda v: v in (180.0, 360.0))
 
     def _check_across_fields(self) -> None:

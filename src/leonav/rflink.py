@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .orbits import EARTH
-from .schema import _one_of, _Record
+from .schema import _one_of, _Record, _within
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
@@ -26,6 +26,13 @@ BAND_HZ = {
 #: Constellation altitudes used as MEO comparison points (km).
 GPS_ALTITUDE_KM = 20182.0
 GALILEO_ALTITUDE_KM = 23222.0
+
+#: Bounds of the jammer powers (W) and radii (m) a record may state; at
+#: every corner, with margins up to ``JAMMER_MARGIN_DB``, both jammer
+#: figures stay finite and non-zero.
+JAMMER_POWER_W = (1e-9, 1e9)
+JAMMER_RADIUS_M = (1e-3, 1e7)
+JAMMER_MARGIN_DB = (0.0, 200.0)
 
 
 @dataclass(frozen=True)
@@ -130,8 +137,8 @@ class JammerCalibration(_Record, key="jammer"):
     within tolerance, the 750 m one does not.
     """
 
-    ref_power_w: float = 0.01
-    ref_radius_m: float = 100.0
+    ref_power_w: float = _within(0.01, *JAMMER_POWER_W)
+    ref_radius_m: float = _within(100.0, *JAMMER_RADIUS_M)
 
 
 DEFAULT_JAMMER_CALIBRATION = JammerCalibration()

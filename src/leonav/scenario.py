@@ -26,6 +26,9 @@ from .payload import PayloadHeritage
 from .rflink import (
     GALILEO_ALTITUDE_KM,
     GPS_ALTITUDE_KM,
+    JAMMER_MARGIN_DB,
+    JAMMER_POWER_W,
+    JAMMER_RADIUS_M,
     JammerCalibration,
     LinkParams,
     MaterialLossTable,
@@ -42,6 +45,7 @@ from .schema import (
     _Record,
     _rule,
     _size,
+    _within,
 )
 
 
@@ -67,7 +71,7 @@ class LinkConfig(LinkParams, key="link"):
     """Carrier plus the altitude/mask samplings of the RF curve reports."""
 
     meo_altitude_km: float = GALILEO_ALTITUDE_KM
-    elevation_deg: float = _rule(90.0, "in [0, 90]", lambda v: 0.0 <= v <= 90.0)
+    elevation_deg: float = _within(90.0, 0.0, 90.0)
     pathloss_altitudes_km: tuple[float, ...] = (
         500.0, 700.0, 1000.0, 1400.0, 2000.0, 3000.0, 5000.0, 8000.0,
         12000.0, GPS_ALTITUDE_KM, GALILEO_ALTITUDE_KM,
@@ -93,9 +97,9 @@ class LinkConfig(LinkParams, key="link"):
 class JammerConfig(JammerCalibration, key="jammer"):
     """Inverse-square model anchor plus the margins/columns of the report."""
 
-    margins_db: tuple[float, ...] = _non_negative((0.0, 5.0, 10.0, 20.0, 30.0))
-    report_power_w: float = 0.5
-    report_radius_m: float = 100.0
+    margins_db: tuple[float, ...] = _within((0.0, 5.0, 10.0, 20.0, 30.0), *JAMMER_MARGIN_DB)
+    report_power_w: float = _within(0.5, *JAMMER_POWER_W)
+    report_radius_m: float = _within(100.0, *JAMMER_RADIUS_M)
 
 
 @dataclass(frozen=True)

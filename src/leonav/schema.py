@@ -42,6 +42,11 @@ def _non_negative(default: Any) -> Any:
     return _rule(default, ">= 0", lambda v: v >= 0)
 
 
+def _within(default: Any, lo: float, hi: float) -> Any:
+    """A number field (each entry, for a list) in the closed range [lo, hi]."""
+    return _rule(default, f"in [{lo:g}, {hi:g}]", lambda v: lo <= v <= hi)
+
+
 def _count(default: Any, most: int) -> Any:
     """A count field (each entry, for a list): 1 to ``most``."""
     return _rule(default, f">= 1 and <= {most}", lambda v: 1 <= v <= most)

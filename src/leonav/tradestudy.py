@@ -30,6 +30,7 @@ from .payload import (
     signal_generation_w,
 )
 from .rflink import (
+    GPS_ALTITUDE_KM,
     fspl_db,
     footprint_gain_db,
     jammer_effective_radius_m,
@@ -46,7 +47,7 @@ GPS_LIKE = WalkerSpec(
     total_sats=24,
     planes=6,
     phasing=1,
-    altitude_km=20182.0,
+    altitude_km=GPS_ALTITUDE_KM,
     inclination_deg=55.0,
     raan_spread_deg=360.0,
 )

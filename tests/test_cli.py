@@ -352,6 +352,39 @@ class TestExitCodes:
         assert main(["dop-map", "--config", cfg, "--quiet"]) == 2
         assert "computation failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, scenario, message", [
+        ("footprint", {"earth": {"radius_km": 1e-300}}, "earth.radius_km: must be in [1, 1e+06]"),
+        ("footprint", {"earth": {"radius_km": 1e300}}, "earth.radius_km: must be in [1, 1e+06]"),
+        ("power", {"earth": {"radius_km": 1e29}}, "earth.radius_km: must be in [1, 1e+06]"),
+        ("baseline", {"earth": {"radius_km": 1e308}}, "earth.radius_km: must be in [1, 1e+06]"),
+        ("jammer", {"jammer": {"ref_radius_m": 1e-300}},
+         "jammer.ref_radius_m: must be in [0.001, 1e+07]"),
+        ("jammer", {"jammer": {"margins_db": [4000]}}, "jammer.margins_db[0]: must be in [0, 200]"),
+    ])
+    def test_overflowing_value_names_the_key(self, tmp_path, capsys, command, scenario, message):
+        """Values that once overflowed or divided by zero inside a report."""
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        assert main([command, "--config", str(path), "--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("radius", [1.0, 1e6])
+    @pytest.mark.parametrize("command", ["footprint", "power", "pathloss"])
+    def test_earth_radius_bounds_give_finite_reports(self, tmp_path, capsys, command, radius):
+        cfg = write_config(tmp_path, {"earth": {"radius_km": radius}})
+        assert main([command, "--config", cfg, "--format", "json", "--quiet"]) == 0
+        json.loads(capsys.readouterr().out)  # rejects NaN and Infinity
+
+    @pytest.mark.parametrize("radius, code", [(1.0, 0), (1e6, 2)])
+    def test_earth_radius_bounds_in_the_baseline(self, tmp_path, capsys, radius, code):
+        """A 1e6 km Earth swallows the GPS-like orbits: no coverage, not a crash."""
+        cfg = write_config(tmp_path, {"earth": {"radius_km": radius}})
+        assert main(["baseline", "--config", cfg, "--quiet"]) == code
+        capsys.readouterr()
+
     def test_non_finite_altitude_names_the_key(self, tmp_path, capsys):
         path = tmp_path / "nan.json"
         path.write_text('{"walker": {"altitude_km": NaN}}', encoding="utf-8")
@@ -445,18 +478,30 @@ class TestUserExperience:
         assert len(doc["scenario_hash"]) == 64
 
 
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports leonav from this checkout."""
+    src = str(Path(leonav.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("module", [
+    "schema", "orbits", "geometry", "rflink", "payload", "scenario", "tradestudy", "output", "cli",
+])
+def test_submodule_imports_alone(module):
+    """The package root imports nothing, so each submodule must load its own
+    dependencies; an import cycle would show only for some import orders."""
+    done = _python("-c", f"import leonav.{module}")
+    assert done.returncode == 0, done.stderr.decode()
+
+
 class TestModuleEntryPoint:
     """``python -m leonav.cli`` runs the same command line as ``leonav``."""
 
     @staticmethod
     def _run(*argv: str) -> subprocess.CompletedProcess:
-        src = str(Path(leonav.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-        return subprocess.run(
-            [sys.executable, "-m", "leonav.cli", *argv],
-            capture_output=True, env=env, timeout=60,
-        )
+        return _python("-m", "leonav.cli", *argv)
 
     def test_runs_a_report(self):
         done = self._run("pathloss", "--quiet")

@@ -194,7 +194,7 @@ class TestRejections:
             (lambda: TimeWindow(duration_s=1000.0, step_s=300.0),
              '{"window": {"duration_s": 1000, "step_s": 300}}', "window: step_s"),
             (lambda: JammerCalibration(ref_power_w=0), '{"jammer": {"ref_power_w": 0}}',
-             "jammer.ref_power_w: must be > 0"),
+             r"jammer.ref_power_w: must be in \[1e-09, 1e\+09\]"),
             (lambda: LinkParams(reference="S"), '{"link": {"reference": "S"}}',
              "link.reference: must be one of"),
             (lambda: PayloadHeritage(rf_output_w_high=100),

@@ -3,14 +3,28 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 
 import pytest
 
 from leonav.geometry import NoCoverageError, percentile_pdop
-from leonav.rflink import footprint_gain_db, fspl_db, slant_range_km
-from leonav.scenario import Scenario, SweepConfig, parse_scenario, scenario_hash
+from leonav.rflink import (
+    JAMMER_MARGIN_DB,
+    JAMMER_POWER_W,
+    JAMMER_RADIUS_M,
+    footprint_gain_db,
+    fspl_db,
+    slant_range_km,
+)
+from leonav.scenario import (
+    JammerConfig,
+    Scenario,
+    SweepConfig,
+    parse_scenario,
+    scenario_hash,
+)
 from leonav.tradestudy import (
     GPS_LIKE,
     SizingResult,
@@ -248,6 +262,17 @@ class TestJammerTable:
         assert [r["walls_wood"] for r in rows] == [0, 0, 1, 2, 3]
         assert [r["walls_container"] for r in rows] == [0, 0, 0, 0, 1]
 
+
+    def test_figures_finite_and_non_zero_at_every_corner_of_the_bounds(self):
+        bounds = {
+            "ref_power_w": JAMMER_POWER_W, "report_power_w": JAMMER_POWER_W,
+            "ref_radius_m": JAMMER_RADIUS_M, "report_radius_m": JAMMER_RADIUS_M,
+        }
+        for corner in itertools.product(*bounds.values()):
+            jammer = JammerConfig(margins_db=JAMMER_MARGIN_DB, **dict(zip(bounds, corner)))
+            for row in jammer_table(Scenario(jammer=jammer)):
+                for key in ("jammer_radius_m", "jammer_power_w"):
+                    assert 0.0 < row[key] < math.inf, (jammer, row)
 
 class TestPowerReport:
     def test_budget_lines(self):
