@@ -3,8 +3,8 @@
 Every report is wrapped in a ResultEnvelope carrying reproducibility
 metadata (scenario hash, tool version, UTC timestamp).  CSV holds the
 bare table (RFC 4180, unit-suffixed headers); JSON mirrors the envelope
-and adds each column's unit, read from its name; SVG renders a minimal dependency-free line chart (series) or
-heatmap (matrix).
+and adds each column's unit, read from its name; SVG renders a minimal
+dependency-free line chart (series) or heatmap (matrix).
 
 Output bytes are a pure function of (scenario, format, version): the
 timestamp honors the SOURCE_DATE_EPOCH convention, and CSV/SVG carry no
@@ -137,7 +137,8 @@ _encode_rows = json.JSONEncoder(separators=(",\n      ", ": "), allow_nan=False)
 
 def to_json(envelope: ResultEnvelope) -> str:
     """The envelope itself plus its creation time and column units,
-    key-sorted; floats round-trip exactly.  Only this format carries a timestamp.
+    key-sorted; floats round-trip exactly.  Only this format carries a
+    timestamp.
 
     The bytes are ``json.dumps(doc, sort_keys=True, indent=2,
     allow_nan=False) + "\\n"``.  The head is encoded that way; the rows go
@@ -324,7 +325,9 @@ def _matrix_svg(envelope: ResultEnvelope) -> str:
                 f'width="{_fmt(cw)}" height="{_fmt(ch)}" fill="{color}" '
                 f'stroke="white" stroke-width="0.5"/>'
             )
-    body += [_text(_X0 + (j + 0.5) * cw, _Y0 + 18, _fmt(float(cv))) for j, cv in enumerate(col_vals)]
+    body += [
+        _text(_X0 + (j + 0.5) * cw, _Y0 + 18, _fmt(float(cv))) for j, cv in enumerate(col_vals)
+    ]
     body += [
         _text(_X0 - 8, _Y1 + (i + 0.5) * ch + 4, _fmt(float(rv)), "end")
         for i, rv in enumerate(row_vals)
