@@ -319,11 +319,13 @@ def pdop_samples(
     window; undefined samples (insufficient or singular geometry) are NaN.
     Epochs are propagated in chunks, and sites taken in blocks, of about
     ``_PAIR_BUDGET`` epoch or site x satellite pairs, so memory does not
-    grow with window length or grid size times constellation size.  The
-    samples the closed form cannot clear are held with their normal
-    matrices and solved in one LAPACK batch; the batch is flushed early
-    only once about ``_PAIR_BUDGET // 16`` matrices (2 MiB at the shipped
-    budget) are held, so the held matrices are bounded by the budget too.
+    grow with window length or grid size times constellation size.  Each
+    kernel call takes one site block over a tile of epochs sized by
+    ``_tile_epochs``.  The samples the closed form cannot clear are held
+    with their normal matrices and solved in one LAPACK batch; the batch is
+    flushed early only once about ``_PAIR_BUDGET // 16`` matrices (2 MiB at
+    the shipped budget) are held, so the held matrices are bounded by the
+    budget too.
     """
     if not 0.0 <= mask_deg < 90.0:
         raise ValueError(f"mask_deg ({mask_deg}) must lie in [0, 90)")
@@ -339,21 +341,30 @@ def pdop_samples(
     values = np.full((n_sites, epochs.size), np.nan)
     counts = np.zeros((n_sites, epochs.size), dtype=np.int32)
     block = max(1, _PAIR_BUDGET // spec.total_sats)
+    tile = _tile_epochs(
+        min(block, n_sites), spec.total_sats,
+        float(elements.semimajor_km[0]), earth.radius_km, mask_rad,
+    )
     held: list[tuple[np.ndarray, np.ndarray]] = []  # (flat sample index, normal)
     n_held = 0
 
     for start in range(0, epochs.size, block):
         t = epochs[start : start + block, None]
         ecef = rotate_eci_to_ecef(propagate_arrays(*elements, t, earth), t, earth)
-        for j, sats in enumerate(ecef, start):
+        for first in range(0, len(ecef), tile):
+            sats = ecef[first : first + tile]
+            cols = slice(start + first, start + first + len(sats))
             for lo in range(0, n_sites, block):
                 rows = slice(lo, lo + block)
-                counts[rows, j], values[rows, j], site, normal = _block_pdop(
+                count, pdop, sample, normal = _block_pdop(
                     basis[..., rows], sats, earth.radius_km, mask_rad
                 )
-                if site.size:
-                    held.append(((lo + site) * epochs.size + j, normal))
-                    n_held += site.size
+                counts[rows, cols] = count.T
+                values[rows, cols] = pdop.T
+                if sample.size:
+                    epoch, site = np.divmod(sample, count.shape[1])
+                    held.append(((lo + site) * epochs.size + cols.start + epoch, normal))
+                    n_held += sample.size
                     if n_held >= _PAIR_BUDGET // 16:
                         _fallback_pdop(values, held)
                         held, n_held = [], 0
@@ -363,70 +374,115 @@ def pdop_samples(
     return PdopSamples(pdop=values, visible_count=counts)
 
 
+def _reach(r: np.ndarray | float, radius_km: float, mask_rad: float) -> np.ndarray:
+    """Central angle within which a satellite at radius r is seen at the
+    mask elevation or higher: acos(R cos(mask) / r) - mask."""
+    return np.arccos(np.minimum(1.0, radius_km * math.cos(mask_rad) / r)) - mask_rad
+
+
+def _tile_epochs(
+    sites: int, sats: int, semimajor_km: float, radius_km: float, mask_rad: float
+) -> int:
+    """Epochs per kernel call over blocks of ``sites`` sites.
+
+    A sample keeps the satellites within ``_reach`` of its site, so a
+    constellation spread over the sphere leaves it sats * (1 - cos ρ) / 2
+    culled pairs on average: the area share of a cap of angular radius ρ.
+    The tile takes as many epochs as keep that expectation near
+    ``_PAIR_BUDGET // 32`` pairs, so each call's fixed cost of some hundred
+    numpy calls is spread over enough pairs while every per-pair array
+    (64 KiB at the shipped budget) stays below glibc's 128 KiB mmap
+    threshold.  It never holds more samples than one site block, which
+    keeps every per-sample array within the block's bound.
+    """
+    most = max(1, _PAIR_BUDGET // sats) // sites
+    expected = sites * sats * (1.0 - math.cos(_reach(semimajor_km, radius_km, mask_rad))) / 2.0
+    if expected * most <= _PAIR_BUDGET // 32:
+        return most
+    return max(1, int(_PAIR_BUDGET // 32 / expected))
+
+
 def _block_pdop(
     basis: np.ndarray, ecef: np.ndarray, radius_km: float, mask_rad: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Visible counts and PDOP of one block of sites at one epoch.
+    """Visible counts and PDOP of one block of sites over a tile of epochs.
 
     Takes the block's component-major ENU basis (3, 3, m) and the
-    satellite positions (n, 3).  A satellite at radius r is seen at
-    elevation e or higher exactly when its central angle from the site is
-    at most acos(R cos(e) / r) - e, i.e. when up . sat clears a
-    per-satellite bound; one matmul of the satellite positions with the
-    site up-vectors culls the rest.  The survivors come out of one flat
-    index in satellite-major order, and each per-pair quantity is one flat
-    array per component.  The elevation test runs on the up component,
-    and east and north are built for the visible pairs only, so the cull
-    saves work without changing any sample.  The norm and the ENU dot
-    products sum in the order ``np.linalg.norm`` and ``einsum`` take over
-    (P, 3) rows, and ``bincount`` adds each site's pairs in input order,
-    which keeps its satellites in ascending order, so the samples are
-    bit-identical to a site-major engine's; the sample digest in
+    satellite positions of the tile's epochs (k, n, 3).  A satellite at
+    radius r is seen at elevation e or higher exactly when its central
+    angle from the site is at most ``_reach``, i.e. when up . sat clears a
+    per-satellite bound; one matmul per epoch of the satellite positions
+    with the site up-vectors culls the rest, so the dense test never holds
+    more than one epoch's site x satellite pairs.  The survivors come out
+    of each epoch's flat index in satellite-major order, epoch after epoch,
+    and each per-pair quantity is one flat array per component, updated in
+    place.  The elevation test runs on the up component, and east and
+    north are built for the visible pairs only, so the cull saves work
+    without changing any sample.  The norm and the ENU dot products sum in
+    the order ``np.linalg.norm`` and ``einsum`` take over (P, 3) rows, and
+    ``bincount`` adds each sample's pairs in input order, which keeps its
+    satellites in ascending order, so the samples are bit-identical to a
+    site-major engine's whatever the tile; the sample digest in
     tests/test_geometry.py pins that order.  Rows stay in ENU rather than
     ECEF: PDOP is rotation-invariant only in exact arithmetic, and a
     sample whose four satellites are barely independent (PDOP ~1e5)
     magnifies the rounding of a change of frame far past 1e-10.
     Well-conditioned samples, nearly all of them, take PDOP in closed form
-    from the per-site sums.
+    from the per-sample sums.
 
     Returns:
-        (count, pdop, site, normal): the visible count and PDOP of each
-        site, NaN where undefined or left to the fallback, and the block
-        sites whose samples the closed form could not clear with their
+        (count, pdop, sample, normal): the visible count and PDOP of each
+        (epoch, site) sample of the tile, shape (k, m), NaN where
+        undefined or left to the fallback; and the flat indices into
+        (k, m) of the samples the closed form could not clear, with their
         4x4 normal matrices.  ``pdop_samples`` holds those matrices for
         ``_fallback_pdop``, about ``_PAIR_BUDGET // 16`` of them at most.
     """
     m = basis.shape[-1]
-    r = np.linalg.norm(ecef, axis=1)
-    reach = np.arccos(np.minimum(1.0, radius_km * math.cos(mask_rad) / r)) - mask_rad
+    tile, n = ecef.shape[:2]
+    r = np.linalg.norm(ecef, axis=-1)
     # A millimetre of slack, so rounding never culls a pair the exact test keeps.
-    bound = r * np.cos(reach) - 1e-6
-    sat, site = np.divmod(np.flatnonzero(ecef @ basis[2] >= bound[:, None]), m)
+    bound = r * np.cos(_reach(r, radius_km, mask_rad)) - 1e-6
+    sat, site = np.divmod(np.concatenate([
+        np.flatnonzero(sats @ basis[2] >= sat_bound[:, None]) + i * n * m
+        for i, (sats, sat_bound) in enumerate(zip(ecef, bound))
+    ]), m)
+    sample = sat // n * m + site
 
+    positions = ecef.reshape(-1, 3)  # sat indexes its rows
     site_up = [basis[2, c][site] for c in range(3)]
-    los = [ecef[:, c][sat] - radius_km * site_up[c] for c in range(3)]
-    norm = np.sqrt((los[0] * los[0] + los[1] * los[1]) + los[2] * los[2])
-    unit = [x / norm for x in los]
+    unit = [positions[:, c][sat] for c in range(3)]
+    del sat
+    for c in range(3):
+        unit[c] -= radius_km * site_up[c]
+    norm = np.sqrt((unit[0] * unit[0] + unit[1] * unit[1]) + unit[2] * unit[2])
+    for c in range(3):
+        unit[c] /= norm
+    del norm
     up = _dot(site_up, unit)
+    del site_up
     vis = up >= math.sin(mask_rad)
-    site = site[vis]
-    unit = [u[vis] for u in unit]
-    # (east, north, up) of the visible pairs: satellite-major, so each
-    # site's satellites stay in input order
-    e = [_dot([basis[a, c][site] for c in range(3)], unit) for a in range(2)] + [up[vis]]
+    site, sample, up = site[vis], sample[vis], up[vis]
+    for c in range(3):
+        unit[c] = unit[c][vis]
+    # (east, north, up) of the visible pairs: satellite-major within each
+    # epoch, so each sample's satellites stay in input order
+    e = [_dot([basis[a, c][site] for c in range(3)], unit) for a in range(2)] + [up]
+    del unit, site
 
-    # Per-site sums of the geometry rows [-e, -n, -u, 1], for the sites with
-    # the four satellites a solution needs: the count k, b = -sum e and
+    # Per-sample sums of the geometry rows [-e, -n, -u, 1], for the samples
+    # with the four satellites a solution needs: the count k, b = -sum e and
     # A = sum e e^T, so that the normal matrix is N = [[A, b], [b^T, k]].
-    count = np.bincount(site, minlength=m)
-    pdop = np.full(m, np.nan)
+    size = tile * m
+    count = np.bincount(sample, minlength=size)
+    pdop = np.full(size, np.nan)
     enough = np.flatnonzero(count >= 4)
     k = count[enough].astype(float)
-    b = np.stack([-np.bincount(site, e[i], minlength=m)[enough] for i in range(3)])
+    b = np.stack([-np.bincount(sample, e[i], minlength=size)[enough] for i in range(3)])
     a = np.empty((3, 3, enough.size))
     for i in range(3):
         for j in range(i, 3):
-            a[i, j] = a[j, i] = np.bincount(site, e[i] * e[j], minlength=m)[enough]
+            a[i, j] = a[j, i] = np.bincount(sample, e[i] * e[j], minlength=size)[enough]
 
     sure, value = _closed_form_pdop(k, b, a)
     pdop[enough[sure]] = value
@@ -436,7 +492,7 @@ def _block_pdop(
     normal[:, :3, :3] = a[:, :, rest].transpose(2, 0, 1)
     normal[:, :3, 3] = normal[:, 3, :3] = b[:, rest].T
     normal[:, 3, 3] = k[rest]
-    return count, pdop, enough[rest], normal
+    return count.reshape(tile, m), pdop.reshape(tile, m), enough[rest], normal
 
 
 def _fallback_pdop(

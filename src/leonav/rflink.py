@@ -34,6 +34,16 @@ JAMMER_POWER_W = (1e-9, 1e9)
 JAMMER_RADIUS_M = (1e-3, 1e7)
 JAMMER_MARGIN_DB = (0.0, 200.0)
 
+#: Bounds of the one-pass material losses (dB) a record may state; with
+#: margins up to ``JAMMER_MARGIN_DB`` every penetration count stays a
+#: finite integer.
+MATERIAL_LOSS_DB = (1e-3, 1e3)
+
+#: Bounds of the link altitudes (km) a scenario may state; at every Earth
+#: radius and elevation it accepts, each slant range stays finite and
+#: non-zero.
+ALTITUDE_KM = (1.0, 1e6)
+
 
 @dataclass(frozen=True)
 class LinkParams(_Record, key="link"):
@@ -186,11 +196,11 @@ def jammer_power_for_radius_w(
 class MaterialLossTable(_Record, key="materials"):
     """One-pass attenuation (dB) of common structures."""
 
-    wood_db: float = 10.0
-    brick_db: float = 12.0
-    concrete_db: float = 15.0
-    glass_db: float = 17.0
-    container_db: float = 25.0
+    wood_db: float = _within(10.0, *MATERIAL_LOSS_DB)
+    brick_db: float = _within(12.0, *MATERIAL_LOSS_DB)
+    concrete_db: float = _within(15.0, *MATERIAL_LOSS_DB)
+    glass_db: float = _within(17.0, *MATERIAL_LOSS_DB)
+    container_db: float = _within(25.0, *MATERIAL_LOSS_DB)
 
     @property
     def walls(self) -> tuple[tuple[str, float], ...]:

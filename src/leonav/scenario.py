@@ -24,6 +24,7 @@ from .geometry import TimeWindow
 from .orbits import EarthModel, WalkerConfig
 from .payload import PayloadHeritage
 from .rflink import (
+    ALTITUDE_KM,
     GALILEO_ALTITUDE_KM,
     GPS_ALTITUDE_KM,
     JAMMER_MARGIN_DB,
@@ -40,7 +41,6 @@ from .schema import (
     _check_keys,
     _count,
     _expect,
-    _non_negative,
     _one_of,
     _Record,
     _rule,
@@ -70,18 +70,26 @@ class SweepConfig(_Record, key="sweep"):
 class LinkConfig(LinkParams, key="link"):
     """Carrier plus the altitude/mask samplings of the RF curve reports."""
 
-    meo_altitude_km: float = GALILEO_ALTITUDE_KM
+    meo_altitude_km: float = _within(GALILEO_ALTITUDE_KM, *ALTITUDE_KM)
     elevation_deg: float = _within(90.0, 0.0, 90.0)
-    pathloss_altitudes_km: tuple[float, ...] = (
+    pathloss_altitudes_km: tuple[float, ...] = _within((
         500.0, 700.0, 1000.0, 1400.0, 2000.0, 3000.0, 5000.0, 8000.0,
         12000.0, GPS_ALTITUDE_KM, GALILEO_ALTITUDE_KM,
-    )
-    footprint_altitudes_km: tuple[float, ...] = (
+    ), *ALTITUDE_KM)
+    footprint_altitudes_km: tuple[float, ...] = _within((
         500.0, 600.0, 700.0, 800.0, 900.0, 1000.0, 1100.0, 1200.0, 1300.0, 1400.0,
-    )
+    ), *ALTITUDE_KM)
     footprint_masks_deg: tuple[float, ...] = _rule(
         (0.0, 30.0), "in [0, 90)", lambda v: 0.0 <= v < 90.0
     )
+
+    def _check_across_fields(self) -> None:
+        highest = max(self.footprint_altitudes_km)
+        if not self.meo_altitude_km > highest:
+            raise ValueError(
+                f"meo_altitude_km ({self.meo_altitude_km}) must exceed every "
+                f"footprint_altitudes_km entry (up to {highest})"
+            )
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -102,13 +110,18 @@ class JammerConfig(JammerCalibration, key="jammer"):
     report_radius_m: float = _within(100.0, *JAMMER_RADIUS_M)
 
 
+#: Bounds of the integration overhead, as a fraction of the payload power
+#: (up to +1,000 %), so that no overhead overflows a power figure.
+_OVERHEAD = (0.0, 10.0)
+
+
 @dataclass(frozen=True)
 class PayloadConfig(PayloadHeritage, key="payload"):
     """Heritage payload figures plus the LEO scaling knobs."""
 
     leo_signals: int = 2
-    overhead_low: float = _non_negative(0.0)
-    overhead_high: float = _non_negative(0.9)
+    overhead_low: float = _within(0.0, *_OVERHEAD)
+    overhead_high: float = _within(0.9, *_OVERHEAD)
 
     def _check_across_fields(self) -> None:
         super()._check_across_fields()

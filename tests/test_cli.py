@@ -360,6 +360,15 @@ class TestExitCodes:
         ("jammer", {"jammer": {"ref_radius_m": 1e-300}},
          "jammer.ref_radius_m: must be in [0.001, 1e+07]"),
         ("jammer", {"jammer": {"margins_db": [4000]}}, "jammer.margins_db[0]: must be in [0, 200]"),
+        ("jammer", {"materials": {"wood_db": 1e-310}},
+         "materials.wood_db: must be in [0.001, 1000]"),
+        ("pathloss", {"link": {"pathloss_altitudes_km": [1e-300]}},
+         "link.pathloss_altitudes_km[0]: must be in [1, 1e+06]"),
+        ("pathloss", {"link": {"pathloss_altitudes_km": [500.0, 1e308]}},
+         "link.pathloss_altitudes_km[1]: must be in [1, 1e+06]"),
+        ("footprint", {"link": {"footprint_altitudes_km": [1e-300]}},
+         "link.footprint_altitudes_km[0]: must be in [1, 1e+06]"),
+        ("power", {"payload": {"overhead_high": 1e308}}, "payload.overhead_high: must be in [0, 10]"),
     ])
     def test_overflowing_value_names_the_key(self, tmp_path, capsys, command, scenario, message):
         """Values that once overflowed or divided by zero inside a report."""
@@ -370,6 +379,48 @@ class TestExitCodes:
         assert message in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["power", "footprint"])
+    @pytest.mark.parametrize("meo", [90.0, 1400.0])
+    def test_meo_altitude_below_the_footprints_names_both_keys(
+        self, tmp_path, capsys, command, meo
+    ):
+        cfg = write_config(tmp_path, {"link": {"meo_altitude_km": meo}})
+        assert main([command, "--config", cfg, "--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert (f"link: meo_altitude_km ({meo}) must exceed every "
+                "footprint_altitudes_km entry (up to 1400.0)") in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("radius", [1.0, 1e6])
+    @pytest.mark.parametrize("elevation", [0.0, 90.0])
+    def test_pathloss_altitude_bounds_give_finite_reports(
+        self, tmp_path, capsys, radius, elevation
+    ):
+        cfg = write_config(tmp_path, {
+            "earth": {"radius_km": radius},
+            "link": {"elevation_deg": elevation, "pathloss_altitudes_km": [1.0, 1e6]},
+        })
+        assert main(["pathloss", "--config", cfg, "--format", "json", "--quiet"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert all(r[1] > 0.0 and r[2] > 0.0 for r in rows)  # slant range and path loss
+
+    @pytest.mark.parametrize("loss", [1e-3, 1e3])
+    def test_material_loss_bounds_give_finite_counts(self, tmp_path, capsys, loss):
+        cfg = write_config(tmp_path, {
+            "materials": {"wood_db": loss}, "jammer": {"margins_db": [0.0, 200.0]},
+        })
+        assert main(["jammer", "--config", cfg, "--format", "json", "--quiet"]) == 0
+        json.loads(capsys.readouterr().out)
+
+    def test_link_and_overhead_bounds_give_finite_power(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "link": {"meo_altitude_km": 1e6, "footprint_altitudes_km": [1.0, 999999.0]},
+            "payload": {"overhead_low": 10.0, "overhead_high": 10.0},
+        })
+        for command in ("power", "footprint"):
+            assert main([command, "--config", cfg, "--format", "json", "--quiet"]) == 0
+            json.loads(capsys.readouterr().out)
 
     @pytest.mark.parametrize("radius", [1.0, 1e6])
     @pytest.mark.parametrize("command", ["footprint", "power", "pathloss"])

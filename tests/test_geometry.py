@@ -23,7 +23,7 @@ from oracles import (
     satellite_above,
 )
 
-from leonav import geometry
+from leonav import geometry, rflink
 from leonav.geometry import (
     CONDITION_LIMIT,
     DopValues,
@@ -503,7 +503,7 @@ class TestPdopSamplesEngine:
                             mask_deg + offset, float(rng.uniform(400.0, 4000.0)))
             for site in sites for offset in (-1e-10, 1e-10, -1e-10, 1e-10)
         ])
-        count = geometry._block_pdop(basis, ecef, EARTH.radius_km, math.radians(mask_deg))[0]
+        count = geometry._block_pdop(basis, ecef[None], EARTH.radius_km, math.radians(mask_deg))[0][0]
         los = ecef[None, :, :] - sites[:, None, :]
         unit = los / np.linalg.norm(los, axis=-1)[..., None]
         up = np.einsum("nab,nsb->nsa", basis.transpose(2, 0, 1), unit)[..., 2]
@@ -575,6 +575,32 @@ class TestPdopSamplesEngine:
         assert samples.defined.any()
         assert peak < 48 * 2**20
 
+    @pytest.mark.parametrize("n_epochs", [1000, 4000])
+    def test_kernel_memory_stays_bounded_over_a_long_window(self, monkeypatch, n_epochs):
+        """GPS-like on 4 sites: a site block holds 2,730 epochs' worth of
+        samples, and tiles that filled it would peak near 13 MB in one
+        kernel call; tiles sized by expected culled pairs stay near 1 MB
+        whatever the window."""
+        block_pdop = geometry._block_pdop
+        peaks = []
+
+        def measured(*args):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = block_pdop(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            return out
+
+        monkeypatch.setattr(geometry, "_block_pdop", measured)
+        tracemalloc.start()
+        try:
+            samples = pdop_samples(GPS_LIKE, GroundGrid.fibonacci(4), TimeWindow(60.0 * n_epochs, 60.0))
+        finally:
+            tracemalloc.stop()
+        assert samples.defined.any()
+        assert len(peaks) < n_epochs / 100  # tiles of ~250 epochs
+        assert max(peaks) < 2 * 2**20
+
     def test_memory_stays_bounded_on_a_wide_grid(self):
         """One epoch of 1,000 satellites over ~20,000 sites: a dense
         (sites, satellites, 3) array alone would take 480 MB."""
@@ -642,6 +668,60 @@ class TestSampleDigest:
         samples = pdop_samples(spec, grid, TimeWindow(3600.0, 240.0), mask_deg)
         digest = hashlib.sha256(samples.pdop.tobytes() + samples.visible_count.tobytes())
         assert digest.hexdigest() == self.DIGEST[case, mask_deg]
+
+    @pytest.mark.parametrize(
+        "case, tile, sites_per_block",
+        [("200@600-F0", tile, None) for tile in (1, 2, 3, 4)]  # 15 epochs: 2 and 4 leave a ragged tile
+        # tiles across 7-site blocks and 7-epoch propagation chunks
+        + [("200@600-F0", 3, 7), ("300@900", 3, 7), ("gps-like", 2, 7)],
+    )
+    def test_epoch_tiles_keep_the_bytes(self, monkeypatch, case, tile, sites_per_block):
+        spec, grid = self.CASES[case]
+        block_pdop = geometry._block_pdop
+        shapes = []
+
+        def recording(basis, ecef, *args):
+            shapes.append((ecef.shape[0], basis.shape[-1]))
+            return block_pdop(basis, ecef, *args)
+
+        monkeypatch.setattr(geometry, "_block_pdop", recording)
+        monkeypatch.setattr(geometry, "_tile_epochs", lambda *args: tile)
+        if sites_per_block is not None:
+            monkeypatch.setattr(geometry, "_PAIR_BUDGET", sites_per_block * spec.total_sats + 5)
+        samples = pdop_samples(spec, grid, TimeWindow(3600.0, 240.0), 5.0)
+        digest = hashlib.sha256(samples.pdop.tobytes() + samples.visible_count.tobytes())
+        assert digest.hexdigest() == self.DIGEST[case, 5.0]
+        assert max(k for k, _ in shapes) == tile
+        assert sum(k * m for k, m in shapes) == samples.pdop.size
+
+    def test_one_kernel_call_per_tile(self, monkeypatch):
+        """300 @ 900 km on 200 sites expects ~2,600 culled pairs an epoch,
+        so tiles of 3 epochs stay near _PAIR_BUDGET // 32: 5 kernel calls
+        over 15 epochs rather than one per epoch."""
+        spec = WalkerConfig().design(300, 900.0)
+        block_pdop = geometry._block_pdop
+        shapes = []
+
+        def recording(basis, ecef, *args):
+            shapes.append((ecef.shape[0], basis.shape[-1]))
+            return block_pdop(basis, ecef, *args)
+
+        monkeypatch.setattr(geometry, "_block_pdop", recording)
+        pdop_samples(spec, GroundGrid.fibonacci(200), TimeWindow(3600.0, 240.0))
+        assert shapes == [(3, 200)] * 5
+
+    @pytest.mark.parametrize(
+        "sats, altitude_km, sites, tile",
+        [(24, rflink.GPS_ALTITUDE_KM, 500, 2), (195, 1200.0, 200, 3), (216, 1200.0, 200, 3),
+         (300, 900.0, 873, 1), (200, 600.0, 200, 6), (24, 1200.0, 200, 29)],
+    )
+    def test_tile_sizes(self, sats, altitude_km, sites, tile):
+        """Expected culled pairs per epoch, sites * T (1 - cos reach) / 2,
+        into _PAIR_BUDGET // 32, capped at one site block's samples."""
+        radius = EARTH.radius_km
+        got = geometry._tile_epochs(sites, sats, radius + altitude_km, radius, math.radians(5.0))
+        assert got == tile
+        assert got * sites <= max(1, geometry._PAIR_BUDGET // sats)
 
     def test_one_fallback_batch_per_call(self, monkeypatch):
         """The samples the closed form cannot clear go to LAPACK in one

@@ -325,5 +325,5 @@ class TestMaterials:
             penetration_report(-1.0)
         with pytest.raises(ValueError, match="margin_db"):
             penetration_report(math.nan)
-        with pytest.raises(ScenarioError, match=r"materials.wood_db: must be > 0"):
+        with pytest.raises(ScenarioError, match=r"materials.wood_db: must be in \[0.001, 1000\]"):
             MaterialLossTable(wood_db=0)

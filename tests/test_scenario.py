@@ -15,6 +15,8 @@ from leonav.orbits import EarthModel, WalkerSpec
 from leonav.payload import ClockUnit, PayloadHeritage
 from leonav.rflink import JammerCalibration, LinkParams, MaterialLossTable
 from leonav.scenario import (
+    LinkConfig,
+    PayloadConfig,
     Scenario,
     ScenarioError,
     SweepConfig,
@@ -200,7 +202,14 @@ class TestRejections:
             (lambda: PayloadHeritage(rf_output_w_high=100),
              '{"payload": {"rf_output_w_high": 100}}', "payload: rf_output_w_high"),
             (lambda: MaterialLossTable(wood_db=0), '{"materials": {"wood_db": 0}}',
-             "materials.wood_db: must be > 0"),
+             r"materials.wood_db: must be in \[0.001, 1000\]"),
+            (lambda: LinkConfig(meo_altitude_km=1000.0), '{"link": {"meo_altitude_km": 1000}}',
+             r"link: meo_altitude_km \(1000.0\) must exceed every footprint_altitudes_km"),
+            (lambda: LinkConfig(pathloss_altitudes_km=(500.0, 0.5)),
+             '{"link": {"pathloss_altitudes_km": [500, 0.5]}}',
+             r"link.pathloss_altitudes_km\[1\]: must be in \[1, 1e\+06\]"),
+            (lambda: PayloadConfig(overhead_high=11.0), '{"payload": {"overhead_high": 11}}',
+             r"payload.overhead_high: must be in \[0, 10\]"),
         ],
     )
     def test_direct_construction_applies_the_same_rules(self, build, text, message):
