@@ -368,7 +368,8 @@ class TestExitCodes:
          "link.pathloss_altitudes_km[1]: must be in [1, 1e+06]"),
         ("footprint", {"link": {"footprint_altitudes_km": [1e-300]}},
          "link.footprint_altitudes_km[0]: must be in [1, 1e+06]"),
-        ("power", {"payload": {"overhead_high": 1e308}}, "payload.overhead_high: must be in [0, 10]"),
+        ("power", {"payload": {"overhead_high": 1e308}},
+         "payload.overhead_high: must be in [0, 10]"),
     ])
     def test_overflowing_value_names_the_key(self, tmp_path, capsys, command, scenario, message):
         """Values that once overflowed or divided by zero inside a report."""

@@ -503,7 +503,8 @@ class TestPdopSamplesEngine:
                             mask_deg + offset, float(rng.uniform(400.0, 4000.0)))
             for site in sites for offset in (-1e-10, 1e-10, -1e-10, 1e-10)
         ])
-        count = geometry._block_pdop(basis, ecef[None], EARTH.radius_km, math.radians(mask_deg))[0][0]
+        mask_rad = math.radians(mask_deg)
+        count = geometry._block_pdop(basis, ecef[None], EARTH.radius_km, mask_rad)[0][0]
         los = ecef[None, :, :] - sites[:, None, :]
         unit = los / np.linalg.norm(los, axis=-1)[..., None]
         up = np.einsum("nab,nsb->nsa", basis.transpose(2, 0, 1), unit)[..., 2]
@@ -594,7 +595,8 @@ class TestPdopSamplesEngine:
         monkeypatch.setattr(geometry, "_block_pdop", measured)
         tracemalloc.start()
         try:
-            samples = pdop_samples(GPS_LIKE, GroundGrid.fibonacci(4), TimeWindow(60.0 * n_epochs, 60.0))
+            window = TimeWindow(60.0 * n_epochs, 60.0)
+            samples = pdop_samples(GPS_LIKE, GroundGrid.fibonacci(4), window)
         finally:
             tracemalloc.stop()
         assert samples.defined.any()
@@ -629,6 +631,19 @@ class TestPdopSamplesEngine:
                 WalkerSpec(8, 2), GroundGrid.fibonacci(4), TimeWindow(600.0, 600.0),
                 mask_deg=90.0,
             )
+
+
+def _record_tiles(monkeypatch) -> list[tuple[int, int]]:
+    """The (epochs, sites) shape of each kernel call, recorded as it runs."""
+    block_pdop = geometry._block_pdop
+    shapes = []
+
+    def recording(basis, ecef, *args):
+        shapes.append((ecef.shape[0], basis.shape[-1]))
+        return block_pdop(basis, ecef, *args)
+
+    monkeypatch.setattr(geometry, "_block_pdop", recording)
+    return shapes
 
 
 class TestSampleDigest:
@@ -671,20 +686,14 @@ class TestSampleDigest:
 
     @pytest.mark.parametrize(
         "case, tile, sites_per_block",
-        [("200@600-F0", tile, None) for tile in (1, 2, 3, 4)]  # 15 epochs: 2 and 4 leave a ragged tile
+        # 15 epochs: tiles of 2 and 4 leave a ragged last tile
+        [("200@600-F0", tile, None) for tile in (1, 2, 3, 4)]
         # tiles across 7-site blocks and 7-epoch propagation chunks
         + [("200@600-F0", 3, 7), ("300@900", 3, 7), ("gps-like", 2, 7)],
     )
     def test_epoch_tiles_keep_the_bytes(self, monkeypatch, case, tile, sites_per_block):
         spec, grid = self.CASES[case]
-        block_pdop = geometry._block_pdop
-        shapes = []
-
-        def recording(basis, ecef, *args):
-            shapes.append((ecef.shape[0], basis.shape[-1]))
-            return block_pdop(basis, ecef, *args)
-
-        monkeypatch.setattr(geometry, "_block_pdop", recording)
+        shapes = _record_tiles(monkeypatch)
         monkeypatch.setattr(geometry, "_tile_epochs", lambda *args: tile)
         if sites_per_block is not None:
             monkeypatch.setattr(geometry, "_PAIR_BUDGET", sites_per_block * spec.total_sats + 5)
@@ -699,14 +708,7 @@ class TestSampleDigest:
         so tiles of 3 epochs stay near _PAIR_BUDGET // 32: 5 kernel calls
         over 15 epochs rather than one per epoch."""
         spec = WalkerConfig().design(300, 900.0)
-        block_pdop = geometry._block_pdop
-        shapes = []
-
-        def recording(basis, ecef, *args):
-            shapes.append((ecef.shape[0], basis.shape[-1]))
-            return block_pdop(basis, ecef, *args)
-
-        monkeypatch.setattr(geometry, "_block_pdop", recording)
+        shapes = _record_tiles(monkeypatch)
         pdop_samples(spec, GroundGrid.fibonacci(200), TimeWindow(3600.0, 240.0))
         assert shapes == [(3, 200)] * 5
 
