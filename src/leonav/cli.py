@@ -20,6 +20,7 @@ from . import __version__
 from .geometry import GeometryError
 from .output import ResultEnvelope, emit, rows_envelope
 from .scenario import Scenario, ScenarioError, parse_scenario, scenario_hash
+from .schema import ALTITUDE_KM
 from . import tradestudy
 
 
@@ -94,6 +95,9 @@ def _dop_sweep_rows(args, scenario: Scenario) -> list[dict]:
 
 def _optimize_rows(args, scenario: Scenario) -> list[dict]:
     altitude = args.altitude_km if args.altitude_km is not None else scenario.walker.altitude_km
+    lo, hi = ALTITUDE_KM  # the walker.altitude_km bound
+    if not lo <= altitude <= hi:
+        raise ScenarioError(f"--altitude-km ({altitude}) must be in [{lo:g}, {hi:g}]")
     if args.target_pdop is not None:
         target = args.target_pdop
     else:

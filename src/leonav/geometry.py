@@ -24,7 +24,7 @@ from .orbits import (
     rotate_eci_to_ecef,
     walker_constellation,
 )
-from .schema import _Record
+from .schema import MAX_EPOCHS, _Record
 
 #: Condition-number ceiling for the normal matrix; above it the solution
 #: is treated as singular rather than inverted.
@@ -64,7 +64,8 @@ class NoCoverageError(GeometryError):
 class TimeWindow(_Record, key="window"):
     """Sampling window: epochs k*step_s for k in [0, duration_s/step_s).
 
-    The step must divide the duration; the end point is excluded.
+    The step must divide the duration, at most ``MAX_EPOCHS`` times; the
+    end point is excluded.
     """
 
     duration_s: float = 21600.0
@@ -76,6 +77,8 @@ class TimeWindow(_Record, key="window"):
                 f"duration_s ({self.duration_s}) must be >= step_s ({self.step_s})"
             )
         ratio = self.duration_s / self.step_s
+        if ratio > MAX_EPOCHS:
+            raise ValueError(f"duration_s / step_s ({ratio:g} epochs) must be <= {MAX_EPOCHS}")
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError(
                 f"step_s ({self.step_s}) must divide duration_s ({self.duration_s})"

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .schema import MAX_SATS, _non_negative, _Record, _rule, _size, _within
+from .schema import ALTITUDE_KM, MAX_SATS, _non_negative, _Record, _rule, _size, _within
 
 _TWO_PI = 2.0 * math.pi
 
@@ -26,12 +26,13 @@ class EarthModel(_Record, key="earth"):
 
     Defaults are the WGS-84 equatorial radius, the standard gravitational
     parameter, and the sidereal rotation rate; no flattening.  The radius
-    is bounded so that footprint areas and orbit radii stay finite.
+    is bounded so that footprint areas and orbit radii stay finite, and the
+    rotation rate to at most 1 rad/s so that no rotation angle overflows.
     """
 
     radius_km: float = _within(6378.137, 1.0, 1e6)
     mu_km3_s2: float = 398600.4418
-    rotation_rate_rad_s: float = 7.2921159e-5
+    rotation_rate_rad_s: float = _rule(7.2921159e-5, "in (0, 1]", lambda v: 0.0 < v <= 1.0)
 
 
 EARTH = EarthModel()
@@ -76,7 +77,7 @@ class WalkerConfig(_Record, key="walker"):
     total_sats: int = _size(300)
     planes: int | None = None
     phasing: int = _non_negative(1)
-    altitude_km: float = 900.0
+    altitude_km: float = _within(900.0, *ALTITUDE_KM)
     inclination_deg: float = _within(90.0, 0.0, 180.0)
     raan_spread_deg: float = _rule(180.0, "180 or 360", lambda v: v in (180.0, 360.0))
 
@@ -180,11 +181,6 @@ def walker_constellation(spec: WalkerSpec, earth: EarthModel = EARTH) -> WalkerE
     degrees.  All satellites share altitude and inclination.
     """
     semimajor = earth.radius_km + spec.altitude_km
-    if semimajor <= earth.radius_km:
-        raise ValueError(
-            f"semimajor_km ({semimajor}) must exceed the Earth radius "
-            f"({earth.radius_km} km)"
-        )
     in_plane_step = 360.0 * spec.planes / spec.total_sats
     phase_step = spec.phasing * 360.0 / spec.total_sats
     j = np.arange(spec.planes)[:, None]

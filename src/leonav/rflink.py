@@ -12,16 +12,20 @@ import math
 from dataclasses import dataclass
 
 from .orbits import EARTH
-from .schema import _one_of, _Record, _within
+from .schema import _check_positive, _Record, _within
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
-#: Carrier frequencies selectable by name in link parameters.
+#: Carrier frequencies selectable by name as ``link.reference``.
 BAND_HZ = {
     "L1": 1.57542e9,
     "L2": 1.2276e9,
     "L5": 1.17645e9,
 }
+
+#: Bounds of a raw carrier frequency (Hz) a scenario may state: 1 MHz to
+#: 1 THz, so that every path loss at the link altitudes stays finite.
+FREQUENCY_HZ = (1e6, 1e12)
 
 #: Constellation altitudes used as MEO comparison points (km).
 GPS_ALTITUDE_KM = 20182.0
@@ -39,29 +43,10 @@ JAMMER_MARGIN_DB = (0.0, 200.0)
 #: finite integer.
 MATERIAL_LOSS_DB = (1e-3, 1e3)
 
-#: Bounds of the link altitudes (km) a scenario may state; at every Earth
-#: radius and elevation it accepts, each slant range stays finite and
-#: non-zero.
-ALTITUDE_KM = (1.0, 1e6)
-
-
-@dataclass(frozen=True)
-class LinkParams(_Record, key="link"):
-    """Carrier selection for path-loss work: a named band or raw frequency."""
-
-    reference: str = _one_of(*BAND_HZ)
-    frequency_hz: float | None = None
-
-    @property
-    def carrier_hz(self) -> float:
-        return self.frequency_hz if self.frequency_hz is not None else BAND_HZ[self.reference]
-
-
-def _check_positive(**values: float) -> None:
-    """Reject, by argument name, any value that is not finite and > 0."""
-    for name, value in values.items():
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} ({value}) must be finite and strictly positive")
+#: Bounds of the footprint masks (deg) a scenario may state; at every
+#: corner of the Earth-radius and altitude bounds, 1 - cos of each coverage
+#: half angle stays non-zero, so every footprint gain is finite.
+FOOTPRINT_MASK_DEG = (0.0, 89.0)
 
 
 def fspl_db(distance_km: float, frequency_hz: float) -> float:

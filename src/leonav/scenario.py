@@ -6,9 +6,10 @@ complete, valid scenario at the documented desk-scale defaults.  Unknown
 keys are errors unless lenient parsing is requested, in which case they
 are reported and ignored.
 
-Each section is a record of ``schema`` (see there for the field rules):
-the domain's own parameter record, or a record here that extends one
-with the knobs of the reports.
+Each section is one record of ``schema`` (see there for the field
+rules): the domain's own parameter record, or a record here holding the
+knobs of the reports.  The jammer section alone extends a domain record,
+the calibration its functions take.
 """
 
 from __future__ import annotations
@@ -22,19 +23,21 @@ from typing import Any
 
 from .geometry import TimeWindow
 from .orbits import EarthModel, WalkerConfig
-from .payload import PayloadHeritage
+from .payload import MAX_UNITS, OVERHEAD, PA_EFFICIENCY, POWER_W, ClockUnit
 from .rflink import (
-    ALTITUDE_KM,
+    BAND_HZ,
+    FOOTPRINT_MASK_DEG,
+    FREQUENCY_HZ,
     GALILEO_ALTITUDE_KM,
     GPS_ALTITUDE_KM,
     JAMMER_MARGIN_DB,
     JAMMER_POWER_W,
     JAMMER_RADIUS_M,
     JammerCalibration,
-    LinkParams,
     MaterialLossTable,
 )
 from .schema import (
+    ALTITUDE_KM,
     MAX_SITES,
     ScenarioError,
     _build,
@@ -60,16 +63,19 @@ class SweepConfig(_Record, key="sweep"):
     """DOP map/sweep controls shared by dop-map, dop-sweep, and optimize."""
 
     sizes: tuple[int, ...] = _size((200, 250, 300, 350, 400))
-    altitudes_km: tuple[float, ...] = (600.0, 800.0, 1000.0, 1200.0, 1400.0)
+    altitudes_km: tuple[float, ...] = _within((600.0, 800.0, 1000.0, 1200.0, 1400.0), *ALTITUDE_KM)
     mask_deg: float = _rule(5.0, "in [0, 90)", lambda v: 0.0 <= v < 90.0)
     percentile: float = _rule(95.0, "in (0, 100]", lambda v: 0.0 < v <= 100.0)
     aggregation: str = _one_of("pooled", "worst_site")
 
 
 @dataclass(frozen=True)
-class LinkConfig(LinkParams, key="link"):
-    """Carrier plus the altitude/mask samplings of the RF curve reports."""
+class LinkConfig(_Record, key="link"):
+    """Carrier (a named band, or a raw frequency that overrides it) plus the
+    altitude/mask samplings of the RF curve reports."""
 
+    reference: str = _one_of(*BAND_HZ)
+    frequency_hz: float | None = _within(None, *FREQUENCY_HZ)
     meo_altitude_km: float = _within(GALILEO_ALTITUDE_KM, *ALTITUDE_KM)
     elevation_deg: float = _within(90.0, 0.0, 90.0)
     pathloss_altitudes_km: tuple[float, ...] = _within((
@@ -79,9 +85,11 @@ class LinkConfig(LinkParams, key="link"):
     footprint_altitudes_km: tuple[float, ...] = _within((
         500.0, 600.0, 700.0, 800.0, 900.0, 1000.0, 1100.0, 1200.0, 1300.0, 1400.0,
     ), *ALTITUDE_KM)
-    footprint_masks_deg: tuple[float, ...] = _rule(
-        (0.0, 30.0), "in [0, 90)", lambda v: 0.0 <= v < 90.0
-    )
+    footprint_masks_deg: tuple[float, ...] = _within((0.0, 30.0), *FOOTPRINT_MASK_DEG)
+
+    @property
+    def carrier_hz(self) -> float:
+        return self.frequency_hz if self.frequency_hz is not None else BAND_HZ[self.reference]
 
     def _check_across_fields(self) -> None:
         highest = max(self.footprint_altitudes_km)
@@ -110,30 +118,39 @@ class JammerConfig(JammerCalibration, key="jammer"):
     report_radius_m: float = _within(100.0, *JAMMER_RADIUS_M)
 
 
-#: Bounds of the integration overhead, as a fraction of the payload power
-#: (up to +1,000 %), so that no overhead overflows a power figure.
-_OVERHEAD = (0.0, 10.0)
-
-
 @dataclass(frozen=True)
-class PayloadConfig(PayloadHeritage, key="payload"):
-    """Heritage payload figures plus the LEO scaling knobs."""
+class PayloadConfig(_Record, key="payload"):
+    """Heritage MEO payload figures plus the LEO scaling knobs.
 
-    leo_signals: int = 2
-    overhead_low: float = _within(0.0, *_OVERHEAD)
-    overhead_high: float = _within(0.9, *_OVERHEAD)
+    Defaults describe a ~900 W navigation payload broadcasting ten
+    signals, with 254-273 W of RF output at 51% power-amplifier
+    efficiency and a two-rubidium, two-hydrogen-maser clock suite.
+    """
+
+    total_payload_w: float = _within(900.0, *POWER_W)
+    rf_output_w_low: float = _within(254.0, *POWER_W)
+    rf_output_w_high: float = _within(273.0, *POWER_W)
+    pa_efficiency: float = _within(0.51, *PA_EFFICIENCY)
+    n_signals: int = _count(10, MAX_UNITS)
+    clocks: tuple[ClockUnit, ...] = (
+        ClockUnit("rubidium", 35.0, 2),
+        ClockUnit("hydrogen_maser", 70.0, 2),
+    )
+    leo_signals: int = _count(2, MAX_UNITS)
+    overhead_low: float = _within(0.0, *OVERHEAD)
+    overhead_high: float = _within(0.9, *OVERHEAD)
 
     def _check_across_fields(self) -> None:
-        super()._check_across_fields()
+        if self.rf_output_w_high < self.rf_output_w_low:
+            raise ValueError(
+                f"rf_output_w_high ({self.rf_output_w_high}) must be >= "
+                f"rf_output_w_low ({self.rf_output_w_low})"
+            )
         if self.overhead_high < self.overhead_low:
             raise ValueError(
-                f"overhead range ({self.overhead_low}, {self.overhead_high}) "
-                f"must satisfy low <= high"
+                f"overhead_high ({self.overhead_high}) must be >= "
+                f"overhead_low ({self.overhead_low})"
             )
-
-    @property
-    def overhead_range(self) -> tuple[float, float]:
-        return (self.overhead_low, self.overhead_high)
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,15 @@ MAX_SATS = 100_000
 #: fail deep in numpy instead of naming its key.
 MAX_SITES = 1_000_000
 
+#: Largest epoch count (``window.duration_s / window.step_s``) a scenario
+#: may request, bounded for the same reason as ``MAX_SITES``.
+MAX_EPOCHS = 1_000_000
+
+#: Bounds of every altitude (km) a scenario may state, orbit or link: at
+#: every Earth radius and elevation it accepts, each slant range and orbit
+#: radius stays finite and non-zero.
+ALTITUDE_KM = (1.0, 1e6)
+
 
 def _size(default: Any) -> Any:
     """A constellation-size field (each entry, for a list): 1 to ``MAX_SATS``."""
@@ -69,6 +78,13 @@ def _size(default: Any) -> Any:
 
 
 _Reader = Callable[[Any, str], Any]
+
+
+def _check_positive(**values: float) -> None:
+    """Reject, by argument name, any value that is not finite and > 0."""
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} ({value}) must be finite and strictly positive")
 
 
 def _expect(value: Any, kinds: type | tuple[type, ...], key: str, constraint: str) -> Any:

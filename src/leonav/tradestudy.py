@@ -39,7 +39,7 @@ from .rflink import (
     slant_range_km,
 )
 from .scenario import Scenario, scenario_hash
-from .schema import MAX_SATS
+from .schema import MAX_SATS, _check_positive
 
 #: The MEO comparison constellation: 24 satellites, 6 planes, 55 degrees,
 #: semi-synchronous altitude, full RAAN spread.
@@ -172,9 +172,7 @@ def min_constellation_size(
     An unreachable target returns the best evaluated size with
     reachable=False.
     """
-    for name, value in (("altitude_km", altitude_km), ("target_pdop", target_pdop)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} ({value}) must be finite and strictly positive")
+    _check_positive(altitude_km=altitude_km, target_pdop=target_pdop)
     if not 1 <= ceiling <= MAX_SATS:
         raise ValueError(f"ceiling ({ceiling}) must be >= 1 and <= {MAX_SATS}")
 
@@ -352,8 +350,8 @@ def jammer_table(scenario: Scenario) -> list[dict]:
 def power_report(scenario: Scenario) -> list[dict]:
     """Heritage-to-LEO payload power pipeline as labeled budget lines.
 
-    The GNSS-equivalent line derives its gain range from the footprint
-    advantage at the scenario's altitude extremes (horizon mask).
+    The GNSS-equivalent line divides the with-overhead LEO payload by the
+    footprint advantage at the scenario's altitude extremes (horizon mask).
     """
     payload = scenario.payload
     clock_w = clock_budget_w(payload.clocks)
@@ -362,53 +360,27 @@ def power_report(scenario: Scenario) -> list[dict]:
     per_signal = per_signal_bus_power_w(
         payload.rf_output_w_high, payload.n_signals, payload.pa_efficiency
     )
-    leo_range = leo_payload_power_w(payload.leo_signals, per_signal, payload.overhead_range)
-    alts = scenario.link.footprint_altitudes_km
-    gain_low = footprint_gain_db(
-        max(alts), scenario.link.meo_altitude_km, 0.0, scenario.earth.radius_km
+    leo_low, leo_high = (
+        leo_payload_power_w(payload.leo_signals, per_signal, overhead)
+        for overhead in (payload.overhead_low, payload.overhead_high)
     )
-    gain_high = footprint_gain_db(
-        min(alts), scenario.link.meo_altitude_km, 0.0, scenario.earth.radius_km
+    link = scenario.link
+    gain_low, gain_high = (
+        footprint_gain_db(alt, link.meo_altitude_km, 0.0, scenario.earth.radius_km)
+        for alt in (max(link.footprint_altitudes_km), min(link.footprint_altitudes_km))
     )
-    gnss_range = gnss_equivalent_power_w(leo_range, (gain_low, gain_high))
-    return [
-        {
-            "quantity": "heritage_payload_w",
-            "low_w": payload.total_payload_w,
-            "high_w": payload.total_payload_w,
-            "note": "total heritage navigation payload",
-        },
-        {
-            "quantity": "clock_budget_w",
-            "low_w": clock_w,
-            "high_w": clock_w,
-            "note": "exact unit sum; heritage figures round this to 200 W",
-        },
-        {
-            "quantity": "signal_generation_w",
-            "low_w": gen_low,
-            "high_w": gen_high,
-            "note": "RF output over PA efficiency",
-        },
-        {
-            "quantity": "per_signal_bus_w",
-            "low_w": per_signal,
-            "high_w": per_signal,
-            "note": "upper RF output split across heritage signals",
-        },
-        {
-            "quantity": "leo_payload_w",
-            "low_w": leo_range[0],
-            "high_w": leo_range[1],
-            "note": f"{payload.leo_signals} signals across the overhead range",
-        },
-        {
-            "quantity": "gnss_equivalent_w",
-            "low_w": gnss_range[0],
-            "high_w": gnss_range[1],
-            "note": (
-                f"with-overhead payload over {gain_low:.2f}-{gain_high:.2f} dB "
-                "footprint gain"
-            ),
-        },
+    lines = [
+        ("heritage_payload_w", payload.total_payload_w, payload.total_payload_w,
+         "total heritage navigation payload"),
+        ("clock_budget_w", clock_w, clock_w,
+         "exact unit sum; heritage figures round this to 200 W"),
+        ("signal_generation_w", gen_low, gen_high, "RF output over PA efficiency"),
+        ("per_signal_bus_w", per_signal, per_signal,
+         "upper RF output split across heritage signals"),
+        ("leo_payload_w", leo_low, leo_high,
+         f"{payload.leo_signals} signals across the overhead range"),
+        ("gnss_equivalent_w", gnss_equivalent_power_w(leo_high, gain_high),
+         gnss_equivalent_power_w(leo_high, gain_low),
+         f"with-overhead payload over {gain_low:.2f}-{gain_high:.2f} dB footprint gain"),
     ]
+    return [dict(zip(("quantity", "low_w", "high_w", "note"), line)) for line in lines]

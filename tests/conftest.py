@@ -16,6 +16,15 @@ TINY = {
 }
 
 
+def _reject_constant(name: str):
+    raise AssertionError(f"report holds {name}")
+
+
+def finite_json(text: str):
+    """The JSON document, failing on NaN and Infinity, which json.loads accepts."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 @pytest.fixture
 def tiny_scenario() -> Scenario:
     return parse_scenario(json.dumps(TINY))

@@ -18,7 +18,7 @@ import pytest
 import leonav
 from leonav.cli import _REPORTS, main
 
-from conftest import TINY
+from conftest import TINY, finite_json
 
 
 def write_config(tmp_path, extra: dict | None = None) -> str:
@@ -295,8 +295,19 @@ class TestExitCodes:
             argv += [name, text]
         assert main(argv) == 1
         captured = capsys.readouterr()
-        key = flag[2:].replace("-", "_")
-        assert f"{key} ({value}) must be finite and strictly positive" in captured.err
+        assert {
+            "--altitude-km": f"--altitude-km ({value}) must be in [1, 1e+06]",
+            "--target-pdop": f"target_pdop ({value}) must be finite and strictly positive",
+        }[flag] in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["0.5", "1e300", "many"])
+    def test_optimize_altitude_shares_the_altitude_bound(self, capsys, value):
+        """The flag is held to walker.altitude_km's bound and named itself."""
+        assert main(["optimize", "--altitude-km", value, "--target-pdop", "3"]) == 1
+        captured = capsys.readouterr()
+        assert "--altitude-km" in captured.err
+        assert "walker.altitude_km" not in captured.err
         assert captured.out == ""
 
     def test_huge_size_exits_at_once_and_names_the_key(self, tmp_path, capsys):
@@ -370,6 +381,28 @@ class TestExitCodes:
          "link.footprint_altitudes_km[0]: must be in [1, 1e+06]"),
         ("power", {"payload": {"overhead_high": 1e308}},
          "payload.overhead_high: must be in [0, 10]"),
+        ("power", {"payload": {"leo_signals": 1e300}}, "payload.leo_signals: must be >= 1"),
+        ("power", {"payload": {"leo_signals": 10**400}}, "payload.leo_signals: must be >= 1"),
+        ("power", {"payload": {"n_signals": 10**400}}, "payload.n_signals: must be >= 1"),
+        ("power", {"payload": {"clocks": [{"name": "x", "unit_power_w": 1e308, "count": 10}]}},
+         "payload.clocks[0].unit_power_w: must be in [1e-06, 1e+06]"),
+        ("power", {"payload": {"rf_output_w_high": 1e308, "pa_efficiency": 0.01}},
+         "payload.rf_output_w_high: must be in [1e-06, 1e+06]"),
+        ("power", {"payload": {"rf_output_w_low": 1e308, "rf_output_w_high": 1e308,
+                               "pa_efficiency": 0.01}},
+         "payload.rf_output_w_low: must be in [1e-06, 1e+06]"),
+        ("footprint", {"link": {"footprint_masks_deg": [89.9999999]}},
+         "link.footprint_masks_deg[0]: must be in [0, 89]"),
+        ("pathloss", {"link": {"frequency_hz": 1e308}}, "link.frequency_hz: must be in"),
+        ("dop-map", {"walker": {"altitude_km": 1e300}}, "walker.altitude_km: must be in [1, 1e+06]"),
+        ("dop-sweep", {"sweep": {"altitudes_km": [900.0, 1e300]}},
+         "sweep.altitudes_km[1]: must be in [1, 1e+06]"),
+        ("baseline", {"window": {"duration_s": 1e308}}, "window: duration_s / step_s"),
+        ("baseline", {"window": {"step_s": 1e-300}}, "window: duration_s / step_s"),
+        ("baseline", {"window": {"duration_s": 1.2e14}},
+         "window: duration_s / step_s (1e+12 epochs) must be <= 1000000"),
+        ("baseline", {"earth": {"rotation_rate_rad_s": 1e308}},
+         "earth.rotation_rate_rad_s: must be in (0, 1]"),
     ])
     def test_overflowing_value_names_the_key(self, tmp_path, capsys, command, scenario, message):
         """Values that once overflowed or divided by zero inside a report."""
@@ -403,7 +436,7 @@ class TestExitCodes:
             "link": {"elevation_deg": elevation, "pathloss_altitudes_km": [1.0, 1e6]},
         })
         assert main(["pathloss", "--config", cfg, "--format", "json", "--quiet"]) == 0
-        rows = json.loads(capsys.readouterr().out)["rows"]
+        rows = finite_json(capsys.readouterr().out)["rows"]
         assert all(r[1] > 0.0 and r[2] > 0.0 for r in rows)  # slant range and path loss
 
     @pytest.mark.parametrize("loss", [1e-3, 1e3])
@@ -412,7 +445,7 @@ class TestExitCodes:
             "materials": {"wood_db": loss}, "jammer": {"margins_db": [0.0, 200.0]},
         })
         assert main(["jammer", "--config", cfg, "--format", "json", "--quiet"]) == 0
-        json.loads(capsys.readouterr().out)
+        finite_json(capsys.readouterr().out)
 
     def test_link_and_overhead_bounds_give_finite_power(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
@@ -421,14 +454,14 @@ class TestExitCodes:
         })
         for command in ("power", "footprint"):
             assert main([command, "--config", cfg, "--format", "json", "--quiet"]) == 0
-            json.loads(capsys.readouterr().out)
+            finite_json(capsys.readouterr().out)
 
     @pytest.mark.parametrize("radius", [1.0, 1e6])
     @pytest.mark.parametrize("command", ["footprint", "power", "pathloss"])
     def test_earth_radius_bounds_give_finite_reports(self, tmp_path, capsys, command, radius):
         cfg = write_config(tmp_path, {"earth": {"radius_km": radius}})
         assert main([command, "--config", cfg, "--format", "json", "--quiet"]) == 0
-        json.loads(capsys.readouterr().out)  # rejects NaN and Infinity
+        finite_json(capsys.readouterr().out)
 
     @pytest.mark.parametrize("radius, code", [(1.0, 0), (1e6, 2)])
     def test_earth_radius_bounds_in_the_baseline(self, tmp_path, capsys, radius, code):

@@ -8,18 +8,18 @@ import pytest
 
 from leonav.payload import (
     ClockUnit,
-    PayloadHeritage,
     clock_budget_w,
     gnss_equivalent_power_w,
     leo_payload_power_w,
     per_signal_bus_power_w,
     signal_generation_w,
 )
+from leonav.scenario import PayloadConfig
 
 
 class TestHeritage:
     def test_default_figures(self):
-        h = PayloadHeritage()
+        h = PayloadConfig()
         assert h.total_payload_w == 900.0
         assert (h.rf_output_w_low, h.rf_output_w_high) == (254.0, 273.0)
         assert h.pa_efficiency == 0.51
@@ -42,7 +42,7 @@ class TestHeritage:
     )
     def test_validation(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
-            PayloadHeritage(**kwargs)
+            PayloadConfig(**kwargs)
 
     def test_clock_unit_validation(self):
         with pytest.raises(ValueError, match="unit_power_w"):
@@ -53,7 +53,7 @@ class TestHeritage:
 
 class TestBudgetPieces:
     def test_clock_budget(self):
-        assert clock_budget_w(PayloadHeritage().clocks) == pytest.approx(210.0)
+        assert clock_budget_w(PayloadConfig().clocks) == pytest.approx(210.0)
         assert clock_budget_w((ClockUnit("csac", 0.12, 3),)) == pytest.approx(0.36)
 
     def test_signal_generation(self):
@@ -79,48 +79,38 @@ class TestBudgetPieces:
 class TestLeoPayloadPower:
     def test_two_signal_range(self):
         per_signal = per_signal_bus_power_w(273.0, 10, 0.51)
-        low, high = leo_payload_power_w(2, per_signal, (0.0, 0.9))
+        low = leo_payload_power_w(2, per_signal, 0.0)
+        high = leo_payload_power_w(2, per_signal, 0.9)
         assert low == pytest.approx(107.0588235, abs=1e-6)
         assert high == pytest.approx(203.4117647, abs=1e-6)
         assert high == pytest.approx(low * 1.9, rel=1e-12)
 
-    def test_zero_overhead_collapses_range(self):
-        low, high = leo_payload_power_w(3, 50.0, overhead_range=(0.0, 0.0))
-        assert low == high == pytest.approx(150.0)
+    def test_zero_overhead_is_signals_times_per_signal(self):
+        assert leo_payload_power_w(3, 50.0, overhead=0.0) == pytest.approx(150.0)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="n_signals"):
-            leo_payload_power_w(0, 50.0, (0.0, 0.9))
+            leo_payload_power_w(0, 50.0, 0.9)
         with pytest.raises(ValueError, match="per_signal_w"):
-            leo_payload_power_w(2, 0.0, (0.0, 0.9))
-        with pytest.raises(ValueError, match="overhead_range"):
-            leo_payload_power_w(2, 50.0, overhead_range=(-0.1, 0.5))
-        with pytest.raises(ValueError, match="overhead_range"):
-            leo_payload_power_w(2, 50.0, overhead_range=(0.5, 0.1))
-
-
-#: A 4x to 10x footprint advantage, in dB.
-GAIN_4X_10X_DB = (10.0 * math.log10(4.0), 10.0)
+            leo_payload_power_w(2, 0.0, 0.9)
+        with pytest.raises(ValueError, match="overhead"):
+            leo_payload_power_w(2, 50.0, overhead=-0.1)
 
 
 class TestGnssEquivalent:
-    def test_brackets_upper_endpoint(self):
-        low, high = gnss_equivalent_power_w((107.0588235, 203.4117647), GAIN_4X_10X_DB)
-        # 203.41 W shrunk by 10 dB and by 6.02 dB
+    def test_divides_by_the_linear_gain(self):
+        # 203.41 W shrunk by 10 dB and by 6.02 dB (a 10x and a 4x footprint advantage)
+        low = gnss_equivalent_power_w(203.4117647, 10.0)
+        high = gnss_equivalent_power_w(203.4117647, 10.0 * math.log10(4.0))
         assert low == pytest.approx(20.34117647, abs=1e-6)
         assert high == pytest.approx(50.85294118, abs=1e-6)
         assert high == pytest.approx(low * 2.5, rel=1e-9)
 
     def test_zero_gain_identity(self):
-        low, high = gnss_equivalent_power_w((100.0, 180.0), (0.0, 0.0))
-        assert low == high == pytest.approx(180.0)
+        assert gnss_equivalent_power_w(180.0, 0.0) == 180.0
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="leo_total_w_range"):
-            gnss_equivalent_power_w((0.0, 100.0), GAIN_4X_10X_DB)
-        with pytest.raises(ValueError, match="leo_total_w_range"):
-            gnss_equivalent_power_w((100.0, 50.0), GAIN_4X_10X_DB)
-        with pytest.raises(ValueError, match="footprint_gain_db_range"):
-            gnss_equivalent_power_w((50.0, 100.0), (-1.0, 5.0))
-        with pytest.raises(ValueError, match="footprint_gain_db_range"):
-            gnss_equivalent_power_w((50.0, 100.0), (8.0, 5.0))
+        with pytest.raises(ValueError, match="power_w"):
+            gnss_equivalent_power_w(0.0, 10.0)
+        with pytest.raises(ValueError, match="footprint_gain_db"):
+            gnss_equivalent_power_w(100.0, -1.0)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +14,8 @@ import pytest
 
 from leonav.geometry import TimeWindow
 from leonav.orbits import EarthModel, WalkerSpec
-from leonav.payload import ClockUnit, PayloadHeritage
-from leonav.rflink import JammerCalibration, LinkParams, MaterialLossTable
+from leonav.payload import ClockUnit
+from leonav.rflink import JammerCalibration, MaterialLossTable
 from leonav.scenario import (
     LinkConfig,
     PayloadConfig,
@@ -50,7 +52,7 @@ class TestDefaults:
         assert s.jammer.ref_power_w == 0.01
         assert s.jammer.ref_radius_m == 100.0
         assert s.payload.leo_signals == 2
-        assert s.payload.overhead_range == (0.0, 0.9)
+        assert (s.payload.overhead_low, s.payload.overhead_high) == (0.0, 0.9)
 
 
 class TestOverrides:
@@ -197,9 +199,9 @@ class TestRejections:
              '{"window": {"duration_s": 1000, "step_s": 300}}', "window: step_s"),
             (lambda: JammerCalibration(ref_power_w=0), '{"jammer": {"ref_power_w": 0}}',
              r"jammer.ref_power_w: must be in \[1e-09, 1e\+09\]"),
-            (lambda: LinkParams(reference="S"), '{"link": {"reference": "S"}}',
+            (lambda: LinkConfig(reference="S"), '{"link": {"reference": "S"}}',
              "link.reference: must be one of"),
-            (lambda: PayloadHeritage(rf_output_w_high=100),
+            (lambda: PayloadConfig(rf_output_w_high=100),
              '{"payload": {"rf_output_w_high": 100}}', "payload: rf_output_w_high"),
             (lambda: MaterialLossTable(wood_db=0), '{"materials": {"wood_db": 0}}',
              r"materials.wood_db: must be in \[0.001, 1000\]"),
@@ -231,8 +233,8 @@ RECORDS = [
     (WalkerSpec, "walker", {"total_sats": 24, "planes": 6}, "altitude_km", "total_sats"),
     (TimeWindow, "window", {}, "step_s", None),
     (ClockUnit, "clock", {"name": "x", "unit_power_w": 1.0}, "unit_power_w", "count"),
-    (PayloadHeritage, "payload", {}, "total_payload_w", "n_signals"),
-    (LinkParams, "link", {}, "frequency_hz", None),
+    (PayloadConfig, "payload", {}, "total_payload_w", "n_signals"),
+    (LinkConfig, "link", {}, "frequency_hz", None),
     (JammerCalibration, "jammer", {}, "ref_power_w", None),
     (MaterialLossTable, "materials", {}, "glass_db", None),
 ]
@@ -268,13 +270,13 @@ class TestRecords:
         with pytest.raises(ScenarioError, match="walker.total_sats: must be an integer"):
             WalkerSpec(np.bool_(True), 1)
 
-    def test_sections_extend_the_records(self):
-        s = Scenario()
-        assert isinstance(s.link, LinkParams)
-        assert isinstance(s.jammer, JammerCalibration)
-        assert isinstance(s.payload, PayloadHeritage)
-        assert type(s.materials) is MaterialLossTable
-        assert s.materials.walls == (
+    def test_each_section_is_one_record(self):
+        """No section splits its keys over a base record, except the jammer
+        section, which extends the calibration its functions take."""
+        for name, cls in typing.get_type_hints(Scenario).items():
+            bases = [b for b in cls.__mro__[1:] if dataclasses.is_dataclass(b)]
+            assert bases == ([JammerCalibration] if name == "jammer" else []), name
+        assert Scenario().materials.walls == (
             ("wood", 10.0), ("brick", 12.0), ("concrete", 15.0),
             ("glass", 17.0), ("container", 25.0),
         )

@@ -10,7 +10,11 @@ import math
 import pytest
 
 from leonav.geometry import NoCoverageError, percentile_pdop
+from leonav.orbits import EarthModel
+from leonav.payload import MAX_UNITS, OVERHEAD, PA_EFFICIENCY, POWER_W, ClockUnit
 from leonav.rflink import (
+    FOOTPRINT_MASK_DEG,
+    FREQUENCY_HZ,
     JAMMER_MARGIN_DB,
     JAMMER_POWER_W,
     JAMMER_RADIUS_M,
@@ -20,6 +24,8 @@ from leonav.rflink import (
 )
 from leonav.scenario import (
     JammerConfig,
+    LinkConfig,
+    PayloadConfig,
     Scenario,
     SweepConfig,
     parse_scenario,
@@ -40,6 +46,13 @@ from leonav.tradestudy import (
 )
 
 from conftest import TINY
+
+#: Earth radii (km) at the ends of the earth.radius_km bound.
+RADIUS_KM = (1.0, 1e6)
+
+#: (footprint altitudes, MEO altitude) at the ends of the altitude bound:
+#: the largest and smallest LEO-over-MEO gaps.
+FOOTPRINT_CORNERS = (((1.0,), 2.0), ((1.0,), 1e6), ((999_999.0,), 1e6))
 
 
 def tiny() -> Scenario:
@@ -216,6 +229,16 @@ class TestPathlossCurve:
         )
         assert row["slant_range_km"] > 1000.0
 
+    def test_finite_and_positive_at_every_corner_of_the_bounds(self):
+        for radius, frequency, elevation in itertools.product(
+            RADIUS_KM, FREQUENCY_HZ, (0.0, 90.0)
+        ):
+            link = LinkConfig(frequency_hz=frequency, elevation_deg=elevation,
+                              pathloss_altitudes_km=(1.0, 1e6))
+            for row in pathloss_curve(Scenario(earth=EarthModel(radius_km=radius), link=link)):
+                assert 0.0 < row["slant_range_km"] < math.inf, (radius, link, row)
+                assert 0.0 < row["fspl_db"] < math.inf, (radius, link, row)
+
 
 class TestFootprintCurve:
     def test_rows_and_masks(self):
@@ -232,6 +255,16 @@ class TestFootprintCurve:
     def test_masked_gain_exceeds_open_sky_gain(self):
         for row in footprint_curve(Scenario()):
             assert row["gain_db_mask30"] > row["gain_db_mask0"]
+
+    def test_gains_finite_and_positive_at_every_corner_of_the_bounds(self):
+        """Beyond 89 degrees, 1 - cos of the LEO cap's half angle rounds to 0
+        at R = 1e6 km and a 1 km altitude."""
+        for radius, (leo, meo) in itertools.product(RADIUS_KM, FOOTPRINT_CORNERS):
+            link = LinkConfig(footprint_altitudes_km=leo, meo_altitude_km=meo,
+                              footprint_masks_deg=FOOTPRINT_MASK_DEG)
+            for row in footprint_curve(Scenario(earth=EarthModel(radius_km=radius), link=link)):
+                for mask in FOOTPRINT_MASK_DEG:
+                    assert 0.0 < row[f"gain_db_mask{mask:g}"] < math.inf, (radius, link, row)
 
 
 class TestJammerTable:
@@ -314,3 +347,30 @@ class TestPowerReport:
     def test_every_line_has_a_note(self):
         for row in power_report(Scenario()):
             assert isinstance(row["note"], str) and row["note"]
+
+    def test_lines_finite_and_non_zero_at_every_corner_of_the_bounds(self):
+        counts = (1, MAX_UNITS)
+        bounds = {
+            "total_payload_w": POWER_W, "rf_output_w_low": POWER_W,
+            "rf_output_w_high": POWER_W, "pa_efficiency": PA_EFFICIENCY,
+            "n_signals": counts, "leo_signals": counts,
+            "overhead_low": OVERHEAD, "overhead_high": OVERHEAD,
+        }
+        corners = [dict(zip(bounds, corner)) for corner in itertools.product(*bounds.values())]
+        payloads = [
+            PayloadConfig(clocks=(ClockUnit("x", unit_power_w, count),), **fields)
+            for fields in corners
+            if fields["rf_output_w_low"] <= fields["rf_output_w_high"]
+            and fields["overhead_low"] <= fields["overhead_high"]
+            for unit_power_w, count in itertools.product(POWER_W, counts)
+        ]
+        assert len(payloads) == 2**4 * 3 * 3 * 4  # low <= high keeps 3 of 4 pairs
+        links = [
+            (EarthModel(radius_km=radius), LinkConfig(footprint_altitudes_km=leo,
+                                                      meo_altitude_km=meo))
+            for radius, (leo, meo) in itertools.product(RADIUS_KM, FOOTPRINT_CORNERS)
+        ]
+        for payload, (earth, link) in itertools.product(payloads, links):
+            for row in power_report(Scenario(earth=earth, link=link, payload=payload)):
+                for key in ("low_w", "high_w"):
+                    assert 0.0 < row[key] < math.inf, (payload, earth, link, row)
