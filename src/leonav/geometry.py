@@ -1,30 +1,32 @@
-"""Topocentric visibility, dilution of precision, and global PDOP statistics.
+"""Dilution of precision and global PDOP statistics.
 
 The single observable is geometry: unit lines of sight from ground sites
 to satellites expressed in the local east/north/up frame.  DOP values
 come from the covariance of the four-parameter (position + clock)
 least-squares solution, Q = inv(G' G) with one geometry-matrix row
-``[-e, -n, -u, 1]`` per visible satellite.
+``[-e, -n, -u, 1]`` per visible satellite.  One solver serves every
+caller: the closed form over per-sample sums where it is provably
+well-conditioned, and an eigenvalue condition test plus LAPACK's inverse
+elsewhere.  ``pdop_samples`` runs it over a whole grid and window, and
+``dop`` on the lines of sight of one site.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .orbits import (
     EARTH,
     EarthModel,
-    EcefPosition,
     WalkerSpec,
     propagate_arrays,
     rotate_eci_to_ecef,
     walker_constellation,
 )
-from .schema import MAX_EPOCHS, _Record
+from .schema import MAX_EPOCHS, WINDOW_S, _Record, _within
 
 #: Condition-number ceiling for the normal matrix; above it the solution
 #: is treated as singular rather than inverted.
@@ -64,11 +66,11 @@ class NoCoverageError(GeometryError):
 class TimeWindow(_Record, key="window"):
     """Sampling window: epochs k*step_s for k in [0, duration_s/step_s).
 
-    The step must divide the duration, at most ``MAX_EPOCHS`` times; the
-    end point is excluded.
+    The duration lies in ``WINDOW_S``, and the step must divide it, at
+    most ``MAX_EPOCHS`` times; the end point is excluded.
     """
 
-    duration_s: float = 21600.0
+    duration_s: float = _within(21600.0, *WINDOW_S)
     step_s: float = 120.0
 
     def _check_across_fields(self) -> None:
@@ -162,18 +164,6 @@ class GroundGrid:
 
 
 @dataclass(frozen=True)
-class SiteObservation:
-    """One satellite as seen from a site: topocentric angles and unit LOS."""
-
-    elevation_deg: float
-    azimuth_deg: float
-    range_km: float
-    los_east: float
-    los_north: float
-    los_up: float
-
-
-@dataclass(frozen=True)
 class DopValues:
     """The five dilution-of-precision figures of one solution geometry."""
 
@@ -221,91 +211,44 @@ def _enu_basis(lat_rad: np.ndarray, lon_rad: np.ndarray) -> np.ndarray:
     ])
 
 
-def az_el_range(
-    site: EcefPosition, sat: EcefPosition
-) -> tuple[float, float, float, tuple[float, float, float]]:
-    """Topocentric azimuth, elevation, range, and ENU unit line of sight.
+def dop(los: np.ndarray) -> DopValues:
+    """DOP figures of one site's geometry, through the engine's solver.
 
-    Azimuth is measured clockwise from north in [0, 360); elevation is
-    positive above the local horizon.
-
-    Returns:
-        (azimuth_deg, elevation_deg, range_km, (east, north, up)).
-    """
-    site_v = site.as_array()
-    los = sat.as_array() - site_v
-    rng = float(np.linalg.norm(los))
-    if rng == 0.0:
-        raise ValueError("site and satellite positions coincide")
-    r_site = float(np.linalg.norm(site_v))
-    if r_site == 0.0:
-        raise ValueError("site position is at the Earth's center")
-    lat = math.asin(site_v[2] / r_site)
-    lon = math.atan2(site_v[1], site_v[0])
-    basis = _enu_basis(np.array([lat]), np.array([lon]))[..., 0]
-    enu = basis @ (los / rng)
-    elevation = math.degrees(math.asin(min(1.0, max(-1.0, enu[2]))))
-    azimuth = math.degrees(math.atan2(enu[0], enu[1])) % 360.0
-    return azimuth, elevation, rng, (float(enu[0]), float(enu[1]), float(enu[2]))
-
-
-def visible_sats(
-    site: EcefPosition,
-    sats: Iterable[EcefPosition],
-    mask_deg: float = 5.0,
-) -> list[SiteObservation]:
-    """Observations of exactly the satellites at or above the elevation mask.
-
-    Order follows the input satellite order (deterministic).
-    """
-    if not 0.0 <= mask_deg < 90.0:
-        raise ValueError(f"mask_deg ({mask_deg}) must lie in [0, 90)")
-    out = []
-    for sat in sats:
-        az, el, rng, enu = az_el_range(site, sat)
-        if el >= mask_deg:
-            out.append(SiteObservation(el, az, rng, *enu))
-    return out
-
-
-def dop(observations: Sequence[SiteObservation]) -> DopValues:
-    """DOP figures for a set of observations from one site.
-
-    Builds one geometry-matrix row [-e, -n, -u, 1] per observation and
-    inverts the normal matrix.
+    Takes the (k, 3) east/north/up unit lines of sight to the visible
+    satellites.  Where ``_schur`` clears the sample, Q's diagonal is S's
+    minors over det S and, for the clock, det A / det N with
+    det N = k det S; elsewhere it is ``_fallback``'s.
 
     Raises:
-        InsufficientGeometryError: fewer than four observations.
+        InsufficientGeometryError: fewer than four lines of sight.
         SingularGeometryError: normal-matrix condition number above
             ``CONDITION_LIMIT``.
     """
-    k = len(observations)
+    rows = np.asarray(los, dtype=float)
+    k = len(rows)
     if k < 4:
         raise InsufficientGeometryError(
             f"insufficient geometry: {k} observations, need at least 4"
         )
-    g = np.empty((k, 4), dtype=float)
-    for i, obs in enumerate(observations):
-        g[i, 0] = -obs.los_east
-        g[i, 1] = -obs.los_north
-        g[i, 2] = -obs.los_up
-        g[i, 3] = 1.0
-    normal = g.T @ g
-    svals = np.linalg.svd(normal, compute_uv=False)
-    with np.errstate(divide="ignore"):
-        cond = svals[0] / svals[-1] if svals[-1] > 0.0 else math.inf
-    if not cond <= CONDITION_LIMIT:
-        raise SingularGeometryError(
-            f"singular geometry: condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}"
-        )
-    q = np.linalg.inv(normal)
-    d = np.diag(q)
+    g = np.column_stack([-rows, np.ones(k)])
+    normal = (g.T @ g)[None]
+    count, b, a = normal[:, 3, 3], normal[:, :3, 3].T, normal[:, :3, :3].transpose(1, 2, 0)
+    sure, minor, det = _schur(count, b, a)
+    if sure[0]:
+        q = np.concatenate([*minor, np.linalg.det(normal[:, :3, :3]) / count]) / det
+    else:
+        good, q = _fallback(normal)
+        if not good[0]:
+            raise SingularGeometryError(
+                f"singular geometry: condition number exceeds {CONDITION_LIMIT:.0e}"
+            )
+        q = q[0]
     return DopValues(
-        gdop=math.sqrt(d.sum()),
-        pdop=math.sqrt(d[0] + d[1] + d[2]),
-        hdop=math.sqrt(d[0] + d[1]),
-        vdop=math.sqrt(d[2]),
-        tdop=math.sqrt(d[3]),
+        gdop=math.sqrt(q[0] + q[1] + q[2] + q[3]),
+        pdop=math.sqrt(q[0] + q[1] + q[2]),
+        hdop=math.sqrt(q[0] + q[1]),
+        vdop=math.sqrt(q[2]),
+        tdop=math.sqrt(q[3]),
     )
 
 
@@ -318,8 +261,8 @@ def pdop_samples(
 ) -> PdopSamples:
     """PDOP of every (site, epoch) sample for one constellation.
 
-    Vectorized equivalent of visible_sats + dop over the whole grid and
-    window; undefined samples (insufficient or singular geometry) are NaN.
+    The solver of ``dop`` over the whole grid and window; undefined
+    samples (insufficient or singular geometry) are NaN.
     Epochs are propagated in chunks, and sites taken in blocks, of about
     ``_PAIR_BUDGET`` epoch or site x satellite pairs, so memory does not
     grow with window length or grid size times constellation size.  Each
@@ -487,8 +430,8 @@ def _block_pdop(
         for j in range(i, 3):
             a[i, j] = a[j, i] = np.bincount(sample, e[i] * e[j], minlength=size)[enough]
 
-    sure, value = _closed_form_pdop(k, b, a)
-    pdop[enough[sure]] = value
+    sure, minor, det = _schur(k, b, a)
+    pdop[enough[sure]] = np.sqrt((minor[0] + minor[1] + minor[2])[sure] / det[sure])
 
     rest = ~sure
     normal = np.empty((int(rest.sum()), 4, 4))
@@ -504,20 +447,12 @@ def _fallback_pdop(
     """PDOP of the held samples the closed form could not clear, written
     into ``values`` at their flat (site, epoch) indices.
 
-    They keep the eigenvalue test and LAPACK's inverse, so undefined masks
-    and the values of nearly singular samples do not depend on the closed
-    form.  LAPACK solves each matrix of a stack on its own, so one call
-    over every held matrix gives the values one call per block would.
+    LAPACK solves each matrix of a stack on its own, so one call over
+    every held matrix gives the values one call per block would.
     """
     index = np.concatenate([i for i, _ in held])
-    normal = np.concatenate([n for _, n in held])
-    eig = np.linalg.eigvalsh(normal)  # ascending; the matrices are symmetric PSD
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(eig[:, 0] > 0.0, eig[:, -1] / eig[:, 0], np.inf)
-    good = cond <= CONDITION_LIMIT
-    if good.any():
-        q = np.linalg.inv(normal[good])
-        np.put(values, index[good], np.sqrt(q[:, 0, 0] + q[:, 1, 1] + q[:, 2, 2]))
+    good, q = _fallback(np.concatenate([n for _, n in held]))
+    np.put(values, index[good], np.sqrt(q[:, 0] + q[:, 1] + q[:, 2]))
 
 
 def _dot(x: list[np.ndarray], y: list[np.ndarray]) -> np.ndarray:
@@ -526,20 +461,21 @@ def _dot(x: list[np.ndarray], y: list[np.ndarray]) -> np.ndarray:
     return (x[0] * y[0] + x[2] * y[2]) + x[1] * y[1]
 
 
-def _closed_form_pdop(
+def _schur(
     k: np.ndarray, b: np.ndarray, a: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """PDOP of the samples that are provably well-conditioned.
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """The closed-form step: which samples are provably well-conditioned.
 
     Takes the blocks of normal matrices N = [[A, b], [b^T, k]] with the
     sample axis last (k: (n,), b: (3, n), A: (3, 3, n)).  For symmetric
     PSD N, cond(N) <= tr(N)^4 / det(N), and det(N) = k det S with
     S = A - b b^T / k the Schur complement of k; the position block of
-    inv(N) is inv(S), so PDOP^2 = (sum of S's principal 2x2 minors) / det S.
+    inv(N) is inv(S), so Q_ee, Q_nn and Q_uu are S's principal 2x2 minors
+    over det S.
 
     Returns:
-        (sure, pdop): the mask of samples whose bound is within
-        ``_SURE_CONDITION``, and the PDOP of those samples.
+        (sure, minor, det): the mask of samples whose bound is within
+        ``_SURE_CONDITION``, and S's three minors and determinant.
     """
     s = a - b[:, None] * b[None, :] / k
     minor = [s[i, i] * s[j, j] - s[i, j] ** 2 for i, j in ((1, 2), (0, 2), (0, 1))]
@@ -549,8 +485,24 @@ def _closed_form_pdop(
         + s[0, 2] * (s[0, 1] * s[1, 2] - s[1, 1] * s[0, 2])
     )
     trace = a[0, 0] + a[1, 1] + a[2, 2] + k
-    sure = trace**4 <= _SURE_CONDITION * k * det
-    return sure, np.sqrt((minor[0] + minor[1] + minor[2])[sure] / det[sure])
+    return trace**4 <= _SURE_CONDITION * k * det, minor, det
+
+
+def _fallback(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The LAPACK step, for the normal matrices the closed form cannot
+    clear.  Its eigenvalue condition test keeps undefined masks and the
+    values of nearly singular samples independent of the closed form.
+
+    Returns:
+        (good, q): the mask of matrices whose condition number is within
+        ``CONDITION_LIMIT``, and the diagonal of inv(N) of those, shape
+        (good.sum(), 4).
+    """
+    eig = np.linalg.eigvalsh(normal)  # ascending; the matrices are symmetric PSD
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(eig[:, 0] > 0.0, eig[:, -1] / eig[:, 0], np.inf)
+    good = cond <= CONDITION_LIMIT
+    return good, np.linalg.inv(normal[good]).diagonal(axis1=1, axis2=2)
 
 
 def weighted_percentile(

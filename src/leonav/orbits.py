@@ -15,7 +15,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .schema import ALTITUDE_KM, MAX_SATS, _non_negative, _Record, _rule, _size, _within
+from .schema import (
+    ALTITUDE_KM, MAX_SATS, MU_KM3_S2, _non_negative, _Record, _rule, _size, _within,
+)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -26,28 +28,18 @@ class EarthModel(_Record, key="earth"):
 
     Defaults are the WGS-84 equatorial radius, the standard gravitational
     parameter, and the sidereal rotation rate; no flattening.  The radius
-    is bounded so that footprint areas and orbit radii stay finite, and the
-    rotation rate to at most 1 rad/s so that no rotation angle overflows.
+    is bounded so that footprint areas and orbit radii stay finite, the
+    rotation rate to at most 1 rad/s so that no rotation angle overflows,
+    and the gravitational parameter to ``MU_KM3_S2`` so that orbit phases
+    keep sub-millimetre resolution over any window.
     """
 
     radius_km: float = _within(6378.137, 1.0, 1e6)
-    mu_km3_s2: float = 398600.4418
+    mu_km3_s2: float = _within(398600.4418, *MU_KM3_S2)
     rotation_rate_rad_s: float = _rule(7.2921159e-5, "in (0, 1]", lambda v: 0.0 < v <= 1.0)
 
 
 EARTH = EarthModel()
-
-
-@dataclass(frozen=True)
-class EcefPosition:
-    """Earth-fixed Cartesian position in kilometres."""
-
-    x_km: float
-    y_km: float
-    z_km: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x_km, self.y_km, self.z_km], dtype=float)
 
 
 class WalkerElements(NamedTuple):
@@ -238,26 +230,3 @@ def rotate_eci_to_ecef(
     y = -pos[..., 0] * sin_t + pos[..., 1] * cos_t
     return np.stack([x, y, pos[..., 2]], axis=-1)
 
-
-def site_to_ecef(
-    lat_deg: float, lon_deg: float, alt_km: float = 0.0, earth: EarthModel = EARTH
-) -> EcefPosition:
-    """Earth-fixed position of a ground site on the spherical Earth.
-
-    Args:
-        lat_deg: geocentric latitude, -90..90.
-        lon_deg: longitude, degrees east.
-        alt_km: height above the sphere (>= 0).
-    """
-    if not -90.0 <= lat_deg <= 90.0:
-        raise ValueError(f"lat_deg ({lat_deg}) must lie in [-90, 90]")
-    if alt_km < 0.0:
-        raise ValueError(f"alt_km ({alt_km}) must be >= 0")
-    r = earth.radius_km + alt_km
-    lat = math.radians(lat_deg)
-    lon = math.radians(lon_deg)
-    return EcefPosition(
-        r * math.cos(lat) * math.cos(lon),
-        r * math.cos(lat) * math.sin(lon),
-        r * math.sin(lat),
-    )

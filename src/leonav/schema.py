@@ -9,7 +9,8 @@ integer at least 1 unless the field's metadata states another rule;
 lists must not be empty, and a rule on a list field applies to each
 entry.  Cross-field rules live in each record's ``_check_across_fields``.
 A record checks itself on construction, so one built in Python meets the
-same rules, with the same messages, as one read from a file.
+same rules, with the same messages, as one read from a file.  A message
+quotes the rejected value clipped by ``_shown``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import dataclasses
 import functools
 import math
 import numbers
+import reprlib
 import sys
 import typing
 from dataclasses import field
@@ -71,6 +73,14 @@ MAX_EPOCHS = 1_000_000
 #: radius stays finite and non-zero.
 ALTITUDE_KM = (1.0, 1e6)
 
+#: Bounds of the gravitational parameter ``earth.mu_km3_s2`` (km^3/s^2) and
+#: of the window span ``window.duration_s`` (s).  Propagation takes the
+#: phase n t unreduced, so at the corner of these bounds with the smallest
+#: orbit radius the Earth-radius and altitude bounds allow (2 km), n t
+#: reaches 1.1e9 rad, whose float spacing still resolves position to 0.5 mm.
+MU_KM3_S2 = (1.0, 1e7)
+WINDOW_S = (1.0, 1e6)
+
 
 def _size(default: Any) -> Any:
     """A constellation-size field (each entry, for a list): 1 to ``MAX_SATS``."""
@@ -87,9 +97,19 @@ def _check_positive(**values: float) -> None:
             raise ValueError(f"{name} ({value}) must be finite and strictly positive")
 
 
+def _shown(value: Any) -> str:
+    """``reprlib.repr(value)``: a huge integer or a long list shows only its
+    first and last characters.  An integer past the interpreter's digit
+    limit cannot be printed at all, so a value holding one is named only."""
+    try:
+        return reprlib.repr(value)
+    except ValueError:
+        return "a value with too many digits to print"
+
+
 def _expect(value: Any, kinds: type | tuple[type, ...], key: str, constraint: str) -> Any:
     if isinstance(value, bool) or not isinstance(value, kinds):
-        raise ScenarioError(f"{key}: must be {constraint} (got {value!r})")
+        raise ScenarioError(f"{key}: must be {constraint} (got {_shown(value)})")
     return value
 
 
@@ -99,7 +119,7 @@ def _number(value: Any, key: str) -> float:
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
-        raise ScenarioError(f"{key}: must be finite (got {value!r})")
+        raise ScenarioError(f"{key}: must be finite (got {_shown(value)})")
     return number
 
 
@@ -150,7 +170,7 @@ def _reader(hint: Any, rule: tuple | None) -> _Reader:
     def read_checked(value: Any, key: str) -> Any:
         value = read(value, key)
         if not ok(value):
-            raise ScenarioError(f"{key}: must be {text} (got {value!r})")
+            raise ScenarioError(f"{key}: must be {text} (got {_shown(value)})")
         return value
 
     return read_checked

@@ -1,17 +1,126 @@
 """Independent reference implementations used to check the engine.
 
-Everything here is deliberately written with plain Python loops and
+The DOP oracle is deliberately written with plain Python loops and
 hand-rolled linear algebra so that agreement with the numpy-based
-package code is meaningful.
+package code is meaningful.  The scalar visibility path (``site_to_ecef``,
+``az_el_range``, ``visible_sats``) builds one site's observations one
+satellite at a time, for comparison with the engine's vectorized cull.
+Nothing here imports a private name from leonav.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from leonav.geometry import SiteObservation
+from leonav.orbits import EARTH, EarthModel
+
+
+@dataclass(frozen=True)
+class EcefPosition:
+    """Earth-fixed Cartesian position in kilometres."""
+
+    x_km: float
+    y_km: float
+    z_km: float
+
+    def as_array(self) -> np.ndarray:
+        return np.array([self.x_km, self.y_km, self.z_km], dtype=float)
+
+
+@dataclass(frozen=True)
+class SiteObservation:
+    """One satellite as seen from a site: topocentric angles and unit LOS."""
+
+    elevation_deg: float
+    azimuth_deg: float
+    range_km: float
+    los_east: float
+    los_north: float
+    los_up: float
+
+
+def site_to_ecef(
+    lat_deg: float, lon_deg: float, alt_km: float = 0.0, earth: EarthModel = EARTH
+) -> EcefPosition:
+    """Earth-fixed position of a ground site on the spherical Earth.
+
+    Args:
+        lat_deg: geocentric latitude, -90..90.
+        lon_deg: longitude, degrees east.
+        alt_km: height above the sphere (>= 0).
+    """
+    if not -90.0 <= lat_deg <= 90.0:
+        raise ValueError(f"lat_deg ({lat_deg}) must lie in [-90, 90]")
+    if alt_km < 0.0:
+        raise ValueError(f"alt_km ({alt_km}) must be >= 0")
+    r = earth.radius_km + alt_km
+    lat = math.radians(lat_deg)
+    lon = math.radians(lon_deg)
+    return EcefPosition(
+        r * math.cos(lat) * math.cos(lon),
+        r * math.cos(lat) * math.sin(lon),
+        r * math.sin(lat),
+    )
+
+
+def az_el_range(
+    site: EcefPosition, sat: EcefPosition
+) -> tuple[float, float, float, tuple[float, float, float]]:
+    """Topocentric azimuth, elevation, range, and ENU unit line of sight.
+
+    Azimuth is measured clockwise from north in [0, 360); elevation is
+    positive above the local horizon.
+
+    Returns:
+        (azimuth_deg, elevation_deg, range_km, (east, north, up)).
+    """
+    site_v = site.as_array()
+    los = sat.as_array() - site_v
+    rng = float(np.linalg.norm(los))
+    if rng == 0.0:
+        raise ValueError("site and satellite positions coincide")
+    r_site = float(np.linalg.norm(site_v))
+    if r_site == 0.0:
+        raise ValueError("site position is at the Earth's center")
+    lat = math.asin(site_v[2] / r_site)
+    lon = math.atan2(site_v[1], site_v[0])
+    basis = np.array([
+        [-math.sin(lon), math.cos(lon), 0.0],
+        [-math.sin(lat) * math.cos(lon), -math.sin(lat) * math.sin(lon), math.cos(lat)],
+        [math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat)],
+    ])
+    enu = basis @ (los / rng)
+    elevation = math.degrees(math.asin(min(1.0, max(-1.0, enu[2]))))
+    azimuth = math.degrees(math.atan2(enu[0], enu[1])) % 360.0
+    return azimuth, elevation, rng, (float(enu[0]), float(enu[1]), float(enu[2]))
+
+
+def visible_sats(
+    site: EcefPosition,
+    sats: Iterable[EcefPosition],
+    mask_deg: float = 5.0,
+) -> list[SiteObservation]:
+    """Observations of exactly the satellites at or above the elevation mask.
+
+    Order follows the input satellite order (deterministic).
+    """
+    if not 0.0 <= mask_deg < 90.0:
+        raise ValueError(f"mask_deg ({mask_deg}) must lie in [0, 90)")
+    out = []
+    for sat in sats:
+        az, el, rng, enu = az_el_range(site, sat)
+        if el >= mask_deg:
+            out.append(SiteObservation(el, az, rng, *enu))
+    return out
+
+
+def los_rows(observations) -> np.ndarray:
+    """The (k, 3) east/north/up lines of sight ``leonav.geometry.dop`` takes."""
+    return np.array([(o.los_east, o.los_north, o.los_up) for o in observations])
 
 
 def gauss_jordan_inverse(matrix: list[list[float]]) -> list[list[float]]:

@@ -17,11 +17,19 @@ import time
 import numpy as np
 import pytest
 
-from oracles import dop_oracle, random_observations, random_rotation, satellite_above
+from oracles import (
+    EcefPosition,
+    dop_oracle,
+    los_rows,
+    random_observations,
+    random_rotation,
+    satellite_above,
+    site_to_ecef,
+    visible_sats,
+)
 
 from leonav.cli import main
-from leonav.geometry import GroundGrid, TimeWindow, dop, percentile_pdop, visible_sats
-from leonav.orbits import EcefPosition, site_to_ecef
+from leonav.geometry import GroundGrid, TimeWindow, dop, percentile_pdop
 from leonav.rflink import (
     BAND_HZ,
     GPS_ALTITUDE_KM,
@@ -189,7 +197,7 @@ def test_criterion_6_property_suites(desk, tmp_path, monkeypatch):
     worst_oracle = 0.0
     for _ in range(1000):
         obs = random_observations(rng, int(rng.integers(4, 21)))
-        got = dop(obs)
+        got = dop(los_rows(obs))
         want = dop_oracle(obs)
         for a, b in zip((got.gdop, got.pdop, got.hdop, got.vdop, got.tdop), want):
             worst_oracle = max(worst_oracle, abs(a - b) / abs(b))
@@ -211,15 +219,15 @@ def test_criterion_6_property_suites(desk, tmp_path, monkeypatch):
             )
             for _ in range(int(rng.integers(4, 12)))
         ]
-        base = dop(visible_sats(site, [EcefPosition(*s) for s in sats], 5.0))
+        base = dop(los_rows(visible_sats(site, [EcefPosition(*s) for s in sats], 5.0)))
         q = random_rotation(rng)
-        rot = dop(
+        rot = dop(los_rows(
             visible_sats(
                 EcefPosition(*(q @ site.as_array())),
                 [EcefPosition(*(q @ s)) for s in sats],
                 5.0,
             )
-        )
+        ))
         for name in ("gdop", "pdop", "hdop", "vdop", "tdop"):
             worst_rotation = max(
                 worst_rotation,
@@ -232,8 +240,8 @@ def test_criterion_6_property_suites(desk, tmp_path, monkeypatch):
     violations = 0
     for _ in range(1000):
         obs = random_observations(rng, int(rng.integers(4, 15)))
-        before = dop(obs)
-        after = dop(obs + random_observations(rng, 1))
+        before = dop(los_rows(obs))
+        after = dop(los_rows(obs + random_observations(rng, 1)))
         for name in ("gdop", "pdop", "hdop", "vdop", "tdop"):
             if getattr(after, name) > getattr(before, name) * (1.0 + 1e-9):
                 violations += 1

@@ -397,20 +397,23 @@ class TestExitCodes:
         ("dop-map", {"walker": {"altitude_km": 1e300}}, "walker.altitude_km: must be in [1, 1e+06]"),
         ("dop-sweep", {"sweep": {"altitudes_km": [900.0, 1e300]}},
          "sweep.altitudes_km[1]: must be in [1, 1e+06]"),
-        ("baseline", {"window": {"duration_s": 1e308}}, "window: duration_s / step_s"),
+        ("baseline", {"window": {"duration_s": 1e308}}, "window.duration_s: must be in [1, 1e+06]"),
         ("baseline", {"window": {"step_s": 1e-300}}, "window: duration_s / step_s"),
-        ("baseline", {"window": {"duration_s": 1.2e14}},
+        ("baseline", {"window": {"duration_s": 1e6, "step_s": 1e-6}},
          "window: duration_s / step_s (1e+12 epochs) must be <= 1000000"),
+        ("baseline", {"earth": {"mu_km3_s2": 1e30}}, "earth.mu_km3_s2: must be in [1, 1e+07]"),
         ("baseline", {"earth": {"rotation_rate_rad_s": 1e308}},
          "earth.rotation_rate_rad_s: must be in (0, 1]"),
     ])
     def test_overflowing_value_names_the_key(self, tmp_path, capsys, command, scenario, message):
-        """Values that once overflowed or divided by zero inside a report."""
+        """Values that once overflowed or divided by zero inside a report;
+        the message quotes a huge value clipped, never all its digits."""
         path = tmp_path / "extreme.json"
         path.write_text(json.dumps(scenario), encoding="utf-8")
         assert main([command, "--config", str(path), "--quiet"]) == 1
         captured = capsys.readouterr()
         assert message in captured.err
+        assert len(captured.err) < 160
         assert "Traceback" not in captured.err
         assert captured.out == ""
 

@@ -1,9 +1,9 @@
-"""Visibility, DOP, and global-statistics engine tests.
+"""DOP solver, PDOP engine and global-statistics tests.
 
 DOP numbers are checked against a loop-and-Gauss-Jordan oracle
-(tests/oracles.py) and against closed-form canonical geometries; the
-vectorized engine is cross-checked sample by sample against the scalar
-visible_sats + dop path.
+(tests/oracles.py) and against closed-form canonical geometries.  The
+vectorized engine is cross-checked sample by sample against the oracle on
+observations from the scalar visibility path in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -16,11 +16,15 @@ import numpy as np
 import pytest
 
 from oracles import (
+    EcefPosition,
     dop_oracle,
+    los_rows,
     observation_from_angles,
     random_observations,
     random_rotation,
     satellite_above,
+    site_to_ecef,
+    visible_sats,
 )
 
 from leonav import geometry, rflink
@@ -32,22 +36,18 @@ from leonav.geometry import (
     NoCoverageError,
     SingularGeometryError,
     TimeWindow,
-    az_el_range,
     dop,
     pdop_field,
     pdop_samples,
     percentile_pdop,
-    visible_sats,
     weighted_percentile,
 )
 from leonav.orbits import (
     EARTH,
-    EcefPosition,
     WalkerConfig,
     WalkerSpec,
     propagate_arrays,
     rotate_eci_to_ecef,
-    site_to_ecef,
     walker_constellation,
 )
 from leonav.tradestudy import GPS_LIKE
@@ -145,91 +145,6 @@ class TestGroundGrid:
         assert len(grid) == 2
 
 
-class TestAzElRange:
-    def test_zenith(self):
-        site = site_to_ecef(10.0, 20.0)
-        sat = EcefPosition(*(site.as_array() * (EARTH.radius_km + 500.0) / EARTH.radius_km))
-        az, el, rng, enu = az_el_range(site, sat)
-        assert el == pytest.approx(90.0)
-        assert rng == pytest.approx(500.0, rel=1e-12)
-        assert enu[2] == pytest.approx(1.0)
-
-    def test_low_elevation_case(self):
-        # satellite 30 deg of longitude away on the equator at 1000 km altitude
-        site = site_to_ecef(0.0, 0.0)
-        sat = site_to_ecef(0.0, 30.0, alt_km=1000.0)
-        az, el, rng, _ = az_el_range(site, sat)
-        assert az == pytest.approx(90.0, abs=1e-9)
-        assert el == pytest.approx(0.17887377889262335, abs=1e-9)
-        assert rng == pytest.approx(3689.086477801738, rel=1e-12)
-        # independent derivation from the central angle
-        psi = math.radians(30.0)
-        r_sat = EARTH.radius_km + 1000.0
-        el_ref = math.degrees(math.atan2(math.cos(psi) - EARTH.radius_km / r_sat, math.sin(psi)))
-        assert el == pytest.approx(el_ref, abs=1e-12)
-
-    @pytest.mark.parametrize(
-        "sat_lat, sat_lon, az_expected",
-        [(5.0, 0.0, 0.0), (0.0, 5.0, 90.0), (-5.0, 0.0, 180.0), (0.0, -5.0, 270.0)],
-    )
-    def test_azimuth_quadrants(self, sat_lat, sat_lon, az_expected):
-        site = site_to_ecef(0.0, 0.0)
-        sat = site_to_ecef(sat_lat, sat_lon, alt_km=800.0)
-        az, _, _, _ = az_el_range(site, sat)
-        assert az == pytest.approx(az_expected, abs=1e-9)
-
-    def test_unit_los_consistency(self):
-        rng_gen = np.random.default_rng(3)
-        for _ in range(20):
-            site = site_to_ecef(
-                float(rng_gen.uniform(-89.0, 89.0)), float(rng_gen.uniform(-180.0, 180.0))
-            )
-            sat_arr = satellite_above(
-                site.as_array(),
-                float(rng_gen.uniform(0.0, 360.0)),
-                float(rng_gen.uniform(1.0, 89.0)),
-                float(rng_gen.uniform(500.0, 5000.0)),
-            )
-            az, el, dist, enu = az_el_range(site, EcefPosition(*sat_arr))
-            assert math.hypot(*enu) == pytest.approx(1.0, abs=1e-12)
-            rebuilt = observation_from_angles(az, el)
-            assert enu[0] == pytest.approx(rebuilt.los_east, abs=1e-9)
-            assert enu[1] == pytest.approx(rebuilt.los_north, abs=1e-9)
-            assert enu[2] == pytest.approx(rebuilt.los_up, abs=1e-9)
-
-    def test_rejects_degenerate_positions(self):
-        site = site_to_ecef(0.0, 0.0)
-        with pytest.raises(ValueError, match="coincide"):
-            az_el_range(site, site)
-        with pytest.raises(ValueError, match="center"):
-            az_el_range(EcefPosition(0.0, 0.0, 0.0), site)
-
-
-class TestVisibleSats:
-    def test_mask_is_inclusive(self):
-        site = site_to_ecef(0.0, 0.0)
-        on_horizon = EcefPosition(site.x_km, 3000.0, 0.0)  # up component exactly 0
-        below = EcefPosition(site.x_km - 500.0, 3000.0, 0.0)
-        obs = visible_sats(site, [on_horizon, below], mask_deg=0.0)
-        assert len(obs) == 1
-        assert obs[0].elevation_deg == 0.0
-
-    def test_preserves_input_order(self):
-        site = site_to_ecef(45.0, 45.0)
-        sats = [
-            EcefPosition(*satellite_above(site.as_array(), az, 40.0, 2000.0))
-            for az in (10.0, 120.0, 250.0)
-        ]
-        obs = visible_sats(site, sats, mask_deg=5.0)
-        assert [round(o.azimuth_deg) for o in obs] == [10, 120, 250]
-
-    def test_mask_validation(self):
-        site = site_to_ecef(0.0, 0.0)
-        for bad in (-0.1, 90.0):
-            with pytest.raises(ValueError, match="mask_deg"):
-                visible_sats(site, [], mask_deg=bad)
-
-
 class TestDop:
     def test_canonical_zenith_plus_horizon_triangle(self):
         # one satellite overhead, three on the horizon 120 deg apart:
@@ -242,7 +157,7 @@ class TestDop:
         ]
         # N = diag(3/2, 3/2) ++ [[1, -1], [-1, 4]], so the covariance
         # diagonal is (2/3, 2/3, 4/3, 1/3)
-        d = dop(obs)
+        d = dop(los_rows(obs))
         assert d.pdop == pytest.approx(math.sqrt(8.0 / 3.0), rel=1e-12)
         assert d.hdop == pytest.approx(math.sqrt(4.0 / 3.0), rel=1e-12)
         assert d.vdop == pytest.approx(math.sqrt(4.0 / 3.0), rel=1e-12)
@@ -253,7 +168,7 @@ class TestDop:
         rng = np.random.default_rng(17)
         for _ in range(100):
             obs = random_observations(rng, int(rng.integers(4, 21)))
-            got = dop(obs)
+            got = dop(los_rows(obs))
             want = dop_oracle(obs)
             for a, b in zip((got.gdop, got.pdop, got.hdop, got.vdop, got.tdop), want):
                 assert a == pytest.approx(b, rel=1e-9)
@@ -261,7 +176,7 @@ class TestDop:
     def test_dop_identities(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
-            d = dop(random_observations(rng, int(rng.integers(4, 21))))
+            d = dop(los_rows(random_observations(rng, int(rng.integers(4, 21)))))
             assert d.gdop**2 == pytest.approx(d.pdop**2 + d.tdop**2, rel=1e-12)
             assert d.pdop**2 == pytest.approx(d.hdop**2 + d.vdop**2, rel=1e-12)
 
@@ -269,27 +184,27 @@ class TestDop:
         rng = np.random.default_rng(29)
         for _ in range(200):
             obs = random_observations(rng, int(rng.integers(4, 15)))
-            before = dop(obs)
-            after = dop(obs + random_observations(rng, 1))
+            before = dop(los_rows(obs))
+            after = dop(los_rows(obs + random_observations(rng, 1)))
             for name in ("gdop", "pdop", "hdop", "vdop", "tdop"):
                 assert getattr(after, name) <= getattr(before, name) * (1.0 + 1e-9)
 
     def test_insufficient_observations(self):
         obs = random_observations(np.random.default_rng(1), 3)
         with pytest.raises(InsufficientGeometryError, match="need at least 4"):
-            dop(obs)
+            dop(los_rows(obs))
 
     def test_singular_geometry(self):
         # four copies of the same line of sight: rank-deficient normal matrix
         obs = [observation_from_angles(45.0, 30.0)] * 4
         with pytest.raises(SingularGeometryError, match="condition number"):
-            dop(obs)
+            dop(los_rows(obs))
 
     def test_condition_limit_is_strict(self):
         assert CONDITION_LIMIT == 1.0e12
 
     def test_returns_dataclass(self):
-        d = dop(random_observations(np.random.default_rng(2), 6))
+        d = dop(los_rows(random_observations(np.random.default_rng(2), 6)))
         assert isinstance(d, DopValues)
         assert d.gdop > d.pdop > 0.0
 
@@ -310,11 +225,11 @@ class TestRotationInvariance:
                 )
                 for _ in range(int(rng.integers(4, 12)))
             ]
-            base = dop(visible_sats(site, [EcefPosition(*s) for s in sats], 5.0))
+            base = dop(los_rows(visible_sats(site, [EcefPosition(*s) for s in sats], 5.0)))
             q = random_rotation(rng)
             site_r = EcefPosition(*(q @ site.as_array()))
             sats_r = [EcefPosition(*(q @ s)) for s in sats]
-            rot = dop(visible_sats(site_r, sats_r, 5.0))
+            rot = dop(los_rows(visible_sats(site_r, sats_r, 5.0)))
             for name in ("gdop", "pdop", "hdop", "vdop", "tdop"):
                 assert getattr(rot, name) == pytest.approx(
                     getattr(base, name), rel=1e-9
@@ -384,7 +299,8 @@ class TestWeightedPercentile:
 
 class TestPdopSamplesEngine:
     def test_matches_scalar_path(self):
-        """Every (site, epoch) sample agrees with visible_sats + dop."""
+        """Every (site, epoch) sample agrees with the oracle on the scalar
+        visibility path's observations."""
         spec = WalkerSpec(40, 5, phasing=1, altitude_km=900.0)
         grid = GroundGrid.fibonacci(12)
         window = TimeWindow(duration_s=1200.0, step_s=600.0)
@@ -408,12 +324,7 @@ class TestPdopSamplesEngine:
                 if len(obs) < 4:
                     assert math.isnan(samples.pdop[i, j])
                     continue
-                try:
-                    expected = dop(obs).pdop
-                except SingularGeometryError:
-                    assert math.isnan(samples.pdop[i, j])
-                    continue
-                assert samples.pdop[i, j] == pytest.approx(expected, rel=1e-9)
+                assert samples.pdop[i, j] == pytest.approx(dop_oracle(obs)[1], rel=1e-9)
                 checked_defined += 1
         assert checked_defined > 0  # the case must actually exercise solutions
 
@@ -464,11 +375,14 @@ class TestPdopSamplesEngine:
             shipped.pdop[defined], lapack.pdop[defined], rtol=1e-12, atol=0.0
         )
 
-    def test_closed_form_bound_holds_on_random_rows(self):
+    def test_closed_form_bound_holds_on_random_rows(self, monkeypatch):
         """Wherever the bound clears, the eigenvalue condition number is
-        within _SURE_CONDITION and the closed form matches the inverse."""
+        within _SURE_CONDITION, and the report's PDOP and all five figures
+        of dop, from S's minors and det A, match the inverse.  Criterion
+        6(a)'s draws reach both the closed form and the fallback."""
         rng = np.random.default_rng(5)
         normal = np.empty((2000, 4, 4))
+        rows = []
         for t in range(len(normal)):
             k = int(rng.integers(4, 13))
             # Azimuth and elevation spans from narrow to full sky, so some
@@ -480,15 +394,32 @@ class TestPdopSamplesEngine:
                 np.ones(k),
             ])
             normal[t] = g.T @ g
-        sure, value = geometry._closed_form_pdop(
+            rows.append(-g[:, :3])
+        sure, minor, det = geometry._schur(
             normal[:, 3, 3], normal[:, :3, 3].T, normal[:, :3, :3].transpose(1, 2, 0)
         )
         assert 0 < sure.sum() < len(normal)
         eig = np.linalg.eigvalsh(normal)
         assert np.all(eig[sure, -1] / eig[sure, 0] <= geometry._SURE_CONDITION)
-        q = np.linalg.inv(normal[sure])
-        expected = np.sqrt(q[:, 0, 0] + q[:, 1, 1] + q[:, 2, 2])
-        np.testing.assert_allclose(value, expected, rtol=1e-12, atol=0.0)
+        q = np.linalg.inv(normal[sure]).diagonal(axis1=1, axis2=2)
+        value = np.sqrt((minor[0] + minor[1] + minor[2])[sure] / det[sure])
+        np.testing.assert_allclose(value, np.sqrt(q[:, :3].sum(axis=1)), rtol=1e-12, atol=0.0)
+        fallback = geometry._fallback
+        calls = []
+        monkeypatch.setattr(geometry, "_fallback", lambda n: calls.append(1) or fallback(n))
+        got = [dop(rows[t]) for t in np.flatnonzero(sure)]
+        assert not calls
+        for name, figure in (("gdop", [0, 1, 2, 3]), ("pdop", [0, 1, 2]), ("hdop", [0, 1]),
+                             ("vdop", [2]), ("tdop", [3])):
+            np.testing.assert_allclose(
+                [getattr(d, name) for d in got], np.sqrt(q[:, figure].sum(axis=1)),
+                rtol=1e-12, atol=0.0,
+            )
+
+        rng = np.random.default_rng(101)
+        for _ in range(1000):
+            dop(los_rows(random_observations(rng, int(rng.integers(4, 21)))))
+        assert 0 < len(calls) < 1000
 
     @pytest.mark.parametrize("mask_deg", [0.0, 5.0, 30.0])
     def test_cull_keeps_every_pair_at_the_mask(self, mask_deg):

@@ -8,18 +8,17 @@ import math
 import numpy as np
 import pytest
 
-from leonav.schema import MAX_SATS
+from leonav.geometry import TimeWindow
+from leonav.schema import ALTITUDE_KM, MAX_SATS, MU_KM3_S2, WINDOW_S, ScenarioError
 from leonav.orbits import (
     EARTH,
     EarthModel,
-    EcefPosition,
     WalkerConfig,
     WalkerSpec,
     default_planes,
     is_plane_friendly,
     propagate_arrays,
     rotate_eci_to_ecef,
-    site_to_ecef,
     walker_constellation,
 )
 
@@ -36,12 +35,19 @@ class TestEarthModel:
         with pytest.raises(ValueError, match=field):
             EarthModel(**kwargs)
 
-
-class TestEcefPosition:
-    def test_norm_matches_array(self):
-        p = EcefPosition(3.0, 4.0, 12.0)
-        assert np.linalg.norm(p.as_array()) == pytest.approx(13.0)
-        assert np.allclose(p.as_array(), [3.0, 4.0, 12.0])
+    def test_phase_resolves_a_millimetre_at_the_corner_of_the_bounds(self):
+        """The smallest orbit radius the radius and altitude bounds allow,
+        the largest mu and the longest window: propagate_arrays takes n t
+        unreduced, and its float spacing must still resolve 1 mm."""
+        earth = EarthModel(radius_km=1.0, mu_km3_s2=MU_KM3_S2[1])
+        a = earth.radius_km + ALTITUDE_KM[0]
+        t = TimeWindow(duration_s=WINDOW_S[1], step_s=WINDOW_S[1]).duration_s
+        assert a * np.spacing(math.sqrt(earth.mu_km3_s2 / a**3) * t) < 1e-6
+        for mu in (MU_KM3_S2[0] / 2.0, MU_KM3_S2[1] * 2.0):
+            with pytest.raises(ScenarioError, match=r"earth.mu_km3_s2: must be in \[1, 1e\+07\]"):
+                EarthModel(mu_km3_s2=mu)
+        with pytest.raises(ScenarioError, match=r"window.duration_s: must be in \[1, 1e\+06\]"):
+            TimeWindow(duration_s=WINDOW_S[1] * 2.0, step_s=WINDOW_S[1])
 
 
 class TestWalkerSpec:
@@ -348,29 +354,3 @@ class TestFrames:
         day = 2.0 * math.pi / EARTH.rotation_rate_rad_s
         pos = np.array([100.0, 200.0, 300.0])
         assert np.allclose(rotate_eci_to_ecef(pos, day), pos, atol=1e-9)
-
-
-class TestSiteToEcef:
-    def test_known_site(self):
-        p = site_to_ecef(45.0, 45.0)
-        assert p.x_km == pytest.approx(EARTH.radius_km / 2.0, rel=1e-12)
-        assert p.y_km == pytest.approx(EARTH.radius_km / 2.0, rel=1e-12)
-        assert p.z_km == pytest.approx(EARTH.radius_km * math.sqrt(0.5), rel=1e-12)
-
-    def test_poles_and_equator(self):
-        assert site_to_ecef(90.0, 0.0).as_array() == pytest.approx(
-            [0.0, 0.0, EARTH.radius_km], abs=1e-9
-        )
-        assert site_to_ecef(0.0, 180.0).as_array() == pytest.approx(
-            [-EARTH.radius_km, 0.0, 0.0], abs=1e-9
-        )
-
-    def test_altitude_adds_radially(self):
-        p = site_to_ecef(0.0, 0.0, alt_km=100.0)
-        assert np.linalg.norm(p.as_array()) == pytest.approx(EARTH.radius_km + 100.0)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError, match="lat_deg"):
-            site_to_ecef(91.0, 0.0)
-        with pytest.raises(ValueError, match="alt_km"):
-            site_to_ecef(0.0, 0.0, alt_km=-1.0)

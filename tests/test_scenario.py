@@ -240,15 +240,20 @@ RECORDS = [
 ]
 
 
+#: An integer past the interpreter's str() digit limit: no message can
+#: quote it in full, and no test id can either.
+HUGE = 10**5000
+
+
 def _bad_values():
     for cls, key, kwargs, number, integer in RECORDS:
-        for value in (math.nan, math.inf, -math.inf, True):
-            yield pytest.param(cls, kwargs, number, value, f"{key}.{number}",
-                               id=f"{cls.__name__}-{number}-{value}")
+        cases = [(number, v) for v in (math.nan, math.inf, -math.inf, True, HUGE)]
         if integer:
-            for value in (1.5, True, math.nan):
-                yield pytest.param(cls, kwargs, integer, value, f"{key}.{integer}",
-                                   id=f"{cls.__name__}-{integer}-{value}")
+            cases += [(integer, v) for v in (1.5, True, math.nan)]
+        for name, value in cases:
+            label = "HUGE" if value is HUGE else value
+            yield pytest.param(cls, kwargs, name, value, f"{key}.{name}",
+                               id=f"{cls.__name__}-{name}-{label}")
 
 
 class TestRecords:
