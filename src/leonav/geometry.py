@@ -6,8 +6,9 @@ come from the covariance of the four-parameter (position + clock)
 least-squares solution, Q = inv(G' G) with one geometry-matrix row
 ``[-e, -n, -u, 1]`` per visible satellite.  One solver serves every
 caller: the closed form over per-sample sums where it is provably
-well-conditioned, and an eigenvalue condition test plus LAPACK's inverse
-elsewhere.  ``pdop_samples`` runs it over a whole grid and window, and
+well-conditioned, and LAPACK's inverse elsewhere, after an eigenvalue
+condition test where the sums do not prove the sample defined.
+``pdop_samples`` runs it over a whole grid and window, and
 ``dop`` on the lines of sight of one site.
 """
 
@@ -36,6 +37,12 @@ CONDITION_LIMIT = 1.0e12
 #: instead of LAPACK; far enough below ``CONDITION_LIMIT`` that no sample
 #: it clears could be singular, and low enough that the two agree to ~1e-12.
 _SURE_CONDITION = 1.0e4
+
+#: Condition-number bound under which a sample the closed form leaves to
+#: LAPACK is known to be defined, so ``_fallback`` inverts it without the
+#: eigenvalue test; two orders below ``CONDITION_LIMIT``, so rounding in
+#: the bound cannot admit a sample the test would reject.
+_PROVEN_CONDITION = 1.0e10
 
 #: Site x satellite pairs the PDOP engine tests for visibility at once; the
 #: site axis is processed in blocks of this many pairs, and the epoch axis
@@ -233,11 +240,11 @@ def dop(los: np.ndarray) -> DopValues:
     g = np.column_stack([-rows, np.ones(k)])
     normal = (g.T @ g)[None]
     count, b, a = normal[:, 3, 3], normal[:, :3, 3].T, normal[:, :3, :3].transpose(1, 2, 0)
-    sure, minor, det = _schur(count, b, a)
+    sure, proven, minor, det = _schur(count, b, a)
     if sure[0]:
         q = np.concatenate([*minor, np.linalg.det(normal[:, :3, :3]) / count]) / det
     else:
-        good, q = _fallback(normal)
+        good, q = _fallback(normal, proven)
         if not good[0]:
             raise SingularGeometryError(
                 f"singular geometry: condition number exceeds {CONDITION_LIMIT:.0e}"
@@ -268,9 +275,10 @@ def pdop_samples(
     grow with window length or grid size times constellation size.  Each
     kernel call takes one site block over a tile of epochs sized by
     ``_tile_epochs``.  The samples the closed form cannot clear are held
-    with their normal matrices and solved in one LAPACK batch; the batch is
-    flushed early only once about ``_PAIR_BUDGET // 16`` matrices (2 MiB at
-    the shipped budget) are held, so the held matrices are bounded by the
+    with their normal matrices, and with whether their bound already proves
+    them defined, and solved in one LAPACK batch; the batch is flushed
+    early only once about ``_PAIR_BUDGET // 16`` matrices (2 MiB at the
+    shipped budget) are held, so the held matrices are bounded by the
     budget too.
     """
     if not 0.0 <= mask_deg < 90.0:
@@ -291,7 +299,7 @@ def pdop_samples(
         min(block, n_sites), spec.total_sats,
         float(elements.semimajor_km[0]), earth.radius_km, mask_rad,
     )
-    held: list[tuple[np.ndarray, np.ndarray]] = []  # (flat sample index, normal)
+    held: list[tuple[np.ndarray, ...]] = []  # (flat sample index, normal, proven)
     n_held = 0
 
     for start in range(0, epochs.size, block):
@@ -302,14 +310,15 @@ def pdop_samples(
             cols = slice(start + first, start + first + len(sats))
             for lo in range(0, n_sites, block):
                 rows = slice(lo, lo + block)
-                count, pdop, sample, normal = _block_pdop(
+                count, pdop, sample, normal, proven = _block_pdop(
                     basis[..., rows], sats, earth.radius_km, mask_rad
                 )
                 counts[rows, cols] = count.T
                 values[rows, cols] = pdop.T
                 if sample.size:
                     epoch, site = np.divmod(sample, count.shape[1])
-                    held.append(((lo + site) * epochs.size + cols.start + epoch, normal))
+                    index = (lo + site) * epochs.size + cols.start + epoch
+                    held.append((index, normal, proven))
                     n_held += sample.size
                     if n_held >= _PAIR_BUDGET // 16:
                         _fallback_pdop(values, held)
@@ -350,7 +359,7 @@ def _tile_epochs(
 
 def _block_pdop(
     basis: np.ndarray, ecef: np.ndarray, radius_km: float, mask_rad: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, ...]:
     """Visible counts and PDOP of one block of sites over a tile of epochs.
 
     Takes the block's component-major ENU basis (3, 3, m) and the
@@ -361,15 +370,20 @@ def _block_pdop(
     with the site up-vectors culls the rest, so the dense test never holds
     more than one epoch's site x satellite pairs.  The survivors come out
     of each epoch's flat index in satellite-major order, epoch after epoch,
-    and each per-pair quantity is one flat array per component, updated in
-    place.  The elevation test runs on the up component, and east and
-    north are built for the visible pairs only, so the cull saves work
-    without changing any sample.  The norm and the ENU dot products sum in
-    the order ``np.linalg.norm`` and ``einsum`` take over (P, 3) rows, and
-    ``bincount`` adds each sample's pairs in input order, which keeps its
-    satellites in ascending order, so the samples are bit-identical to a
-    site-major engine's whatever the tile; the sample digest in
-    tests/test_geometry.py pins that order.  Rows stay in ENU rather than
+    and each per-pair quantity is one flat array per component, gathered
+    from a component-major copy of the tile's positions and updated in
+    place.  The exact elevation test then runs on the up component.  The
+    cull's only slack is a millimetre, so nearly always every culled pair
+    passes and the pair arrays are compressed only when one does not; east
+    and north are built after that, for the visible pairs only.  The norm
+    and the ENU dot products sum in the order ``np.linalg.norm`` and
+    ``einsum`` take over (P, 3) rows; east drops the product with its z
+    component, which ``_enu_basis`` holds as an exact zero, and that can
+    change only the sign of a zero no sum sees.  ``bincount`` adds each
+    sample's pairs in input order, which keeps its satellites in ascending
+    order, so the samples are bit-identical to a site-major engine's
+    whatever the tile; the sample digest in tests/test_geometry.py pins
+    that order.  Rows stay in ENU rather than
     ECEF: PDOP is rotation-invariant only in exact arithmetic, and a
     sample whose four satellites are barely independent (PDOP ~1e5)
     magnifies the rounding of a change of frame far past 1e-10.
@@ -377,12 +391,13 @@ def _block_pdop(
     from the per-sample sums.
 
     Returns:
-        (count, pdop, sample, normal): the visible count and PDOP of each
-        (epoch, site) sample of the tile, shape (k, m), NaN where
+        (count, pdop, sample, normal, proven): the visible count and PDOP
+        of each (epoch, site) sample of the tile, shape (k, m), NaN where
         undefined or left to the fallback; and the flat indices into
         (k, m) of the samples the closed form could not clear, with their
-        4x4 normal matrices.  ``pdop_samples`` holds those matrices for
-        ``_fallback_pdop``, about ``_PAIR_BUDGET // 16`` of them at most.
+        4x4 normal matrices and ``_schur``'s mask of those proven defined.
+        ``pdop_samples`` holds them for ``_fallback_pdop``, about
+        ``_PAIR_BUDGET // 16`` matrices at most.
     """
     m = basis.shape[-1]
     tile, n = ecef.shape[:2]
@@ -395,9 +410,9 @@ def _block_pdop(
     ]), m)
     sample = sat // n * m + site
 
-    positions = ecef.reshape(-1, 3)  # sat indexes its rows
+    positions = ecef.reshape(-1, 3).T.copy()  # sat indexes its columns
     site_up = [basis[2, c][site] for c in range(3)]
-    unit = [positions[:, c][sat] for c in range(3)]
+    unit = [positions[c][sat] for c in range(3)]
     del sat
     for c in range(3):
         unit[c] -= radius_km * site_up[c]
@@ -408,12 +423,13 @@ def _block_pdop(
     up = _dot(site_up, unit)
     del site_up
     vis = up >= math.sin(mask_rad)
-    site, sample, up = site[vis], sample[vis], up[vis]
-    for c in range(3):
-        unit[c] = unit[c][vis]
+    if not vis.all():
+        site, sample, up = site[vis], sample[vis], up[vis]
+        unit = [u[vis] for u in unit]
     # (east, north, up) of the visible pairs: satellite-major within each
     # epoch, so each sample's satellites stay in input order
-    e = [_dot([basis[a, c][site] for c in range(3)], unit) for a in range(2)] + [up]
+    east = basis[0, 0][site] * unit[0] + basis[0, 1][site] * unit[1]
+    e = [east, _dot([basis[1, c][site] for c in range(3)], unit), up]
     del unit, site
 
     # Per-sample sums of the geometry rows [-e, -n, -u, 1], for the samples
@@ -430,7 +446,7 @@ def _block_pdop(
         for j in range(i, 3):
             a[i, j] = a[j, i] = np.bincount(sample, e[i] * e[j], minlength=size)[enough]
 
-    sure, minor, det = _schur(k, b, a)
+    sure, proven, minor, det = _schur(k, b, a)
     pdop[enough[sure]] = np.sqrt((minor[0] + minor[1] + minor[2])[sure] / det[sure])
 
     rest = ~sure
@@ -438,20 +454,19 @@ def _block_pdop(
     normal[:, :3, :3] = a[:, :, rest].transpose(2, 0, 1)
     normal[:, :3, 3] = normal[:, 3, :3] = b[:, rest].T
     normal[:, 3, 3] = k[rest]
-    return count.reshape(tile, m), pdop.reshape(tile, m), enough[rest], normal
+    return (count.reshape(tile, m), pdop.reshape(tile, m), enough[rest], normal,
+            proven[rest])
 
 
-def _fallback_pdop(
-    values: np.ndarray, held: list[tuple[np.ndarray, np.ndarray]]
-) -> None:
+def _fallback_pdop(values: np.ndarray, held: list[tuple[np.ndarray, ...]]) -> None:
     """PDOP of the held samples the closed form could not clear, written
     into ``values`` at their flat (site, epoch) indices.
 
     LAPACK solves each matrix of a stack on its own, so one call over
     every held matrix gives the values one call per block would.
     """
-    index = np.concatenate([i for i, _ in held])
-    good, q = _fallback(np.concatenate([n for _, n in held]))
+    index, normal, proven = (np.concatenate(part) for part in zip(*held))
+    good, q = _fallback(normal, proven)
     np.put(values, index[good], np.sqrt(q[:, 0] + q[:, 1] + q[:, 2]))
 
 
@@ -463,7 +478,7 @@ def _dot(x: list[np.ndarray], y: list[np.ndarray]) -> np.ndarray:
 
 def _schur(
     k: np.ndarray, b: np.ndarray, a: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], np.ndarray]:
     """The closed-form step: which samples are provably well-conditioned.
 
     Takes the blocks of normal matrices N = [[A, b], [b^T, k]] with the
@@ -474,8 +489,9 @@ def _schur(
     over det S.
 
     Returns:
-        (sure, minor, det): the mask of samples whose bound is within
-        ``_SURE_CONDITION``, and S's three minors and determinant.
+        (sure, proven, minor, det): the masks of samples whose bound is
+        within ``_SURE_CONDITION`` and within ``_PROVEN_CONDITION``, and
+        S's three minors and determinant.
     """
     s = a - b[:, None] * b[None, :] / k
     minor = [s[i, i] * s[j, j] - s[i, j] ** 2 for i, j in ((1, 2), (0, 2), (0, 1))]
@@ -484,24 +500,31 @@ def _schur(
         - s[0, 1] * (s[0, 1] * s[2, 2] - s[1, 2] * s[0, 2])
         + s[0, 2] * (s[0, 1] * s[1, 2] - s[1, 1] * s[0, 2])
     )
-    trace = a[0, 0] + a[1, 1] + a[2, 2] + k
-    return trace**4 <= _SURE_CONDITION * k * det, minor, det
+    bound = (a[0, 0] + a[1, 1] + a[2, 2] + k) ** 4
+    return (bound <= _SURE_CONDITION * k * det, bound <= _PROVEN_CONDITION * k * det,
+            minor, det)
 
 
-def _fallback(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fallback(normal: np.ndarray, proven: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The LAPACK step, for the normal matrices the closed form cannot
-    clear.  Its eigenvalue condition test keeps undefined masks and the
-    values of nearly singular samples independent of the closed form.
+    clear.  The matrices ``_schur`` proved defined go straight to the
+    inverse; the rest take an eigenvalue condition test first, which keeps
+    undefined masks and the values of nearly singular samples independent
+    of the closed form.  The inverse of each matrix is the same whichever
+    test admitted it.
 
     Returns:
-        (good, q): the mask of matrices whose condition number is within
-        ``CONDITION_LIMIT``, and the diagonal of inv(N) of those, shape
-        (good.sum(), 4).
+        (good, q): the mask of matrices proven defined or whose condition
+        number is within ``CONDITION_LIMIT``, and the diagonal of inv(N)
+        of those, shape (good.sum(), 4).
     """
-    eig = np.linalg.eigvalsh(normal)  # ascending; the matrices are symmetric PSD
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(eig[:, 0] > 0.0, eig[:, -1] / eig[:, 0], np.inf)
-    good = cond <= CONDITION_LIMIT
+    good = proven.copy()
+    doubt = np.flatnonzero(~proven)
+    if doubt.size:
+        eig = np.linalg.eigvalsh(normal[doubt])  # ascending; N is symmetric PSD
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = np.where(eig[:, 0] > 0.0, eig[:, -1] / eig[:, 0], np.inf)
+        good[doubt] = cond <= CONDITION_LIMIT
     return good, np.linalg.inv(normal[good]).diagonal(axis1=1, axis2=2)
 
 
@@ -513,7 +536,9 @@ def weighted_percentile(
     Values and weights must be finite, weights strictly positive.
     Reduces exactly to numpy's linear method for equal weights; ties in
     value break by sample index, so the result is permutation-stable for
-    (value, weight) pairs and deterministic for a fixed input order.
+    (value, weight) pairs and deterministic for a fixed input order.  Only
+    tied values can tell a stable sort from another, so the stable one runs
+    only when the default sort leaves two equal values side by side.
     """
     if not 0.0 < percentile <= 100.0:
         raise ValueError(f"percentile ({percentile}) must lie in (0, 100]")
@@ -529,9 +554,12 @@ def weighted_percentile(
         raise ValueError("weights must be finite and strictly positive")
     if v.size == 1:
         return float(v[0])
-    order = np.argsort(v, kind="stable")
-    v = v[order]
-    w = w[order]
+    order = np.argsort(v)
+    ordered = v[order]
+    if (ordered[1:] == ordered[:-1]).any():
+        order = np.argsort(v, kind="stable")
+        ordered = v[order]
+    v, w = ordered, w[order]
     cum = np.cumsum(w)
     # Position of each order statistic on [0, 1]; equal weights give i/(n-1).
     pos = (cum - w) / (cum[-1] - w[-1])

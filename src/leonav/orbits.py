@@ -10,7 +10,7 @@ the sidereal angle accumulated since epoch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -120,8 +120,9 @@ class WalkerConfig(_Record, key="walker"):
 class WalkerSpec(WalkerConfig, key="walker"):
     """A resolved symmetric design T/P/F: P divides T and F lies in [0, P)."""
 
-    total_sats: int = field()  # field() drops the inherited default
-    planes: int = field()
+    # No default, unlike the request; both sizes keep the MAX_SATS bound.
+    total_sats: int = _size(MISSING)
+    planes: int = _size(MISSING)
 
     def _check_across_fields(self) -> None:
         super()._check_across_fields()

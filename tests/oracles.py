@@ -159,6 +159,31 @@ def dop_oracle(observations) -> tuple[float, float, float, float, float]:
     )
 
 
+def percentile_positions(values, weights) -> tuple[list[float], list[float]]:
+    """The order statistics of a weighted sample, sorted by (value, index),
+    and their positions on [0, 1]: the weight before each over the weight
+    before the last, summed one term at a time."""
+    order = sorted(range(len(values)), key=lambda i: (values[i], i))
+    v = [float(values[i]) for i in order]
+    w = [float(weights[i]) for i in order]
+    cum, total = [], 0.0
+    for x in w:
+        total += x
+        cum.append(total)
+    return v, [(c - x) / (cum[-1] - w[-1]) for c, x in zip(cum, w)]
+
+
+def weighted_percentile_oracle(values, weights, percentile: float) -> float:
+    """Weighted percentile, linearly interpolated between the order
+    statistics of ``percentile_positions``, without numpy."""
+    v, pos = percentile_positions(values, weights)
+    p = percentile / 100.0
+    i = next(i for i in range(len(v) - 1) if p <= pos[i + 1]) if len(v) > 1 else 0
+    if len(v) == 1 or v[i] == v[i + 1]:
+        return v[i]
+    return v[i] + (p - pos[i]) * (v[i + 1] - v[i]) / (pos[i + 1] - pos[i])
+
+
 def observation_from_angles(az_deg: float, el_deg: float,
                             range_km: float = 2000.0) -> SiteObservation:
     """Builds a unit-LOS observation straight from pointing angles."""

@@ -20,11 +20,13 @@ from oracles import (
     dop_oracle,
     los_rows,
     observation_from_angles,
+    percentile_positions,
     random_observations,
     random_rotation,
     satellite_above,
     site_to_ecef,
     visible_sats,
+    weighted_percentile_oracle,
 )
 
 from leonav import geometry, rflink
@@ -257,6 +259,39 @@ class TestWeightedPercentile:
     def test_single_sample(self):
         assert weighted_percentile(np.array([7.5]), np.array([0.3]), 95.0) == 7.5
 
+    @pytest.mark.parametrize(
+        "values, want", [([2.0, 2.0, 3.0], 2.88), ([-0.0, 0.0, 1.0], 0.88)]
+    )
+    def test_ties_break_by_index(self, values, want):
+        """The last of the tied values bounds the segment 90 falls in, so
+        its weight sets the result: 5, not 1, which would give 2.4 (0.4).
+        Signed zeros are equal values too."""
+        got = weighted_percentile(np.array(values), np.array([1.0, 5.0, 1.0]), 90.0)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("distinct", [False, True], ids=["ties", "distinct"])
+    def test_matches_an_index_ordered_oracle(self, distinct):
+        """Seeded samples of 50 to 5,000 values, past the sort's
+        insertion-sort cutoff.  Tied samples draw from a few integers and
+        are read between each tie's last value and the next, where the
+        tie order shows; distinct ones take the unstable sort alone."""
+        rng = np.random.default_rng(59 + distinct)
+        for _ in range(12):
+            n = int(rng.integers(50, 5001))
+            if distinct:
+                values = rng.normal(size=n) * 10.0
+            else:
+                values = rng.integers(0, int(rng.integers(2, 6)), n).astype(float)
+            weights = rng.uniform(0.1, 3.0, n)
+            v, pos = percentile_positions(values, weights)
+            edges = [i for i in range(n - 1) if v[i] < v[i + 1]]
+            percentiles = [float(rng.uniform(0.5, 100.0)), 100.0]
+            percentiles += [50.0 * (pos[i] + pos[i + 1]) for i in edges[:8]]
+            for p in percentiles:
+                want = weighted_percentile_oracle(values, weights, p)
+                got = weighted_percentile(values, weights, p)
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
     def test_unsorted_input(self):
         values = np.array([5.0, 1.0, 3.0, 2.0, 4.0])
         weights = np.ones(5)
@@ -350,24 +385,17 @@ class TestPdopSamplesEngine:
         ids=["200-600km-F0", "gps-like"],
     )
     def test_closed_form_agrees_with_lapack(self, monkeypatch, spec):
-        """With _SURE_CONDITION = 0 every sample takes eigvalsh + inv."""
+        """With _SURE_CONDITION = 0 every defined sample takes LAPACK's inv."""
         grid = GroundGrid.fibonacci(100)
         window = TimeWindow(21600.0, 2160.0)
-        eigvalsh = np.linalg.eigvalsh
-        fallback = []
-
-        def counting_eigvalsh(matrices):
-            fallback.append(len(matrices))
-            return eigvalsh(matrices)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        inverted = _count_rows(monkeypatch, "inv")
         shipped = pdop_samples(spec, grid, window)
         solvable = int((shipped.visible_count >= 4).sum())
-        assert 0 < sum(fallback) < solvable  # both paths ran
-        fallback.clear()
+        assert 0 < sum(inverted) < solvable  # both paths ran
+        inverted.clear()
         monkeypatch.setattr(geometry, "_SURE_CONDITION", 0.0)
         lapack = pdop_samples(spec, grid, window)
-        assert sum(fallback) == solvable
+        assert sum(inverted) == int(lapack.defined.sum()) > 0
         assert np.array_equal(shipped.visible_count, lapack.visible_count)
         assert np.array_equal(shipped.defined, lapack.defined)
         defined = lapack.defined
@@ -395,18 +423,20 @@ class TestPdopSamplesEngine:
             ])
             normal[t] = g.T @ g
             rows.append(-g[:, :3])
-        sure, minor, det = geometry._schur(
+        sure, proven, minor, det = geometry._schur(
             normal[:, 3, 3], normal[:, :3, 3].T, normal[:, :3, :3].transpose(1, 2, 0)
         )
-        assert 0 < sure.sum() < len(normal)
+        assert 0 < sure.sum() < proven.sum() < len(normal)
+        assert np.all(proven[sure])
         eig = np.linalg.eigvalsh(normal)
         assert np.all(eig[sure, -1] / eig[sure, 0] <= geometry._SURE_CONDITION)
+        assert np.all(eig[proven, -1] / eig[proven, 0] <= geometry._PROVEN_CONDITION)
         q = np.linalg.inv(normal[sure]).diagonal(axis1=1, axis2=2)
         value = np.sqrt((minor[0] + minor[1] + minor[2])[sure] / det[sure])
         np.testing.assert_allclose(value, np.sqrt(q[:, :3].sum(axis=1)), rtol=1e-12, atol=0.0)
         fallback = geometry._fallback
         calls = []
-        monkeypatch.setattr(geometry, "_fallback", lambda n: calls.append(1) or fallback(n))
+        monkeypatch.setattr(geometry, "_fallback", lambda *a: calls.append(1) or fallback(*a))
         got = [dop(rows[t]) for t in np.flatnonzero(sure)]
         assert not calls
         for name, figure in (("gdop", [0, 1, 2, 3]), ("pdop", [0, 1, 2]), ("hdop", [0, 1]),
@@ -564,6 +594,19 @@ class TestPdopSamplesEngine:
             )
 
 
+def _count_rows(monkeypatch, name: str) -> list[int]:
+    """The number of matrices handed to each ``np.linalg.<name>`` call."""
+    fn = getattr(np.linalg, name)
+    rows = []
+
+    def counting(matrices):
+        rows.append(len(matrices))
+        return fn(matrices)
+
+    monkeypatch.setattr(np.linalg, name, counting)
+    return rows
+
+
 def _record_tiles(monkeypatch) -> list[tuple[int, int]]:
     """The (epochs, sites) shape of each kernel call, recorded as it runs."""
     block_pdop = geometry._block_pdop
@@ -658,17 +701,10 @@ class TestSampleDigest:
 
     def test_one_fallback_batch_per_call(self, monkeypatch):
         """The samples the closed form cannot clear go to LAPACK in one
-        eigvalsh call at the shipped budget; a budget small enough to flush
-        the held matrices early splits the batch, not the bytes."""
+        inv call at the shipped budget; a budget small enough to flush the
+        held matrices early splits the batch, not the bytes."""
         spec, grid = self.CASES["gps-like"]
-        eigvalsh = np.linalg.eigvalsh
-        batches = []
-
-        def counting_eigvalsh(matrices):
-            batches.append(len(matrices))
-            return eigvalsh(matrices)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        batches = _count_rows(monkeypatch, "inv")
         for budget, one_batch in ((geometry._PAIR_BUDGET, True), (4 * 16, False)):
             batches.clear()
             monkeypatch.setattr(geometry, "_PAIR_BUDGET", budget)
@@ -678,6 +714,62 @@ class TestSampleDigest:
             assert (len(batches) == 1) if one_batch else (len(batches) > 1)
             # held matrices: the flush threshold plus at most one site block
             assert max(batches) <= budget // 16 + budget // spec.total_sats
+
+
+    @pytest.mark.parametrize("case, mask_deg", DIGEST)
+    def test_compressed_pairs_keep_the_bytes(self, monkeypatch, case, mask_deg):
+        """The kernel compresses its pair arrays only when a culled pair
+        fails the exact elevation test.  At the shipped cull none does; a
+        cull widened by 0.05 rad of reach keeps such pairs in every kernel
+        call, and the samples keep their bytes."""
+        spec, grid = self.CASES[case]
+        block_pdop = geometry._block_pdop
+        pairs = []  # (culled, visible) of each kernel call
+
+        def recording(basis, ecef, radius_km, mask_rad):
+            out = block_pdop(basis, ecef, radius_km, mask_rad)
+            r = np.linalg.norm(ecef, axis=-1)
+            bound = r * np.cos(geometry._reach(r, radius_km, mask_rad)) - 1e-6
+            culled = sum(int((s @ basis[2] >= b[:, None]).sum()) for s, b in zip(ecef, bound))
+            pairs.append((culled, int(out[0].sum())))
+            return out
+
+        monkeypatch.setattr(geometry, "_block_pdop", recording)
+        window = TimeWindow(3600.0, 240.0)
+        pdop_samples(spec, grid, window, mask_deg)
+        assert all(culled == visible for culled, visible in pairs)
+        pairs.clear()
+        reach = geometry._reach
+        monkeypatch.setattr(geometry, "_reach", lambda *args: reach(*args) + 0.05)
+        samples = pdop_samples(spec, grid, window, mask_deg)
+        assert pairs and all(culled > visible for culled, visible in pairs)
+        digest = hashlib.sha256(samples.pdop.tobytes() + samples.visible_count.tobytes())
+        assert digest.hexdigest() == self.DIGEST[case, mask_deg]
+
+    @pytest.mark.parametrize("case, mask_deg", DIGEST)
+    def test_eigenvalue_test_keeps_the_bytes(self, monkeypatch, case, mask_deg):
+        """Fallback samples whose bound proves them defined skip eigvalsh;
+        GPS-like at masks up to 5 degrees calls it not at all.  With
+        _PROVEN_CONDITION = 0 every fallback sample takes the test, the
+        singular ones still fail it, and the samples keep their bytes."""
+        spec, grid = self.CASES[case]
+        tested = _count_rows(monkeypatch, "eigvalsh")
+        inverted = _count_rows(monkeypatch, "inv")
+        window = TimeWindow(3600.0, 240.0)
+        shipped = pdop_samples(spec, grid, window, mask_deg)
+        singular = int(((shipped.visible_count >= 4) & ~shipped.defined).sum())
+        held = sum(inverted) + singular
+        assert singular <= sum(tested) <= held
+        if case == "gps-like" and mask_deg <= 5.0:
+            assert held > 0 and not tested
+        tested.clear()
+        inverted.clear()
+        monkeypatch.setattr(geometry, "_PROVEN_CONDITION", 0.0)
+        samples = pdop_samples(spec, grid, window, mask_deg)
+        assert sum(tested) == held
+        assert sum(inverted) == held - singular
+        digest = hashlib.sha256(samples.pdop.tobytes() + samples.visible_count.tobytes())
+        assert digest.hexdigest() == self.DIGEST[case, mask_deg]
 
 
 class TestPercentilePdop:

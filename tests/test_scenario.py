@@ -16,6 +16,7 @@ from leonav.geometry import TimeWindow
 from leonav.orbits import EarthModel, WalkerSpec
 from leonav.payload import ClockUnit
 from leonav.rflink import JammerCalibration, MaterialLossTable
+from leonav.schema import MAX_SATS
 from leonav.scenario import (
     LinkConfig,
     PayloadConfig,
@@ -274,6 +275,18 @@ class TestRecords:
     def test_numpy_bool_is_not_a_number(self):
         with pytest.raises(ScenarioError, match="walker.total_sats: must be an integer"):
             WalkerSpec(np.bool_(True), 1)
+
+    @pytest.mark.parametrize(
+        "total_sats, planes, name",
+        [(10**29, 1, "total_sats"), (MAX_SATS + 1, 1, "total_sats"), (24, 10**29, "planes")],
+    )
+    def test_walker_spec_keeps_the_size_bound(self, total_sats, planes, name):
+        """A resolved spec built in Python meets the request's size rule."""
+        with pytest.raises(
+            ScenarioError, match=rf"^walker\.{name}: must be >= 1 and <= {MAX_SATS} \(got"
+        ):
+            WalkerSpec(total_sats, planes, phasing=0)
+        assert WalkerSpec(MAX_SATS, MAX_SATS, phasing=0).sats_per_plane == 1
 
     def test_each_section_is_one_record(self):
         """No section splits its keys over a base record, except the jammer
