@@ -8,8 +8,9 @@ least-squares solution, Q = inv(G' G) with one geometry-matrix row
 caller: the closed form over per-sample sums where it is provably
 well-conditioned, and LAPACK's inverse elsewhere, after an eigenvalue
 condition test where the sums do not prove the sample defined.
-``pdop_samples`` runs it over a whole grid and window, and
-``dop`` on the lines of sight of one site.
+``pdop_samples`` runs it over a whole grid and window, one kernel call per
+tile of samples that finishes every sample it takes, and ``dop`` on the
+lines of sight of one site.
 """
 
 from __future__ import annotations
@@ -47,7 +48,9 @@ _PROVEN_CONDITION = 1.0e10
 #: Site x satellite pairs the PDOP engine tests for visibility at once; the
 #: site axis is processed in blocks of this many pairs, and the epoch axis
 #: propagated in chunks of as many epoch x satellite pairs, which bounds its
-#: working memory whatever the grid, window and constellation sizes.
+#: working memory whatever the grid, window and constellation sizes.  A
+#: kernel call holds no more samples than one site block, so the normal
+#: matrices it leaves to LAPACK are bounded with it.
 _PAIR_BUDGET = 1 << 18
 
 _GOLDEN_ANGLE_RAD = math.pi * (3.0 - math.sqrt(5.0))
@@ -274,12 +277,8 @@ def pdop_samples(
     ``_PAIR_BUDGET`` epoch or site x satellite pairs, so memory does not
     grow with window length or grid size times constellation size.  Each
     kernel call takes one site block over a tile of epochs sized by
-    ``_tile_epochs``.  The samples the closed form cannot clear are held
-    with their normal matrices, and with whether their bound already proves
-    them defined, and solved in one LAPACK batch; the batch is flushed
-    early only once about ``_PAIR_BUDGET // 16`` matrices (2 MiB at the
-    shipped budget) are held, so the held matrices are bounded by the
-    budget too.
+    ``_tile_epochs`` and returns every sample of it finished, so nothing is
+    held from one call to the next.
     """
     if not 0.0 <= mask_deg < 90.0:
         raise ValueError(f"mask_deg ({mask_deg}) must lie in [0, 90)")
@@ -299,8 +298,6 @@ def pdop_samples(
         min(block, n_sites), spec.total_sats,
         float(elements.semimajor_km[0]), earth.radius_km, mask_rad,
     )
-    held: list[tuple[np.ndarray, ...]] = []  # (flat sample index, normal, proven)
-    n_held = 0
 
     for start in range(0, epochs.size, block):
         t = epochs[start : start + block, None]
@@ -310,22 +307,9 @@ def pdop_samples(
             cols = slice(start + first, start + first + len(sats))
             for lo in range(0, n_sites, block):
                 rows = slice(lo, lo + block)
-                count, pdop, sample, normal, proven = _block_pdop(
-                    basis[..., rows], sats, earth.radius_km, mask_rad
-                )
+                count, pdop = _block_pdop(basis[..., rows], sats, earth.radius_km, mask_rad)
                 counts[rows, cols] = count.T
                 values[rows, cols] = pdop.T
-                if sample.size:
-                    epoch, site = np.divmod(sample, count.shape[1])
-                    index = (lo + site) * epochs.size + cols.start + epoch
-                    held.append((index, normal, proven))
-                    n_held += sample.size
-                    if n_held >= _PAIR_BUDGET // 16:
-                        _fallback_pdop(values, held)
-                        held, n_held = [], 0
-    if held:
-        _fallback_pdop(values, held)
-
     return PdopSamples(pdop=values, visible_count=counts)
 
 
@@ -359,7 +343,7 @@ def _tile_epochs(
 
 def _block_pdop(
     basis: np.ndarray, ecef: np.ndarray, radius_km: float, mask_rad: float
-) -> tuple[np.ndarray, ...]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Visible counts and PDOP of one block of sites over a tile of epochs.
 
     Takes the block's component-major ENU basis (3, 3, m) and the
@@ -388,16 +372,12 @@ def _block_pdop(
     sample whose four satellites are barely independent (PDOP ~1e5)
     magnifies the rounding of a change of frame far past 1e-10.
     Well-conditioned samples, nearly all of them, take PDOP in closed form
-    from the per-sample sums.
+    from the per-sample sums; the rest go to ``_fallback`` in the same call,
+    which makes no LAPACK call when there are none.
 
     Returns:
-        (count, pdop, sample, normal, proven): the visible count and PDOP
-        of each (epoch, site) sample of the tile, shape (k, m), NaN where
-        undefined or left to the fallback; and the flat indices into
-        (k, m) of the samples the closed form could not clear, with their
-        4x4 normal matrices and ``_schur``'s mask of those proven defined.
-        ``pdop_samples`` holds them for ``_fallback_pdop``, about
-        ``_PAIR_BUDGET // 16`` matrices at most.
+        (count, pdop): the visible count and PDOP of each (epoch, site)
+        sample of the tile, shape (k, m), PDOP NaN where undefined.
     """
     m = basis.shape[-1]
     tile, n = ecef.shape[:2]
@@ -449,25 +429,15 @@ def _block_pdop(
     sure, proven, minor, det = _schur(k, b, a)
     pdop[enough[sure]] = np.sqrt((minor[0] + minor[1] + minor[2])[sure] / det[sure])
 
-    rest = ~sure
-    normal = np.empty((int(rest.sum()), 4, 4))
-    normal[:, :3, :3] = a[:, :, rest].transpose(2, 0, 1)
-    normal[:, :3, 3] = normal[:, 3, :3] = b[:, rest].T
-    normal[:, 3, 3] = k[rest]
-    return (count.reshape(tile, m), pdop.reshape(tile, m), enough[rest], normal,
-            proven[rest])
-
-
-def _fallback_pdop(values: np.ndarray, held: list[tuple[np.ndarray, ...]]) -> None:
-    """PDOP of the held samples the closed form could not clear, written
-    into ``values`` at their flat (site, epoch) indices.
-
-    LAPACK solves each matrix of a stack on its own, so one call over
-    every held matrix gives the values one call per block would.
-    """
-    index, normal, proven = (np.concatenate(part) for part in zip(*held))
-    good, q = _fallback(normal, proven)
-    np.put(values, index[good], np.sqrt(q[:, 0] + q[:, 1] + q[:, 2]))
+    rest = np.flatnonzero(~sure)
+    if rest.size:
+        normal = np.empty((rest.size, 4, 4))
+        normal[:, :3, :3] = a[:, :, rest].transpose(2, 0, 1)
+        normal[:, :3, 3] = normal[:, 3, :3] = b[:, rest].T
+        normal[:, 3, 3] = k[rest]
+        good, q = _fallback(normal, proven[rest])
+        pdop[enough[rest[good]]] = np.sqrt(q[:, 0] + q[:, 1] + q[:, 2])
+    return count.reshape(tile, m), pdop.reshape(tile, m)
 
 
 def _dot(x: list[np.ndarray], y: list[np.ndarray]) -> np.ndarray:
@@ -507,11 +477,13 @@ def _schur(
 
 def _fallback(normal: np.ndarray, proven: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The LAPACK step, for the normal matrices the closed form cannot
-    clear.  The matrices ``_schur`` proved defined go straight to the
-    inverse; the rest take an eigenvalue condition test first, which keeps
-    undefined masks and the values of nearly singular samples independent
-    of the closed form.  The inverse of each matrix is the same whichever
-    test admitted it.
+    clear in one kernel call, or for ``dop``'s one matrix.  The matrices
+    ``_schur`` proved defined go straight to the inverse; the rest take an
+    eigenvalue condition test first, which keeps undefined masks and the
+    values of nearly singular samples independent of the closed form.  The
+    inverse of each matrix is the same whichever test admitted it, and
+    LAPACK solves each matrix of a stack on its own, so how the samples are
+    split between calls changes no value.
 
     Returns:
         (good, q): the mask of matrices proven defined or whose condition

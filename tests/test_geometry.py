@@ -542,7 +542,10 @@ class TestPdopSamplesEngine:
         """GPS-like on 4 sites: a site block holds 2,730 epochs' worth of
         samples, and tiles that filled it would peak near 13 MB in one
         kernel call; tiles sized by expected culled pairs stay near 1 MB
-        whatever the window."""
+        whatever the window.  The closed form clears every sample of these
+        sites, so a second run with _SURE_CONDITION = 0 sends every defined
+        sample through LAPACK's inverse, within the same bound."""
+        inverted = _count_rows(monkeypatch, "inv")
         block_pdop = geometry._block_pdop
         peaks = []
 
@@ -554,15 +557,20 @@ class TestPdopSamplesEngine:
             return out
 
         monkeypatch.setattr(geometry, "_block_pdop", measured)
-        tracemalloc.start()
-        try:
-            window = TimeWindow(60.0 * n_epochs, 60.0)
-            samples = pdop_samples(GPS_LIKE, GroundGrid.fibonacci(4), window)
-        finally:
-            tracemalloc.stop()
-        assert samples.defined.any()
-        assert len(peaks) < n_epochs / 100  # tiles of ~250 epochs
-        assert max(peaks) < 2 * 2**20
+        window = TimeWindow(60.0 * n_epochs, 60.0)
+        for sure_condition in (geometry._SURE_CONDITION, 0.0):
+            monkeypatch.setattr(geometry, "_SURE_CONDITION", sure_condition)
+            peaks.clear()
+            inverted.clear()
+            tracemalloc.start()
+            try:
+                samples = pdop_samples(GPS_LIKE, GroundGrid.fibonacci(4), window)
+            finally:
+                tracemalloc.stop()
+            assert samples.defined.any()
+            assert len(peaks) < n_epochs / 100  # tiles of ~250 epochs
+            assert max(peaks) < 2 * 2**20
+        assert sum(inverted) == samples.defined.sum() > 0
 
     def test_memory_stays_bounded_on_a_wide_grid(self):
         """One epoch of 1,000 satellites over ~20,000 sites: a dense
@@ -699,21 +707,42 @@ class TestSampleDigest:
         assert got == tile
         assert got * sites <= max(1, geometry._PAIR_BUDGET // sats)
 
-    def test_one_fallback_batch_per_call(self, monkeypatch):
-        """The samples the closed form cannot clear go to LAPACK in one
-        inv call at the shipped budget; a budget small enough to flush the
-        held matrices early splits the batch, not the bytes."""
-        spec, grid = self.CASES["gps-like"]
-        batches = _count_rows(monkeypatch, "inv")
-        for budget, one_batch in ((geometry._PAIR_BUDGET, True), (4 * 16, False)):
-            batches.clear()
-            monkeypatch.setattr(geometry, "_PAIR_BUDGET", budget)
-            samples = pdop_samples(spec, grid, TimeWindow(3600.0, 240.0), 5.0)
-            digest = hashlib.sha256(samples.pdop.tobytes() + samples.visible_count.tobytes())
-            assert digest.hexdigest() == self.DIGEST["gps-like", 5.0]
-            assert (len(batches) == 1) if one_batch else (len(batches) > 1)
-            # held matrices: the flush threshold plus at most one site block
-            assert max(batches) <= budget // 16 + budget // spec.total_sats
+    @pytest.mark.parametrize("case", CASES)
+    def test_each_kernel_call_finishes_its_samples(self, monkeypatch, case):
+        """Every kernel call returns the bytes pdop_samples reports for its
+        (epochs, sites) slice, undefined samples included, and inverts no
+        more matrices than it has samples."""
+        spec, grid = self.CASES[case]
+        inverted = _count_rows(monkeypatch, "inv")
+        block_pdop = geometry._block_pdop
+        calls = []  # (count, pdop, rows of each inv call) of each kernel call
+
+        def recording(*args):
+            first = len(inverted)
+            count, pdop = block_pdop(*args)
+            calls.append((count, pdop, inverted[first:]))
+            return count, pdop
+
+        monkeypatch.setattr(geometry, "_block_pdop", recording)
+        samples = pdop_samples(spec, grid, TimeWindow(3600.0, 240.0), 5.0)
+        digest = hashlib.sha256(samples.pdop.tobytes() + samples.visible_count.tobytes())
+        assert digest.hexdigest() == self.DIGEST[case, 5.0]
+
+        # Calls run tile after tile, each over the site blocks in order.
+        site = epoch = 0
+        for count, pdop, rows in calls:
+            k, m = pdop.shape
+            cell = (slice(site, site + m), slice(epoch, epoch + k))
+            assert pdop.tobytes() == samples.pdop[cell].T.copy().tobytes()
+            assert np.array_equal(count, samples.visible_count[cell].T)
+            assert len(rows) <= 1 and sum(rows) <= k * m
+            site += m
+            if site == len(grid):
+                site, epoch = 0, epoch + k
+        assert (site, epoch) == (0, samples.pdop.shape[1])
+        assert inverted
+        if case == "200@600-F0":
+            assert ((samples.visible_count >= 4) & ~samples.defined).any()
 
 
     @pytest.mark.parametrize("case, mask_deg", DIGEST)
@@ -758,16 +787,16 @@ class TestSampleDigest:
         window = TimeWindow(3600.0, 240.0)
         shipped = pdop_samples(spec, grid, window, mask_deg)
         singular = int(((shipped.visible_count >= 4) & ~shipped.defined).sum())
-        held = sum(inverted) + singular
-        assert singular <= sum(tested) <= held
+        fallback = sum(inverted) + singular
+        assert singular <= sum(tested) <= fallback
         if case == "gps-like" and mask_deg <= 5.0:
-            assert held > 0 and not tested
+            assert fallback > 0 and not tested
         tested.clear()
         inverted.clear()
         monkeypatch.setattr(geometry, "_PROVEN_CONDITION", 0.0)
         samples = pdop_samples(spec, grid, window, mask_deg)
-        assert sum(tested) == held
-        assert sum(inverted) == held - singular
+        assert sum(tested) == fallback
+        assert sum(inverted) == fallback - singular
         digest = hashlib.sha256(samples.pdop.tobytes() + samples.visible_count.tobytes())
         assert digest.hexdigest() == self.DIGEST[case, mask_deg]
 
