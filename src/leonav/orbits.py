@@ -79,12 +79,20 @@ class WalkerConfig(_Record, key="walker"):
                 f"planes ({self.planes}) does not divide total_sats ({self.total_sats})"
             )
 
-    def fits(self, total_sats: int) -> bool:
-        """Whether ``design`` runs ``total_sats`` unchanged: a multiple of
-        the pinned plane count, or a plane-friendly size when none is pinned."""
-        if self.planes is None:
-            return is_plane_friendly(total_sats)
-        return total_sats >= 1 and total_sats % self.planes == 0
+    def ladder(self, ceiling: int) -> list[int]:
+        """The sizes up to ``ceiling``, ascending, that ``design`` runs
+        unchanged: the multiples of the pinned plane count, or with none
+        pinned the plane-friendly sizes.  Those are exactly the products
+        p * s with p <= s <= ``_BALANCE_LIMIT`` * p, because the divisor
+        pair nearest sqrt(T) that ``default_planes`` picks is the most
+        balanced pair of T."""
+        if self.planes is not None:
+            return list(range(self.planes, ceiling + 1, self.planes))
+        return sorted({
+            p * s
+            for p in range(1, math.isqrt(max(ceiling, 0)) + 1)
+            for s in range(p, min(int(_BALANCE_LIMIT * p), ceiling // p) + 1)
+        })
 
     def design(self, total_sats: int, altitude_km: float) -> WalkerSpec:
         """The design that runs for a requested size at an altitude.

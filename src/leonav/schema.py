@@ -56,7 +56,7 @@ def _count(default: Any, most: int) -> Any:
 
 #: Largest constellation size a scenario or sizing search may request.  The
 #: Walker design rule factors every size it snaps, so an unbounded size
-#: would hang it; the optimize ladder up to this bound builds in about 1 s.
+#: would hang it; the optimize ladder up to this bound lists in about 3 ms.
 MAX_SATS = 100_000
 
 #: Largest ground grid (``grid.resolution``) a scenario may request.  A PDOP

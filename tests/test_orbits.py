@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -180,10 +181,30 @@ class TestWalkerDesign:
         assert config.design(24, 1200.0) == WalkerSpec(24, 6, 2, 1200.0, 90.0, 360.0)
 
     @pytest.mark.parametrize("planes", [None, 1, 4, 7])
-    def test_fits_exactly_the_sizes_design_keeps(self, planes):
+    def test_ladder_is_exactly_the_sizes_design_keeps(self, planes):
         config = _request(planes)
         kept = [t for t in range(1, 201) if config.design(t, 900.0).total_sats == t]
-        assert [t for t in range(-1, 201) if config.fits(t)] == kept
+        assert config.ladder(200) == kept
+
+    @pytest.mark.parametrize("planes", [None, 1, 4, 7, 12])
+    def test_ladder_matches_the_per_size_filter_at_every_ceiling(self, planes):
+        """The factor-pair ladder against the filter it replaces: every
+        size that is plane-friendly, or a multiple of the pinned count."""
+        config = _request(planes)
+        if planes is None:
+            kept = [t for t in range(1, 3001) if is_plane_friendly(t)]
+        else:
+            kept = [t for t in range(1, 3001) if t % planes == 0]
+        for ceiling in range(-1, 3001):
+            assert config.ladder(ceiling) == kept[:bisect_right(kept, ceiling)], ceiling
+
+    def test_ladder_below_the_pinned_plane_count_is_empty(self):
+        assert _request(12).ladder(11) == []
+        assert _request(12).ladder(12) == [12]
+
+    def test_ladder_length_at_the_size_bound(self):
+        assert len(WalkerConfig().ladder(MAX_SATS)) == 26_870
+        assert len(_request(7).ladder(MAX_SATS)) == MAX_SATS // 7
 
     def test_design_is_a_request(self):
         """A resolved design is a WalkerConfig that designs itself."""

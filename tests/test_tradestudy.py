@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from leonav.geometry import NoCoverageError, percentile_pdop
+from leonav.geometry import GroundGrid, NoCoverageError, percentile_pdop
 from leonav.orbits import EarthModel
 from leonav.payload import MAX_UNITS, OVERHEAD, PA_EFFICIENCY, POWER_W, ClockUnit
 from leonav.rflink import (
@@ -59,6 +59,19 @@ def tiny() -> Scenario:
     return parse_scenario(json.dumps(TINY))
 
 
+def grids_built(monkeypatch) -> list[GroundGrid]:
+    """Every GroundGrid constructed from here on, in construction order."""
+    built = []
+    post_init = GroundGrid.__post_init__
+
+    def recording(grid: GroundGrid) -> None:
+        post_init(grid)
+        built.append(grid)
+
+    monkeypatch.setattr(GroundGrid, "__post_init__", recording)
+    return built
+
+
 class TestGpsLikeReference:
     def test_constellation_shape(self):
         assert GPS_LIKE.total_sats == 24
@@ -84,8 +97,6 @@ class TestPdopSweep:
         cell = result.cells[0]
         spec = sc.walker.design(24, 800.0)
         assert (cell.total_sats, cell.planes) == (spec.total_sats, spec.planes)
-        from leonav.geometry import GroundGrid
-
         direct = percentile_pdop(
             spec, GroundGrid.fibonacci(64), sc.window,
             mask_deg=5.0, percentile=95.0,
@@ -96,6 +107,13 @@ class TestPdopSweep:
     def test_thread_count_does_not_change_results(self):
         sc = tiny()
         assert pdop_sweep(sc, threads=1) == pdop_sweep(sc, threads=4)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_grid_serves_every_cell(self, monkeypatch, threads):
+        sc = tiny()
+        built = grids_built(monkeypatch)
+        assert len(pdop_sweep(sc, threads=threads).cells) == 4
+        assert len(built) == 1
 
     def test_no_coverage_cell_marked_not_fatal(self):
         sc = dataclasses.replace(
@@ -135,15 +153,13 @@ class TestMinConstellationSize:
         assert result.reachable
         assert result.coverage == 1.0
         assert result.achieved_pdop <= 10.0
-        assert sc.walker.fits(result.total_sats)
+        ladder = sc.walker.ladder(600)
+        assert result.total_sats in ladder
         assert result.evaluations >= 3
 
         # the next size down the ladder must genuinely fail
-        ladder = [t for t in range(1, 601) if sc.walker.fits(t)]
         idx = ladder.index(result.total_sats)
         prev = sc.walker.design(ladder[idx - 1], 900.0)
-        from leonav.geometry import GroundGrid
-
         try:
             before = percentile_pdop(
                 prev, GroundGrid.fibonacci(64), sc.window,
@@ -152,6 +168,12 @@ class TestMinConstellationSize:
             assert before.coverage < 1.0 or before.value > 10.0
         except NoCoverageError:
             pass  # no coverage at all certainly fails
+
+    def test_one_grid_serves_every_evaluation(self, monkeypatch):
+        sc = tiny()
+        built = grids_built(monkeypatch)
+        assert min_constellation_size(900.0, 10.0, sc, ceiling=600).evaluations > 1
+        assert len(built) == 1
 
     def test_pinned_planes_ladder(self):
         sc = parse_scenario(json.dumps({**TINY, "walker": {"planes": 10}}))
