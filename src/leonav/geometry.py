@@ -162,8 +162,7 @@ class GroundGrid:
         """
         if n_sites < 1:
             raise ValueError(f"n_sites ({n_sites}) must be >= 1")
-        n_lat = max(1, round(math.sqrt(n_sites / 2.0)))
-        n_lon = 2 * n_lat
+        n_lat, n_lon = _latlon_shape(n_sites)
         lat_centers = -90.0 + (np.arange(n_lat) + 0.5) * 180.0 / n_lat
         lon_centers = -180.0 + (np.arange(n_lon) + 0.5) * 360.0 / n_lon
         lat = np.repeat(lat_centers, n_lon)
@@ -171,6 +170,13 @@ class GroundGrid:
         weight = np.cos(np.radians(lat))
         weight = weight / weight.sum()
         return cls(lat, lon, weight)
+
+
+def _latlon_shape(n_sites: int) -> tuple[int, int]:
+    """Rows and columns, n_lat x (2 n_lat), of the latitude/longitude grid
+    nearest ``n_sites`` sites."""
+    n_lat = max(1, round(math.sqrt(n_sites / 2.0)))
+    return n_lat, 2 * n_lat
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,13 @@ complete, valid scenario at the documented desk-scale defaults.  Unknown
 keys are errors unless lenient parsing is requested, in which case they
 are reported and ignored.
 
-Each section is one record of ``schema`` (see there for the field
-rules): the domain's own parameter record, or a record here holding the
-knobs of the reports.  The jammer section alone extends a domain record,
-the calibration its functions take.
+The scenario is the root record of ``schema`` (see there for the field
+rules), with an empty key, and each section one of its fields: the
+domain's own parameter record, or a record here holding the knobs of the
+reports.  The jammer section alone extends a domain record, the
+calibration its functions take.  One reader reads the whole tree, from
+the root object down to each list entry, and the root's cross-field rule
+bounds the samples one evaluation holds by ``MAX_SAMPLES``.
 """
 
 from __future__ import annotations
@@ -17,11 +20,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import typing
+import math
 from dataclasses import dataclass
 from typing import Any
 
-from .geometry import TimeWindow
+from .geometry import TimeWindow, _latlon_shape
 from .orbits import EarthModel, WalkerConfig
 from .payload import MAX_UNITS, OVERHEAD, PA_EFFICIENCY, POWER_W, ClockUnit
 from .rflink import (
@@ -38,12 +41,11 @@ from .rflink import (
 )
 from .schema import (
     ALTITUDE_KM,
+    MAX_SAMPLES,
     MAX_SITES,
     ScenarioError,
     _build,
-    _check_keys,
     _count,
-    _expect,
     _one_of,
     _Record,
     _rule,
@@ -56,6 +58,14 @@ from .schema import (
 class GridConfig(_Record, key="grid"):
     scheme: str = _one_of("fibonacci", "latlon")
     resolution: int = _count(500, MAX_SITES)
+
+    @property
+    def n_sites(self) -> int:
+        """Sites of the grid this section builds: ``resolution`` for the
+        Fibonacci lattice, the nearest n_lat x (2 n_lat) for latlon."""
+        if self.scheme == "latlon":
+            return math.prod(_latlon_shape(self.resolution))
+        return self.resolution
 
 
 @dataclass(frozen=True)
@@ -154,7 +164,7 @@ class PayloadConfig(_Record, key="payload"):
 
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(_Record, key=""):
     """Fully-defaulted run configuration; hashable via its canonical JSON."""
 
     earth: EarthModel = EarthModel()
@@ -167,8 +177,13 @@ class Scenario:
     materials: MaterialLossTable = MaterialLossTable()
     payload: PayloadConfig = PayloadConfig()
 
-
-_SECTIONS: dict[str, type] = typing.get_type_hints(Scenario)
+    def _check_across_fields(self) -> None:
+        sites, epochs = self.grid.n_sites, self.window.n_epochs
+        if sites * epochs > MAX_SAMPLES:
+            raise ValueError(
+                f"grid.resolution x window.duration_s / window.step_s ({sites} sites x "
+                f"{epochs} epochs) must be <= {MAX_SAMPLES} samples"
+            )
 
 
 def parse_scenario(text: str, strict: bool = True) -> Scenario:
@@ -191,11 +206,7 @@ def parse_scenario(text: str, strict: bool = True) -> Scenario:
         ) from None
     if not isinstance(raw, dict):
         raise ScenarioError("scenario root must be a JSON object")
-    _check_keys(raw, _SECTIONS, "scenario", strict)
-    return Scenario(**{  # absent sections keep the default instances
-        name: _build(cls, _expect(raw[name], dict, name, "an object"), name, strict)
-        for name, cls in _SECTIONS.items() if name in raw
-    })
+    return _build(Scenario, raw, "", strict)
 
 
 def _plain(value: Any) -> Any:
@@ -208,7 +219,7 @@ def _plain(value: Any) -> Any:
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Plain-JSON mirror of a scenario with every default made explicit."""
-    return {name: _plain(getattr(scenario, name)) for name in _SECTIONS}
+    return _plain(scenario)
 
 
 def serialize_scenario(scenario: Scenario) -> str:

@@ -9,8 +9,10 @@ integer at least 1 unless the field's metadata states another rule;
 lists must not be empty, and a rule on a list field applies to each
 entry.  Cross-field rules live in each record's ``_check_across_fields``.
 A record checks itself on construction, so one built in Python meets the
-same rules, with the same messages, as one read from a file.  A message
-quotes the rejected value clipped by ``_shown``.
+same rules, with the same messages, as one read from a file.  The
+scenario is the root record, with an empty key, so one reader reads every
+level from its object down, and lenient reading warns of unknown keys at
+each.  A message quotes the rejected value clipped by ``_shown``.
 """
 
 from __future__ import annotations
@@ -67,6 +69,18 @@ MAX_SITES = 1_000_000
 #: Largest epoch count (``window.duration_s / window.step_s``) a scenario
 #: may request, bounded for the same reason as ``MAX_SITES``.
 MAX_EPOCHS = 1_000_000
+
+#: Bytes per (site, epoch) sample that pooled aggregation, the evaluation
+#: that holds the most per sample, holds at its peak on a fully covered grid,
+#: as tracemalloc measures it: the PDOP values and visible counts, the
+#: defined mask, the compressed values and weights, and the percentile's
+#: argsort, sorted copies and cumulative weights.
+SAMPLE_BYTES = 69
+
+#: Largest number of samples one evaluation may hold, the grid's site count
+#: times ``window.n_epochs``: it keeps the samples under 2 GiB.  The engine's
+#: working memory, bounded by its pair budget, comes on top.
+MAX_SAMPLES = 2**31 // SAMPLE_BYTES
 
 #: Bounds of every altitude (km) a scenario may state, orbit or link: at
 #: every Earth radius and elevation it accepts, each slant range and orbit
@@ -141,11 +155,17 @@ _SCALARS: dict[type, tuple[_Reader, tuple | None, str]] = {
 }
 
 
-def _reader(hint: Any, rule: tuple | None) -> _Reader:
-    """Builds the reader of one annotated value kind."""
+def _child(where: str, name: str) -> str:
+    """``where.name``, or the bare name under the root's empty key."""
+    return f"{where}.{name}" if where else name
+
+
+def _reader(hint: Any, rule: tuple | None, strict: bool) -> _Reader:
+    """Builds the reader of one annotated value kind; a nested record read
+    from its JSON object rejects unknown keys if ``strict``, else warns."""
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
-        item = _reader(args[0], rule)
+        item = _reader(args[0], rule, strict)
         noun = _SCALARS[args[0]][2] if args[0] in _SCALARS else "objects"
 
         def read_list(value: Any, key: str) -> tuple:
@@ -155,11 +175,11 @@ def _reader(hint: Any, rule: tuple | None) -> _Reader:
 
         return read_list
     if type(None) in args:
-        inner = _reader(args[0], rule)
+        inner = _reader(args[0], rule, strict)
         return lambda value, key: None if value is None else inner(value, key)
     if dataclasses.is_dataclass(hint):
         return lambda value, key: value if isinstance(value, hint) else _build(
-            hint, _expect(value, dict, key, "an object"), key, strict=True
+            hint, _expect(value, dict, key, "an object"), key, strict
         )
     read, default_rule, _ = _SCALARS[hint]
     rule = rule or default_rule
@@ -177,37 +197,36 @@ def _reader(hint: Any, rule: tuple | None) -> _Reader:
 
 
 @functools.cache
-def _readers(cls: type) -> dict[str, _Reader]:
+def _readers(cls: type, strict: bool) -> dict[str, _Reader]:
     """Field name -> reader, for one record class."""
     hints = typing.get_type_hints(cls)
     return {
-        f.name: _reader(hints[f.name], f.metadata.get("rule"))
+        f.name: _reader(hints[f.name], f.metadata.get("rule"), strict)
         for f in dataclasses.fields(cls)
     }
 
 
 class _Record:
-    """Base of the parameter records and the scenario sections.
+    """Base of the parameter records, the scenario sections and the scenario.
 
     Construction, whether by the parser or directly, reads every field
     through its reader (types, finiteness, the field's rule) and then the
     record's cross-field rules, raising ``ScenarioError`` naming
-    ``key.field``.  A scenario section is a record or extends one.
+    ``key.field``.  A scenario section is a record or extends one, and the
+    scenario is the root record, whose key is empty.
     """
-
-    _key: typing.ClassVar[str]
 
     def __init_subclass__(cls, key: str, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
         cls._key = key
 
     def __post_init__(self) -> None:
-        for name, read in _readers(type(self)).items():
-            object.__setattr__(self, name, read(getattr(self, name), f"{self._key}.{name}"))
+        for name, read in _readers(type(self), True).items():
+            object.__setattr__(self, name, read(getattr(self, name), _child(self._key, name)))
         try:
             self._check_across_fields()
         except ValueError as exc:
-            raise ScenarioError(f"{self._key}: {exc}") from None
+            raise ScenarioError(f"{self._key}: {exc}" if self._key else str(exc)) from None
 
     def _check_across_fields(self) -> None:
         """Rules that involve more than one field; none by default."""
@@ -216,7 +235,7 @@ class _Record:
 def _check_keys(section: dict, known: typing.Iterable[str], where: str, strict: bool) -> None:
     for key in section:
         if key not in known:
-            message = f"unknown key {where}.{key!r} (known keys: {', '.join(known)})"
+            message = f"unknown key {where or 'scenario'}.{key!r} (known keys: {', '.join(known)})"
             if strict:
                 raise ScenarioError(message)
             print(f"warning: ignoring {message}", file=sys.stderr)
@@ -224,7 +243,7 @@ def _check_keys(section: dict, known: typing.Iterable[str], where: str, strict: 
 
 def _build(cls: type, raw: dict, where: str, strict: bool) -> Any:
     """One record from its JSON object; messages name each key from ``where``."""
-    readers = _readers(cls)
+    readers = _readers(cls, strict)
     _check_keys(raw, readers, where, strict)
     missing = [
         f.name for f in dataclasses.fields(cls)
@@ -233,6 +252,6 @@ def _build(cls: type, raw: dict, where: str, strict: bool) -> Any:
     if missing:
         raise ScenarioError(f"{where}: requires {' and '.join(map(repr, missing))}")
     return cls(**{
-        name: read(raw[name], f"{where}.{name}")
+        name: read(raw[name], _child(where, name))
         for name, read in readers.items() if name in raw
     })

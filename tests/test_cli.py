@@ -358,6 +358,20 @@ class TestExitCodes:
         assert main(["pathloss", "--config", str(path), "--lenient", "--quiet"]) == 0
         assert "ignoring unknown key" in capsys.readouterr().err
 
+    def test_lenient_reaches_list_entries(self, tmp_path, capsys):
+        path = tmp_path / "extra.json"
+        path.write_text(
+            '{"payload": {"clocks": [{"name": "x", "unit_power_w": 1, "foo": 1}]}}',
+            encoding="utf-8",
+        )
+        assert main(["power", "--config", str(path), "--quiet"]) == 1
+        assert "unknown key payload.clocks[0].'foo'" in capsys.readouterr().err
+        argv = ["power", "--config", str(path), "--lenient", "--quiet", "--format", "csv"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "warning: ignoring unknown key payload.clocks[0].'foo'" in captured.err
+        assert "\nclock_budget_w,1.0,1.0," in captured.out
+
     def test_no_coverage_is_exit_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"walker": {"total_sats": 1, "phasing": 0}})
         assert main(["dop-map", "--config", cfg, "--quiet"]) == 2

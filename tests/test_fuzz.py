@@ -73,6 +73,17 @@ FIXED = [
 ]
 
 
+#: Grid and window keys each within their bounds whose product of sites and
+#: epochs is not: the first once died allocating 7.28 TiB of samples.  Each
+#: must exit 1 naming both keys, before any sample is allocated.
+PRODUCT = [
+    {"grid": {"resolution": 1000000}, "window": {"duration_s": 1000000, "step_s": 1}},
+    {"grid": {"scheme": "latlon", "resolution": 1000000},
+     "window": {"duration_s": 1000000, "step_s": 10}},
+    {"grid": {"resolution": 40000}, "window": {"duration_s": 864000, "step_s": 1}},
+]
+
+
 def _single_cases():
     rng = random.Random(20201)
     for section, fields in scenario_to_dict(Scenario()).items():
@@ -152,6 +163,20 @@ def test_every_key_at_extreme_values(tmp_path, capsys):
 def test_pairs_of_keys_at_extreme_values(tmp_path, capsys):
     failures = _failures(_pair_cases(), tmp_path, capsys)
     assert not failures, "\n".join(failures)
+
+
+def test_sites_times_epochs_past_the_sample_bound_exit_1(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    for sections in PRODUCT:
+        path.write_text(json.dumps({**SMALL, **sections}), encoding="utf-8")
+        for command in ("baseline", "dop-map", "dop-sweep", "optimize"):
+            argv = [command, "--config", str(path), "--quiet"]
+            if command == "optimize":
+                argv += ["--target-pdop", "3"]
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert "grid.resolution x window.duration_s / window.step_s" in err, err
+            assert "Traceback" not in err
 
 
 def test_in_bound_keys_that_once_ran_together_exit_1(tmp_path, capsys):

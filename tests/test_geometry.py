@@ -52,6 +52,7 @@ from leonav.orbits import (
     rotate_eci_to_ecef,
     walker_constellation,
 )
+from leonav.schema import SAMPLE_BYTES
 from leonav.tradestudy import GPS_LIKE
 
 
@@ -586,6 +587,24 @@ class TestPdopSamplesEngine:
         assert samples.pdop.shape == (len(grid), 1)
         assert samples.defined.any()
         assert peak < 128 * 2**20
+
+    def test_pooled_peak_per_sample_is_what_the_sample_bound_assumes(self):
+        """``schema.MAX_SAMPLES`` rests on the peak bytes per sample of a
+        pooled percentile over a fully covered grid; two window lengths
+        cancel the engine's fixed working memory, and both hold arrays past
+        the size at which numpy reuses temporaries in place."""
+        peaks = []
+        for epochs in (200, 600):
+            tracemalloc.start()
+            try:
+                result = percentile_pdop(
+                    GPS_LIKE, GroundGrid.fibonacci(200), TimeWindow(60.0 * epochs, 60.0), 0.0
+                )
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert result.coverage == 1.0
+        assert (peaks[1] - peaks[0]) / (200 * 400) <= SAMPLE_BYTES
 
     def test_defined_mask(self):
         spec = WalkerSpec(40, 5, altitude_km=900.0)

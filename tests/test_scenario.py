@@ -12,12 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from leonav.geometry import TimeWindow
+from leonav.geometry import GroundGrid, TimeWindow
 from leonav.orbits import EarthModel, WalkerSpec
 from leonav.payload import ClockUnit
 from leonav.rflink import JammerCalibration, MaterialLossTable
-from leonav.schema import MAX_SATS
+from leonav.schema import MAX_SAMPLES, MAX_SATS, MAX_SITES
 from leonav.scenario import (
+    GridConfig,
     LinkConfig,
     PayloadConfig,
     Scenario,
@@ -213,6 +214,17 @@ class TestRejections:
              r"link.pathloss_altitudes_km\[1\]: must be in \[1, 1e\+06\]"),
             (lambda: PayloadConfig(overhead_high=11.0), '{"payload": {"overhead_high": 11}}',
              r"payload.overhead_high: must be in \[0, 10\]"),
+            (lambda: Scenario(walker={"total_sats": 0}), '{"walker": {"total_sats": 0}}',
+             r"^walker.total_sats: must be >= 1 and <= 100000 \(got 0\)$"),
+            (lambda: Scenario(grid=None), '{"grid": null}',
+             r"^grid: must be an object \(got None\)$"),
+            (lambda: Scenario(payload={"clocks": [{"name": "x", "unit_power_w": 0}]}),
+             '{"payload": {"clocks": [{"name": "x", "unit_power_w": 0}]}}',
+             r"^payload.clocks\[0\].unit_power_w: must be in"),
+            (lambda: Scenario(grid=GridConfig(resolution=10**6), window=TimeWindow(1e6, 1.0)),
+             '{"grid": {"resolution": 1000000}, "window": {"duration_s": 1e6, "step_s": 1}}',
+             r"^grid.resolution x window.duration_s / window.step_s \(1000000 sites x "
+             rf"1000000 epochs\) must be <= {MAX_SAMPLES} samples$"),
         ],
     )
     def test_direct_construction_applies_the_same_rules(self, build, text, message):
@@ -225,6 +237,45 @@ class TestRejections:
     def test_section_must_be_object(self):
         with pytest.raises(ScenarioError, match="walker"):
             parse_scenario('{"walker": 7}')
+
+
+class TestRootRecord:
+    """The scenario is a record like its sections: built in Python from a
+    section's object, it reads that object as the parser does."""
+
+    def test_section_objects_build_their_records(self):
+        built = Scenario(walker={"total_sats": 24}, grid={"scheme": "latlon"})
+        assert built.walker == WalkerConfig(total_sats=24)
+        text = '{"walker": {"total_sats": 24}, "grid": {"scheme": "latlon"}}'
+        assert built == parse_scenario(text)
+        assert scenario_hash(built) == scenario_hash(parse_scenario(serialize_scenario(built)))
+
+
+class TestSampleBound:
+    """Sites times epochs of one evaluation is bounded by ``MAX_SAMPLES``."""
+
+    @staticmethod
+    def _window(epochs: int) -> dict:
+        return {"duration_s": 60.0 * epochs, "step_s": 60.0}
+
+    def test_the_bound_itself_parses(self):
+        epochs = MAX_SAMPLES // MAX_SITES
+        scenario = Scenario(grid={"resolution": MAX_SITES}, window=self._window(epochs))
+        assert scenario.grid.n_sites * scenario.window.n_epochs <= MAX_SAMPLES
+        with pytest.raises(ScenarioError, match=rf"\({MAX_SITES} sites x {epochs + 1} epochs\)"):
+            Scenario(grid={"resolution": MAX_SITES}, window=self._window(epochs + 1))
+
+    def test_latlon_counts_the_sites_it_builds(self):
+        """A latlon request of 20,202 sites builds 101 x 202 = 20,402: a
+        window the request alone would fit is refused on the built count."""
+        resolution = 20202
+        grid = GridConfig(scheme="latlon", resolution=resolution)
+        assert grid.n_sites == len(GroundGrid.latlon(resolution)) == 20402
+        epochs = MAX_SAMPLES // grid.n_sites + 1
+        assert resolution * epochs <= MAX_SAMPLES < grid.n_sites * epochs
+        Scenario(grid={"resolution": resolution}, window=self._window(epochs))
+        with pytest.raises(ScenarioError, match=r"\(20402 sites x"):
+            Scenario(grid=grid, window=self._window(epochs))
 
 
 #: Every parameter record: its key, arguments that build it, a number field
