@@ -59,7 +59,7 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ScenarioError(f"cannot read config {args.config!r}: {exc}") from None
     return parse_scenario(text, strict=not args.lenient)
 

@@ -194,7 +194,7 @@ class DopValues:
 class PercentilePdop:
     """Global percentile PDOP plus the defined-sample coverage fraction."""
 
-    value: float
+    value: float | None  # None when no sample is defined
     coverage: float
 
 
@@ -558,10 +558,8 @@ def percentile_pdop(
     Pooled aggregation (default) takes the site-weighted percentile over
     every defined (site, epoch) sample; "worst_site" takes the per-site
     percentile over time and returns the worst site's value.  Coverage is
-    the plain fraction of samples with a defined PDOP.
-
-    Raises:
-        NoCoverageError: no sample produced a defined PDOP.
+    the plain fraction of samples with a defined PDOP; with none, the
+    value is None, as ``pdop_field`` gives NaN for such a site.
     """
     if aggregation not in ("pooled", "worst_site"):
         raise ValueError(
@@ -571,9 +569,7 @@ def percentile_pdop(
     defined = samples.defined
     coverage = float(defined.sum()) / defined.size
     if not defined.any():
-        raise NoCoverageError(
-            "no coverage: every (site, epoch) sample has undefined PDOP"
-        )
+        return PercentilePdop(value=None, coverage=0.0)
     if aggregation == "pooled":
         w = np.broadcast_to(grid.weight[:, None], defined.shape)
         value = weighted_percentile(

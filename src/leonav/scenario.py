@@ -195,8 +195,8 @@ def parse_scenario(text: str, strict: bool = True) -> Scenario:
             reported to stderr and ignored.
 
     Raises:
-        ScenarioError: syntax errors (with line/column) or any violated
-            constraint, naming the offending key.
+        ScenarioError: syntax errors (with line/column where json gives
+            one) or any violated constraint, naming the offending key.
     """
     try:
         raw = json.loads(text)
@@ -204,6 +204,8 @@ def parse_scenario(text: str, strict: bool = True) -> Scenario:
         raise ScenarioError(
             f"scenario syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except (RecursionError, ValueError) as exc:  # too deep; too many digits
+        raise ScenarioError(f"scenario syntax error: {exc}") from None
     if not isinstance(raw, dict):
         raise ScenarioError("scenario root must be a JSON object")
     return _build(Scenario, raw, "", strict)

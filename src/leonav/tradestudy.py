@@ -109,18 +109,14 @@ def pdop_sweep(scenario: Scenario, threads: int = 1) -> SweepResult:
     def run(point: tuple[int, float]) -> SweepCell:
         size, alt = point
         spec = scenario.walker.design(size, alt)
-        try:
-            result = _evaluate(spec, scenario, grid)
-            value, coverage = result.value, result.coverage
-        except NoCoverageError:
-            value, coverage = None, 0.0
+        result = _evaluate(spec, scenario, grid)
         return SweepCell(
             requested_sats=size,
             total_sats=spec.total_sats,
             planes=spec.planes,
             altitude_km=alt,
-            pdop=value,
-            coverage=coverage,
+            pdop=result.value,
+            coverage=result.coverage,
         )
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -130,8 +126,15 @@ def pdop_sweep(scenario: Scenario, threads: int = 1) -> SweepResult:
 
 def gps_baseline(scenario: Scenario) -> PercentilePdop:
     """Percentile PDOP of the GPS-like MEO reference on the scenario's
-    grid, window, mask, and percentile."""
-    return _evaluate(GPS_LIKE, scenario, _grid(scenario))
+    grid, window, mask, and percentile.
+
+    Raises:
+        NoCoverageError: no sample produced a defined PDOP.
+    """
+    result = _evaluate(GPS_LIKE, scenario, _grid(scenario))
+    if result.value is None:
+        raise NoCoverageError("no coverage: every (site, epoch) sample has undefined PDOP")
+    return result
 
 
 @dataclass(frozen=True)
@@ -149,9 +152,7 @@ class SizingResult:
     evaluations: int
 
 
-def _passes(result: PercentilePdop | None, target: float) -> bool:
-    if result is None:
-        return False
+def _passes(result: PercentilePdop, target: float) -> bool:
     return result.coverage == 1.0 and result.value <= target
 
 
@@ -184,16 +185,13 @@ def min_constellation_size(
         raise ValueError(f"no valid Walker size at or below ceiling ({ceiling})")
     grid = _grid(scenario)
 
-    memo: dict[int, PercentilePdop | None] = {}
+    memo: dict[int, PercentilePdop] = {}
 
-    def evaluate(idx: int) -> PercentilePdop | None:
+    def evaluate(idx: int) -> PercentilePdop:
         size = ladder[idx]
         if size not in memo:
             spec = scenario.walker.design(size, altitude_km)
-            try:
-                memo[size] = _evaluate(spec, scenario, grid)
-            except NoCoverageError:
-                memo[size] = None
+            memo[size] = _evaluate(spec, scenario, grid)
         return memo[size]
 
     # Doubling phase: start at the size nearest 24 (ties to the smaller) and
@@ -213,8 +211,8 @@ def min_constellation_size(
     if hi is None:
         # Unreachable: the best evaluated size, most coverage first, then
         # lowest PDOP.
-        size = max(memo, key=lambda s: (memo[s].coverage, -memo[s].value)
-                   if memo[s] else (0.0, -math.inf))
+        size = max(memo, key=lambda s: (0.0, -math.inf) if memo[s].value is None
+                   else (memo[s].coverage, -memo[s].value))
     else:
         bracket_lo = lo  # doubling bracket floor; bisection narrows inside it
         while hi - lo > 1:
@@ -227,7 +225,7 @@ def min_constellation_size(
         # Bisection trusts monotonicity; verify on what was actually computed
         # and fall back to a linear scan of the doubling bracket when violated.
         evaluated = sorted(
-            (s, r) for s, r in memo.items() if r is not None and r.coverage == 1.0
+            (s, r) for s, r in memo.items() if r.coverage == 1.0
         )
         monotone = all(
             earlier[1].value >= later[1].value * (1.0 - 1e-9)
@@ -248,8 +246,8 @@ def min_constellation_size(
         total_sats=spec.total_sats,
         planes=spec.planes,
         phasing=spec.phasing,
-        achieved_pdop=None if result is None else result.value,
-        coverage=0.0 if result is None else result.coverage,
+        achieved_pdop=result.value,
+        coverage=result.coverage,
         reachable=hi is not None,
         evaluations=len(memo),
     )

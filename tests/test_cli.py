@@ -346,6 +346,30 @@ class TestExitCodes:
         assert main(["pathloss", "--config", str(path)]) == 1
         assert "syntax error" in capsys.readouterr().err
 
+    def test_config_nested_past_the_recursion_limit(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"walker": ' + "[" * 200_000 + "]" * 200_000 + "}", encoding="utf-8")
+        assert main(["pathloss", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("leonav: error: scenario syntax error: maximum recursion depth")
+        assert "Traceback" not in err
+
+    def test_config_integer_past_the_digit_limit(self, tmp_path, capsys):
+        path = tmp_path / "digits.json"
+        path.write_text('{"walker": {"total_sats": ' + "1" * 5000 + "}}", encoding="utf-8")
+        assert main(["pathloss", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "leonav: error: scenario syntax error: Exceeds the limit (4300 digits)"
+        )
+
+    def test_config_not_utf8_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"walker": {}} \xff')
+        assert main(["pathloss", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"cannot read config {str(path)!r}: 'utf-8' codec can't decode byte 0xff" in err
+
     def test_unknown_config_key_strict(self, tmp_path, capsys):
         path = tmp_path / "extra.json"
         path.write_text('{"walked": {}}', encoding="utf-8")

@@ -35,7 +35,6 @@ from leonav.geometry import (
     DopValues,
     GroundGrid,
     InsufficientGeometryError,
-    NoCoverageError,
     SingularGeometryError,
     TimeWindow,
     dop,
@@ -845,10 +844,17 @@ class TestPercentilePdop:
         finite = values[np.isfinite(values)]
         assert worst.value == pytest.approx(float(finite.max()), rel=1e-12)
 
-    def test_no_coverage_raises(self):
+    @pytest.mark.parametrize("aggregation", ["pooled", "worst_site"])
+    def test_no_coverage_is_a_none_value(self, aggregation):
+        # Warnings fail the suite, so this also checks that no all-NaN
+        # reduction runs on the empty sample set.
         lonely = WalkerSpec(1, 1, phasing=0, altitude_km=900.0)
-        with pytest.raises(NoCoverageError):
-            percentile_pdop(lonely, GroundGrid.fibonacci(6), TimeWindow(600.0, 600.0))
+        out = percentile_pdop(
+            lonely, GroundGrid.fibonacci(6), TimeWindow(600.0, 600.0),
+            aggregation=aggregation,
+        )
+        assert out.value is None
+        assert out.coverage == 0.0
 
     def test_aggregation_validation(self):
         with pytest.raises(ValueError, match="aggregation"):

@@ -9,6 +9,7 @@ import math
 
 import pytest
 
+from leonav import tradestudy
 from leonav.geometry import GroundGrid, NoCoverageError, percentile_pdop
 from leonav.orbits import EarthModel
 from leonav.payload import MAX_UNITS, OVERHEAD, PA_EFFICIENCY, POWER_W, ClockUnit
@@ -126,6 +127,22 @@ class TestPdopSweep:
         assert starved.coverage == 0.0
         assert result.cells[1].coverage > 0.0  # sweep carried on
 
+    def test_no_coverage_cell_is_an_evaluation_that_returns(self, monkeypatch):
+        returned = []
+        evaluate = tradestudy.percentile_pdop
+
+        def counting(*args, **kwargs):
+            result = evaluate(*args, **kwargs)
+            returned.append(result)
+            return result
+
+        monkeypatch.setattr(tradestudy, "percentile_pdop", counting)
+        sc = dataclasses.replace(
+            tiny(), sweep=SweepConfig(sizes=(1, 24), altitudes_km=(800.0,))
+        )
+        pdop_sweep(sc)
+        assert len(returned) == 2
+
     def test_validation(self):
         sc = tiny()
         with pytest.raises(ValueError, match="threads"):
@@ -143,6 +160,14 @@ class TestGpsBaseline:
         out = gps_baseline(tiny())
         assert out.coverage == 1.0
         assert 1.0 < out.value < 4.0
+
+    def test_no_coverage_raises(self):
+        sc = dataclasses.replace(tiny(), earth=EarthModel(radius_km=1e6))
+        with pytest.raises(
+            NoCoverageError,
+            match=r"^no coverage: every \(site, epoch\) sample has undefined PDOP$",
+        ):
+            gps_baseline(sc)
 
 
 class TestMinConstellationSize:
