@@ -90,7 +90,7 @@ def _dop_sweep_rows(args, scenario: Scenario) -> list[dict]:
                f"{len(scenario.sweep.altitudes_km)} altitudes, {threads} thread(s)")
     result = tradestudy.pdop_sweep(scenario, threads=threads)
     pdop = tradestudy.pdop_column(scenario)
-    return [_row(c, pdop=pdop, coverage="coverage_fraction") for c in result.cells]
+    return [_row(c, pdop=pdop, coverage="coverage_fraction") for c in result]
 
 
 def _optimize_rows(args, scenario: Scenario) -> list[dict]:

@@ -184,11 +184,9 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi == lo:
-        return [lo]
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+def _ticks(lo: float, hi: float) -> list[float]:
+    step = (hi - lo) / 4
+    return [lo + i * step for i in range(5)]
 
 
 def _text(
@@ -306,10 +304,8 @@ def _matrix_svg(envelope: ResultEnvelope) -> str:
         for r in envelope.rows
     }
     finite = [v for v in cell.values() if v is not None]
-    v_lo = min(finite) if finite else 0.0
-    v_hi = max(finite) if finite else 1.0
-    if v_hi == v_lo:
-        v_hi = v_lo + 1.0
+    v_lo, v_hi = (min(finite), max(finite)) if finite else (0.0, 0.0)
+    span = (v_hi - v_lo) or 1.0  # one value widens the colour scale, not the legend
 
     cw = (_X1 - _X0) / len(col_vals)
     ch = (_Y0 - _Y1) / len(row_vals)
@@ -318,7 +314,7 @@ def _matrix_svg(envelope: ResultEnvelope) -> str:
         for j, cv in enumerate(col_vals):
             value = cell.get((rv, cv))
             color = "#cccccc" if value is None else _heat_color(
-                (value - v_lo) / (v_hi - v_lo)
+                (value - v_lo) / span
             )
             body.append(
                 f'<rect x="{_fmt(_X0 + j * cw)}" y="{_fmt(_Y1 + i * ch)}" '
@@ -332,7 +328,9 @@ def _matrix_svg(envelope: ResultEnvelope) -> str:
         _text(_X0 - 8, _Y1 + (i + 0.5) * ch + 4, _fmt(float(rv)), "end")
         for i, rv in enumerate(row_vals)
     ]
-    legend = f"{value_name}: {_fmt(v_lo)} (dark) to {_fmt(v_hi)} (bright)"
+    legend = f"{value_name}: " + (
+        f"{_fmt(v_lo)} (dark) to {_fmt(v_hi)} (bright)" if finite else "no data"
+    )
     return _page(body, col_name, row_name, _text(_X1, _Y1 - 8, legend, "end"))
 
 

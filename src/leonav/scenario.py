@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from .geometry import TimeWindow, _latlon_shape
+from .geometry import GroundGrid, TimeWindow, _latlon_shape
 from .orbits import EarthModel, WalkerConfig
 from .payload import MAX_UNITS, OVERHEAD, PA_EFFICIENCY, POWER_W, ClockUnit
 from .rflink import (
@@ -66,6 +66,12 @@ class GridConfig(_Record, key="grid"):
         if self.scheme == "latlon":
             return math.prod(_latlon_shape(self.resolution))
         return self.resolution
+
+    def build(self) -> GroundGrid:
+        """The ground grid this section describes, of ``n_sites`` sites."""
+        if self.scheme == "latlon":
+            return GroundGrid.latlon(self.resolution)
+        return GroundGrid.fibonacci(self.resolution)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,8 @@ from .rflink import (
     penetration_report,
     slant_range_km,
 )
-from .scenario import Scenario, scenario_hash
+# scenario_hash is not called here; the benchmark tracer wraps it under this name.
+from .scenario import Scenario, scenario_hash  # noqa: F401
 from .schema import MAX_SATS, _check_positive
 
 #: The MEO comparison constellation: 24 satellites, 6 planes, 55 degrees,
@@ -54,21 +55,15 @@ GPS_LIKE = WalkerSpec(
 )
 
 
-def _grid(scenario: Scenario) -> GroundGrid:
-    if scenario.grid.scheme == "latlon":
-        return GroundGrid.latlon(scenario.grid.resolution)
-    return GroundGrid.fibonacci(scenario.grid.resolution)
+def _engine_settings(scenario: Scenario) -> dict:
+    """The window, mask, percentile and Earth the PDOP engine takes."""
+    return dict(window=scenario.window, mask_deg=scenario.sweep.mask_deg,
+                percentile=scenario.sweep.percentile, earth=scenario.earth)
 
 
 def _evaluate(spec: WalkerSpec, scenario: Scenario, grid: GroundGrid) -> PercentilePdop:
     return percentile_pdop(
-        spec,
-        grid,
-        scenario.window,
-        mask_deg=scenario.sweep.mask_deg,
-        percentile=scenario.sweep.percentile,
-        earth=scenario.earth,
-        aggregation=scenario.sweep.aggregation,
+        spec, grid, **_engine_settings(scenario), aggregation=scenario.sweep.aggregation
     )
 
 
@@ -84,15 +79,7 @@ class SweepCell:
     coverage: float
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """Size-by-altitude PDOP matrix with the snapped sizes it actually ran."""
-
-    cells: tuple[SweepCell, ...]
-    scenario_hash: str
-
-
-def pdop_sweep(scenario: Scenario, threads: int = 1) -> SweepResult:
+def pdop_sweep(scenario: Scenario, threads: int = 1) -> tuple[SweepCell, ...]:
     """Percentile PDOP over the scenario's size x altitude grid.
 
     Requested sizes snap to valid Walker designs (recorded per cell);
@@ -104,7 +91,7 @@ def pdop_sweep(scenario: Scenario, threads: int = 1) -> SweepResult:
 
     sweep = scenario.sweep
     points = [(size, alt) for size in sweep.sizes for alt in sweep.altitudes_km]
-    grid = _grid(scenario)
+    grid = scenario.grid.build()
 
     def run(point: tuple[int, float]) -> SweepCell:
         size, alt = point
@@ -120,8 +107,7 @@ def pdop_sweep(scenario: Scenario, threads: int = 1) -> SweepResult:
         )
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        cells = tuple(pool.map(run, points))
-    return SweepResult(cells=cells, scenario_hash=scenario_hash(scenario))
+        return tuple(pool.map(run, points))
 
 
 def gps_baseline(scenario: Scenario) -> PercentilePdop:
@@ -131,7 +117,7 @@ def gps_baseline(scenario: Scenario) -> PercentilePdop:
     Raises:
         NoCoverageError: no sample produced a defined PDOP.
     """
-    result = _evaluate(GPS_LIKE, scenario, _grid(scenario))
+    result = _evaluate(GPS_LIKE, scenario, scenario.grid.build())
     if result.value is None:
         raise NoCoverageError("no coverage: every (site, epoch) sample has undefined PDOP")
     return result
@@ -182,8 +168,11 @@ def min_constellation_size(
 
     ladder = scenario.walker.ladder(ceiling)
     if not ladder:
-        raise ValueError(f"no valid Walker size at or below ceiling ({ceiling})")
-    grid = _grid(scenario)
+        raise ValueError(
+            f"no valid Walker size at or below ceiling ({ceiling}): "
+            f"walker.planes ({scenario.walker.planes}) exceeds it"
+        )
+    grid = scenario.grid.build()
 
     memo: dict[int, PercentilePdop] = {}
 
@@ -265,15 +254,8 @@ def dop_map(scenario: Scenario) -> list[dict]:
         NoCoverageError: no site has a single defined sample.
     """
     spec = scenario.walker.design(scenario.walker.total_sats, scenario.walker.altitude_km)
-    grid = _grid(scenario)
-    values, coverage = pdop_field(
-        spec,
-        grid,
-        scenario.window,
-        mask_deg=scenario.sweep.mask_deg,
-        percentile=scenario.sweep.percentile,
-        earth=scenario.earth,
-    )
+    grid = scenario.grid.build()
+    values, coverage = pdop_field(spec, grid, **_engine_settings(scenario))
     if not np.isfinite(values).any():
         raise NoCoverageError(
             "no coverage: every site has undefined PDOP over the window"

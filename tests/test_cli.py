@@ -143,6 +143,25 @@ class TestEngineCommands:
         assert text.count("<rect ") == 1 + 4  # background + one cell per point
         assert "pdop_p95" in text
 
+    @pytest.mark.parametrize("sizes, legend", [
+        ([48], "pdop_p95: 22.1282 (dark) to 22.1282 (bright)"),  # one cell
+        ([1, 2], "pdop_p95: no data"),  # every cell a hole
+    ])
+    def test_dop_sweep_legend_quotes_the_cell_values(self, tmp_path, sizes, legend):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({
+            "grid": {"resolution": 40},
+            "window": {"duration_s": 1200.0, "step_s": 600.0},
+            "sweep": {"sizes": sizes, "altitudes_km": [900.0]},
+        }), encoding="utf-8")
+        out = tmp_path / "sweep.svg"
+        assert main([
+            "dop-sweep", "--config", str(cfg), "--format", "svg", "--out", str(out), "--quiet",
+        ]) == 0
+        assert re.findall(r">(pdop_p95: [^<]*)</text>", out.read_text(encoding="utf-8")) == [
+            legend
+        ]
+
     def test_baseline(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["baseline", "--config", cfg, "--format", "json"]) == 0
@@ -334,6 +353,17 @@ class TestExitCodes:
         assert main([*argv, "--quiet"]) == 1
         captured = capsys.readouterr()
         assert "ceiling (100001) must be >= 1 and <= 100000" in captured.err
+        assert captured.out == ""
+
+    def test_pinned_planes_above_the_ceiling_name_the_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"walker": {"planes": 12, "total_sats": 24}})
+        argv = ["optimize", "--config", cfg, "--target-pdop", "3", "--ceiling", "10"]
+        assert main([*argv, "--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "leonav: error: no valid Walker size at or below ceiling (10): "
+            "walker.planes (12) exceeds it\n"
+        )
         assert captured.out == ""
 
     def test_missing_config_file(self, capsys):

@@ -278,6 +278,16 @@ class TestSampleBound:
             Scenario(grid=grid, window=self._window(epochs))
 
 
+@pytest.mark.parametrize("resolution", [1, 7, 120, 500])
+@pytest.mark.parametrize("scheme", ["fibonacci", "latlon"])
+def test_grid_section_builds_the_grid_it_counts(scheme, resolution):
+    config = GridConfig(scheme=scheme, resolution=resolution)
+    built, direct = config.build(), getattr(GroundGrid, scheme)(resolution)
+    for name in ("lat_deg", "lon_deg", "weight"):
+        np.testing.assert_array_equal(getattr(built, name), getattr(direct, name))
+    assert len(built) == config.n_sites
+
+
 #: Every parameter record: its key, arguments that build it, a number field
 #: and an integer field (None where it has none).
 RECORDS = [

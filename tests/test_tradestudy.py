@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from leonav import tradestudy
@@ -30,7 +31,6 @@ from leonav.scenario import (
     Scenario,
     SweepConfig,
     parse_scenario,
-    scenario_hash,
 )
 from leonav.tradestudy import (
     GPS_LIKE,
@@ -86,16 +86,27 @@ class TestGpsLikeReference:
 class TestPdopSweep:
     def test_cell_grid_is_size_major(self):
         sc = tiny()
-        result = pdop_sweep(sc)
-        assert [(c.requested_sats, c.altitude_km) for c in result.cells] == [
+        cells = pdop_sweep(sc)
+        assert [(c.requested_sats, c.altitude_km) for c in cells] == [
             (24, 800.0), (24, 1000.0), (36, 800.0), (36, 1000.0),
         ]
-        assert result.scenario_hash == scenario_hash(sc)
+
+    def test_sweep_does_not_hash_the_scenario(self, monkeypatch):
+        # The report layer stamps the hash; the study returns bare cells.
+        calls = []
+        hash_ = tradestudy.scenario_hash
+
+        def counting(scenario):
+            calls.append(scenario)
+            return hash_(scenario)
+
+        monkeypatch.setattr(tradestudy, "scenario_hash", counting)
+        pdop_sweep(tiny())
+        assert calls == []
 
     def test_cells_match_direct_evaluation(self):
         sc = tiny()
-        result = pdop_sweep(sc)
-        cell = result.cells[0]
+        cell = pdop_sweep(sc)[0]
         spec = sc.walker.design(24, 800.0)
         assert (cell.total_sats, cell.planes) == (spec.total_sats, spec.planes)
         direct = percentile_pdop(
@@ -113,19 +124,18 @@ class TestPdopSweep:
     def test_one_grid_serves_every_cell(self, monkeypatch, threads):
         sc = tiny()
         built = grids_built(monkeypatch)
-        assert len(pdop_sweep(sc, threads=threads).cells) == 4
+        assert len(pdop_sweep(sc, threads=threads)) == 4
         assert len(built) == 1
 
     def test_no_coverage_cell_marked_not_fatal(self):
         sc = dataclasses.replace(
             tiny(), sweep=SweepConfig(sizes=(1, 24), altitudes_km=(800.0,))
         )
-        result = pdop_sweep(sc)
-        starved = result.cells[0]
+        starved, fed = pdop_sweep(sc)
         assert isinstance(starved, SweepCell)
         assert starved.pdop is None
         assert starved.coverage == 0.0
-        assert result.cells[1].coverage > 0.0  # sweep carried on
+        assert fed.coverage > 0.0  # sweep carried on
 
     def test_no_coverage_cell_is_an_evaluation_that_returns(self, monkeypatch):
         returned = []
@@ -168,6 +178,20 @@ class TestGpsBaseline:
             match=r"^no coverage: every \(site, epoch\) sample has undefined PDOP$",
         ):
             gps_baseline(sc)
+
+    def test_latlon_grid_keeps_its_area_weights(self):
+        sc = parse_scenario(json.dumps({
+            "grid": {"scheme": "latlon", "resolution": 120},
+            "window": {"duration_s": 3600.0, "step_s": 600.0},
+        }))
+        grid = GroundGrid.latlon(120)
+        direct = percentile_pdop(GPS_LIKE, grid, sc.window)
+        assert gps_baseline(sc) == direct
+        assert direct.value == pytest.approx(2.485936341127829, rel=1e-9)
+        equal = GroundGrid(grid.lat_deg, grid.lon_deg, np.full(len(grid), 1.0 / len(grid)))
+        assert percentile_pdop(GPS_LIKE, equal, sc.window).value == pytest.approx(
+            2.5742073924288036, rel=1e-9
+        )
 
 
 class TestMinConstellationSize:
@@ -232,6 +256,14 @@ class TestMinConstellationSize:
             min_constellation_size(900.0, 0.0, sc)
         with pytest.raises(ValueError, match="ceiling"):
             min_constellation_size(900.0, 2.0, sc, ceiling=0)
+
+    def test_pinned_planes_above_the_ceiling_name_the_key(self):
+        sc = parse_scenario(json.dumps({**TINY, "walker": {"planes": 12, "total_sats": 24}}))
+        with pytest.raises(ValueError, match=(
+            r"^no valid Walker size at or below ceiling \(10\): "
+            r"walker.planes \(12\) exceeds it$"
+        )):
+            min_constellation_size(900.0, 2.0, sc, ceiling=10)
 
 
 class TestDopMap:
