@@ -21,9 +21,11 @@ import sys
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import chain
-from operator import itemgetter
-from typing import Any, Sequence
+from itertools import chain, filterfalse
+from math import isfinite
+from operator import itemgetter, not_
+from types import NoneType
+from typing import Iterable, Iterator, Sequence
 
 
 class EmitError(ValueError):
@@ -53,11 +55,9 @@ class ResultEnvelope:
         width = len(self.columns)
         if not width:
             raise EmitError("envelopes need at least one column")
-        for i, row in enumerate(self.rows):
-            if len(row) != width:
-                raise EmitError(
-                    f"row {i} has {len(row)} fields, expected {width}"
-                )
+        if set(map(len, self.rows)) - {width}:
+            i, row = next((i, r) for i, r in enumerate(self.rows) if len(r) != width)
+            raise EmitError(f"row {i} has {len(row)} fields, expected {width}")
         cell_types = set(map(type, chain.from_iterable(self.rows)))
         if any(issubclass(t, (list, tuple, dict)) for t in cell_types):
             raise EmitError("row cells must be scalars, not lists or objects")
@@ -116,23 +116,57 @@ def rows_envelope(
     )
 
 
+#: What the C encoder writes for one scalar, as inside a document: it
+#: refuses NaN, the infinities and types JSON lacks.
+_encode_cell = json.JSONEncoder(allow_nan=False).encode
+
+
+def _column_cells(column: tuple, json_cells: bool) -> Iterable:
+    """The cells of one column in row order, each distinct value rendered
+    once.
+
+    A float renders as ``float.__repr__``, the text both the C JSON encoder
+    and ``csv.writer`` write for it.  With ``json_cells`` every other cell
+    renders as ``_encode_cell`` writes it; without, only a float column is
+    rendered (None stays None) and ``csv.writer`` renders the rest.  A dict
+    takes 1, 1.0 and True for one key, and 0.0 and -0.0, so a column mixing
+    types, or floats holding zeros of both signs, renders cell by cell.
+    """
+    kinds = set(map(type, column)) - {NoneType}
+    if kinds == {float}:
+        distinct = dict.fromkeys(column)
+        if 0.0 not in distinct or not {"0.0", "-0.0"} <= set(map(repr, filter(not_, column))):
+            distinct.pop(None, None)
+            texts = dict(zip(distinct, map(float.__repr__, distinct)))
+            if json_cells:
+                for value in filterfalse(isfinite, distinct):
+                    _encode_cell(value)  # raises the encoder's ValueError
+            texts[None] = "null" if json_cells else None
+            return map(texts.__getitem__, column)
+    elif json_cells and len(kinds) <= 1 and kinds <= {bool, int, str}:
+        texts = {value: _encode_cell(value) for value in dict.fromkeys(column)}
+        return map(texts.__getitem__, column)
+    return map(_encode_cell, column) if json_cells else column
+
+
+def _rendered_rows(rows: tuple[tuple, ...], json_cells: bool) -> Iterator[tuple]:
+    """``rows`` with their cells rendered a column at a time (see
+    ``_column_cells``), built one row at a time."""
+    return zip(*(_column_cells(column, json_cells) for column in zip(*rows)))
+
+
 def to_csv(envelope: ResultEnvelope) -> str:
     """RFC 4180 text: one unit-suffixed header row, then data rows.
 
     The csv module writes undefined numeric cells (None) as empty fields
-    and floats by ``repr``.
+    and floats by ``repr``.  Each column's distinct floats are rendered
+    once, by that same ``repr``, and handed to the writer as text.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
     writer.writerow(envelope.columns)
-    writer.writerows(envelope.rows)
+    writer.writerows(_rendered_rows(envelope.rows, json_cells=False))
     return buf.getvalue()
-
-
-#: Encodes the rows in C (``indent`` would select the pure-Python encoder):
-#: every separator is the newline and indent that ``indent=2`` puts
-#: between two cells of a row.
-_encode_rows = json.JSONEncoder(separators=(",\n      ", ": "), allow_nan=False).encode
 
 
 def to_json(envelope: ResultEnvelope) -> str:
@@ -141,10 +175,11 @@ def to_json(envelope: ResultEnvelope) -> str:
     timestamp.
 
     The bytes are ``json.dumps(doc, sort_keys=True, indent=2,
-    allow_nan=False) + "\\n"``.  The head is encoded that way; the rows go
-    through ``_encode_rows``, and since cells are scalars and an encoded
-    string holds no raw newline, "],<separator>[" occurs only between two
-    rows, where it becomes the indented row boundary.
+    allow_nan=False) + "\\n"``.  The head is encoded that way, with the rows
+    left empty.  Each row cell is rendered as the C encoder writes it, each
+    distinct value of a column once (``_column_cells``), and the rows are
+    joined with the separators ``indent=2`` puts between two cells and
+    between two rows, then spliced in at the top-level "rows" key.
     """
     doc = {
         "kind": envelope.kind,
@@ -160,8 +195,8 @@ def to_json(envelope: ResultEnvelope) -> str:
     head = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if not envelope.rows:
         return head
-    rows = _encode_rows(envelope.rows)[2:-2].replace(
-        "],\n      [", "\n    ],\n    [\n      "
+    rows = "\n    ],\n    [\n      ".join(
+        map(",\n      ".join, _rendered_rows(envelope.rows, json_cells=True))
     )
     # Only a top-level key follows a newline and two spaces.
     return head.replace(

@@ -190,6 +190,9 @@ class TestJson:
         env = ResultEnvelope("table", ("x",), ((1,), (np.int64(2),)), "h", "v")
         with pytest.raises(TypeError):
             to_json(env)
+        env = ResultEnvelope("table", ("x",), ((np.int64(1),), (np.int64(1),)), "h", "v")
+        with pytest.raises(TypeError):
+            to_json(env)
 
 
 def _oracle(envelope: ResultEnvelope) -> str:
@@ -208,21 +211,69 @@ def _oracle(envelope: ResultEnvelope) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def _csv_oracle(envelope: ResultEnvelope) -> str:
+    """The text ``to_csv`` must write, by ``csv.writer`` over the raw rows."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
+    writer.writerow(envelope.columns)
+    writer.writerows(envelope.rows)
+    return buf.getvalue()
+
+
 #: Cells that could break the row splice: brackets, commas, quotes,
-#: escapes, whitespace and non-ASCII text in strings; every other scalar.
+#: escapes, whitespace and non-ASCII text in strings; every other scalar,
+#: including values a dict takes for one key (1, 1.0 and True; 0.0 and
+#: -0.0).
 _AWKWARD_CELLS = (
     "]", "[", "],", '"],\n      ["', "a \"quoted\" word", "back\\slash", "two\nlines",
-    "tab\there", "Zürich 東京 ☃", "", None, True, False, 0, -7, 10**30,
-    -0.0, 1e16, 5e-324, 1e308, 0.1, -2.5,
+    "tab\there", "Zürich 東京 ☃", "", None, True, 1, 1.0, False, 0, -7, 10**30,
+    -0.0, 0.0, 1e16, 5e-324, 1e308, 0.1, -2.5,
+)
+
+#: Columns whose distinct values a dict would merge, in both orders; the
+#: zeros of one sign, and float subclasses, beside them.
+_MERGING_COLUMNS = (
+    (1, 1.0, True, 1),
+    (True, 1.0, 1, None),
+    (False, 0, 0.0, -0.0),
+    (0.0, -0.0, None, 0.0),
+    (-0.0, 0.0, None, -0.0),
+    (0.0, None, 0.0, 2.5),
+    (-0.0, None, -0.0, 2.5),
+    (np.float64(-0.0), np.float64(0.0), np.float64(1.5)),
+    (np.float64(1.5), 1.5, 2.5),
 )
 
 
-class TestJsonOracle:
-    """``to_json`` writes the bytes of the indenting stdlib encoder."""
+def _large_envelope(negative_zero: bool = False) -> ResultEnvelope:
+    """2,000 rows: repeating floats with None holes and zeros, a column of
+    one value, repeating integers and text, and distinct floats."""
+    rows = [
+        (
+            (i % 37) * 0.25 - 4.5,
+            None if i % 7 == 0 else 0.0 if i % 5 == 0 else 1.0 / (1 + i % 13),
+            1.0,
+            i % 4,
+            f"site {i % 9}",
+            i / 3,
+        )
+        for i in range(2000)
+    ]
+    if negative_zero:
+        rows[1500] = (-0.0, -0.0, *rows[1500][2:])
+    return ResultEnvelope(
+        "table",
+        ("lat_deg", "pdop_p95", "coverage_fraction", "k", "note", "x_km"),
+        tuple(rows),
+        "h",
+        "v",
+    )
 
-    @pytest.fixture(autouse=True)
-    def _pinned_clock(self, monkeypatch):
-        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+
+class _OracleCases:
+    """A writer's bytes equal its oracle's on every kind of cell and shape."""
+
+    write = oracle = None
 
     @pytest.mark.parametrize(
         "envelope",
@@ -230,7 +281,7 @@ class TestJsonOracle:
         ids=["table", "series", "matrix"],
     )
     def test_fixture_envelopes(self, envelope):
-        assert to_json(envelope) == _oracle(envelope)
+        assert self.write(envelope) == self.oracle(envelope)
 
     @pytest.mark.parametrize("cell", _AWKWARD_CELLS, ids=repr)
     def test_every_cell_kind(self, cell):
@@ -241,25 +292,46 @@ class TestJsonOracle:
             "h",
             "v",
         )
-        assert to_json(env) == _oracle(env)
+        assert self.write(env) == self.oracle(env)
 
     def test_all_cells_in_one_document(self):
         cells = _AWKWARD_CELLS
         rows = tuple(zip(cells, cells[1:] + cells[:1], cells[2:] + cells[:2]))
         env = ResultEnvelope("series", ("x", "y", "z"), rows, "h", "v")
-        assert to_json(env) == _oracle(env)
+        assert self.write(env) == self.oracle(env)
+
+    @pytest.mark.parametrize("column", _MERGING_COLUMNS, ids=repr)
+    def test_values_a_dict_merges(self, column):
+        rows = tuple(zip(column, reversed(column)))
+        env = ResultEnvelope("table", ("x", "y"), rows, "h", "v")
+        assert self.write(env) == self.oracle(env)
+
+    @pytest.mark.parametrize("negative_zero", [False, True], ids=["one-sign", "both-signs"])
+    def test_large_document(self, negative_zero):
+        env = _large_envelope(negative_zero)
+        assert self.write(env) == self.oracle(env)
 
     def test_one_column(self):
         env = ResultEnvelope("table", ("x",), (("]",), (2,), ("[",)), "h", "v")
-        assert to_json(env) == _oracle(env)
+        assert self.write(env) == self.oracle(env)
 
     def test_one_row(self):
         env = ResultEnvelope("table", ("x", "y"), ((1, "],\n["),), "h", "v")
-        assert to_json(env) == _oracle(env)
+        assert self.write(env) == self.oracle(env)
 
     def test_zero_rows(self):
         env = ResultEnvelope("table", ("x", "y_db"), (), "h", "v")
-        assert to_json(env) == _oracle(env)
+        assert self.write(env) == self.oracle(env)
+
+
+class TestJsonOracle(_OracleCases):
+    """``to_json`` writes the bytes of the indenting stdlib encoder."""
+
+    write, oracle = staticmethod(to_json), staticmethod(_oracle)
+
+    @pytest.fixture(autouse=True)
+    def _pinned_clock(self, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
 
     def test_matrix_with_an_axis_named_rows(self):
         env = ResultEnvelope(
@@ -271,6 +343,19 @@ class TestJsonOracle:
             axes={"rows": (), "altitude_km": (600.0,)},
         )
         assert to_json(env) == _oracle(env)
+
+
+class TestCsvOracle(_OracleCases):
+    """``to_csv`` writes the text of ``csv.writer`` over the raw rows."""
+
+    write, oracle = staticmethod(to_csv), staticmethod(_csv_oracle)
+
+    def test_non_finite_floats_written_by_repr(self):
+        nan, inf = float("nan"), float("inf")
+        env = ResultEnvelope(
+            "table", ("x", "y"), ((nan, inf), (-inf, None), (nan, 1.0)), "h", "v"
+        )
+        assert to_csv(env) == "x,y\r\nnan,inf\r\n-inf,\r\nnan,1.0\r\n" == _csv_oracle(env)
 
 
 class TestSvg:
