@@ -171,8 +171,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--threads", type=_positive_int, default=None, metavar="N",
-        help="worker thread cap for dop-sweep's cells (default: LEO_NAV_THREADS "
-             "or 1); other reports run on one thread; results do not depend on it",
+        help="worker process cap for dop-sweep's cells, also capped by the CPUs "
+             "(default: LEO_NAV_THREADS or 1); other reports run in one process; "
+             "results do not depend on it",
     )
     parser.add_argument(
         "--lenient", action="store_true",

@@ -16,6 +16,7 @@ lines of sight of one site.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -274,6 +275,8 @@ def pdop_samples(
     window: TimeWindow,
     mask_deg: float = 5.0,
     earth: EarthModel = EARTH,
+    *,
+    receive: Callable[[], PdopSamples] | None = None,
 ) -> PdopSamples:
     """PDOP of every (site, epoch) sample for one constellation.
 
@@ -285,9 +288,15 @@ def pdop_samples(
     kernel call takes one site block over a tile of epochs sized by
     ``_tile_epochs`` and returns every sample of it finished, so nothing is
     held from one call to the next.
+
+    ``receive``, when given, returns the samples of this same call computed
+    elsewhere (a forked worker of ``pdop_sweep``), and they are returned
+    instead of computed here.
     """
     if not 0.0 <= mask_deg < 90.0:
         raise ValueError(f"mask_deg ({mask_deg}) must lie in [0, 90)")
+    if receive is not None:
+        return receive()
     elements = walker_constellation(spec, earth)
 
     lat = np.radians(grid.lat_deg)
@@ -552,6 +561,8 @@ def percentile_pdop(
     percentile: float = 95.0,
     earth: EarthModel = EARTH,
     aggregation: str = "pooled",
+    *,
+    receive: Callable[[], PdopSamples] | None = None,
 ) -> PercentilePdop:
     """Global percentile PDOP of one constellation over a grid and window.
 
@@ -560,12 +571,13 @@ def percentile_pdop(
     percentile over time and returns the worst site's value.  Coverage is
     the plain fraction of samples with a defined PDOP; with none, the
     value is None, as ``pdop_field`` gives NaN for such a site.
+    ``receive`` goes to ``pdop_samples``.
     """
     if aggregation not in ("pooled", "worst_site"):
         raise ValueError(
             f"aggregation ({aggregation!r}) must be 'pooled' or 'worst_site'"
         )
-    samples = pdop_samples(spec, grid, window, mask_deg, earth)
+    samples = pdop_samples(spec, grid, window, mask_deg, earth, receive=receive)
     defined = samples.defined
     coverage = float(defined.sum()) / defined.size
     if not defined.any():

@@ -2,15 +2,20 @@
 
 Every operation takes a Scenario and returns plain result records the
 output layer can serialize.  Sweep cells are pure functions of the
-scenario, so they may run on worker threads; results are identical for
-any worker count.
+scenario, so forked worker processes may compute their samples; the
+calling process still evaluates every cell, in cell order, and results are
+identical for any worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import sys
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +23,10 @@ import numpy as np
 from .geometry import (
     GroundGrid,
     NoCoverageError,
+    PdopSamples,
     PercentilePdop,
     pdop_field,
+    pdop_samples,
     percentile_pdop,
 )
 from .orbits import WalkerSpec
@@ -61,9 +68,13 @@ def _engine_settings(scenario: Scenario) -> dict:
                 percentile=scenario.sweep.percentile, earth=scenario.earth)
 
 
-def _evaluate(spec: WalkerSpec, scenario: Scenario, grid: GroundGrid) -> PercentilePdop:
+def _evaluate(
+    spec: WalkerSpec, scenario: Scenario, grid: GroundGrid,
+    *, receive: Callable[[], PdopSamples] | None = None,
+) -> PercentilePdop:
     return percentile_pdop(
-        spec, grid, **_engine_settings(scenario), aggregation=scenario.sweep.aggregation
+        spec, grid, **_engine_settings(scenario), aggregation=scenario.sweep.aggregation,
+        receive=receive,
     )
 
 
@@ -79,35 +90,109 @@ class SweepCell:
     coverage: float
 
 
+class _Worker:
+    """A forked process that computes the samples of some sweep cells in
+    order, and the calling process's end of the pipe they come through."""
+
+    def __init__(self, cells: range, compute: Callable[[int], PdopSamples]) -> None:
+        read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                with open(write, "wb") as out:
+                    for cell in cells:
+                        try:
+                            sent = compute(cell)
+                        except Exception as exc:
+                            sent = exc
+                        out.write(pickle.dumps(sent, pickle.HIGHEST_PROTOCOL))
+                        out.flush()
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write)
+        self.cells = iter(cells)
+        self.pipe = open(read, "rb")
+
+    def receive(self) -> PdopSamples:
+        """The next cell's samples; raises what computing them raised."""
+        cell = next(self.cells)
+        try:
+            sent = pickle.load(self.pipe)
+        except (EOFError, pickle.UnpicklingError):  # died before or while sending
+            status = os.waitpid(self.pid, 0)[1]
+            self.pid = None
+            raise ChildProcessError(
+                f"sweep worker exited with status {os.waitstatus_to_exitcode(status)} "
+                f"before sending cell {cell}"
+            ) from None
+        if isinstance(sent, Exception):
+            raise sent
+        return sent
+
+    def close(self) -> None:
+        """Closes the pipe, and kills and reaps the process if still unreaped."""
+        self.pipe.close()
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
 def pdop_sweep(scenario: Scenario, threads: int = 1) -> tuple[SweepCell, ...]:
     """Percentile PDOP over the scenario's size x altitude grid.
 
     Requested sizes snap to valid Walker designs (recorded per cell);
     cells with no coverage carry pdop=None and keep the sweep going.
     Cell order is size-major and independent of the worker count.
+
+    On Linux, with N = min(threads, cells, CPUs) > 1, forked worker j in
+    [1, N) computes the samples of cells j, j + N, ...; this process still
+    evaluates every cell in order, taking those samples through
+    ``pdop_samples``, so the first failing cell raises as in one process.
+    No worker outlives the call.
     """
     if threads < 1:
         raise ValueError(f"threads ({threads}) must be >= 1")
 
     sweep = scenario.sweep
     points = [(size, alt) for size in sweep.sizes for alt in sweep.altitudes_km]
+    specs = [scenario.walker.design(size, alt) for size, alt in points]
     grid = scenario.grid.build()
+    forks = sys.platform == "linux" and hasattr(os, "fork")
+    share = min(threads, len(points), len(os.sched_getaffinity(0))) if forks else 1
+    settings = _engine_settings(scenario)
+    del settings["percentile"]
 
-    def run(point: tuple[int, float]) -> SweepCell:
-        size, alt = point
-        spec = scenario.walker.design(size, alt)
-        result = _evaluate(spec, scenario, grid)
-        return SweepCell(
-            requested_sats=size,
-            total_sats=spec.total_sats,
-            planes=spec.planes,
-            altitude_km=alt,
-            pdop=result.value,
-            coverage=result.coverage,
-        )
+    def compute(cell: int) -> PdopSamples:
+        return pdop_samples(specs[cell], grid, **settings)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return tuple(pool.map(run, points))
+    workers: list[_Worker] = []
+    try:
+        for first in range(1, share):
+            workers.append(_Worker(range(first, len(points), share), compute))
+        receivers = [None] + [worker.receive for worker in workers]
+        cells = []
+        for cell, ((size, alt), spec) in enumerate(zip(points, specs)):
+            result = _evaluate(spec, scenario, grid, receive=receivers[cell % share])
+            cells.append(SweepCell(
+                requested_sats=size,
+                total_sats=spec.total_sats,
+                planes=spec.planes,
+                altitude_km=alt,
+                pdop=result.value,
+                coverage=result.coverage,
+            ))
+        return tuple(cells)
+    finally:
+        for worker in workers:
+            worker.close()
 
 
 def gps_baseline(scenario: Scenario) -> PercentilePdop:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -14,6 +15,11 @@ TINY = {
     "window": {"duration_s": 3600.0, "step_s": 600.0},
     "sweep": {"sizes": [24, 36], "altitudes_km": [800.0, 1000.0]},
 }
+
+
+def see_cpus(monkeypatch, n: int) -> None:
+    """Makes ``pdop_sweep`` see n CPUs, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 def _reject_constant(name: str):

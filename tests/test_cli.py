@@ -18,7 +18,7 @@ import pytest
 import leonav
 from leonav.cli import _REPORTS, main
 
-from conftest import TINY, finite_json
+from conftest import TINY, finite_json, see_cpus
 
 
 def write_config(tmp_path, extra: dict | None = None) -> str:
@@ -192,15 +192,21 @@ class TestEngineCommands:
 
     def test_threads_do_not_change_output_bytes(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
-        cfg = write_config(tmp_path)
-        a = tmp_path / "sweep1.json"
-        b = tmp_path / "sweep8.json"
-        for out, threads in ((a, "1"), (b, "8")):
-            assert main([
-                "dop-sweep", "--config", cfg, "--threads", threads,
-                "--format", "json", "--out", str(out), "--quiet",
-            ]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        see_cpus(monkeypatch, 8)  # so the worker count is min(threads, cells)
+        # The second sweep holds a no-coverage cell (1 satellite) and two
+        # sizes that snap to one design (36 and 37 run 36/6).
+        for extra in ({}, {"sweep": {"sizes": [1, 36, 37], "altitudes_km": [800.0, 1000.0]}}):
+            cfg = write_config(tmp_path, extra)
+            for fmt in ("csv", "json", "svg"):
+                outputs = {}
+                for threads in ("1", "2", "3", "8"):
+                    out = tmp_path / f"sweep{threads}.{fmt}"
+                    assert main([
+                        "dop-sweep", "--config", cfg, "--threads", threads,
+                        "--format", fmt, "--out", str(out), "--quiet",
+                    ]) == 0
+                    outputs[threads] = out.read_bytes()
+                assert len(set(outputs.values())) == 1, (extra, fmt)
 
     def test_threads_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LEO_NAV_THREADS", "2")

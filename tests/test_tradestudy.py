@@ -6,12 +6,19 @@ import dataclasses
 import itertools
 import json
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 
-from leonav import tradestudy
-from leonav.geometry import GroundGrid, NoCoverageError, percentile_pdop
+from leonav import geometry, tradestudy
+from leonav.geometry import (
+    GroundGrid,
+    NoCoverageError,
+    SingularGeometryError,
+    percentile_pdop,
+)
 from leonav.orbits import EarthModel
 from leonav.payload import MAX_UNITS, OVERHEAD, PA_EFFICIENCY, POWER_W, ClockUnit
 from leonav.rflink import (
@@ -46,7 +53,7 @@ from leonav.tradestudy import (
     power_report,
 )
 
-from conftest import TINY
+from conftest import TINY, see_cpus
 
 #: Earth radii (km) at the ends of the earth.radius_km bound.
 RADIUS_KM = (1.0, 1e6)
@@ -163,6 +170,130 @@ class TestPdopSweep:
             pdop_sweep(
                 dataclasses.replace(sc, sweep=SweepConfig(altitudes_km=()))
             )
+
+
+def no_child_left() -> bool:
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def fail_cells(monkeypatch, sc: Scenario, failing: dict[int, BaseException]) -> None:
+    """Makes computing the samples of each listed cell (in the tiny sweep's
+    size-major order) raise its exception, in whichever process runs it."""
+    designs = [sc.walker.design(s, a) for s in sc.sweep.sizes for a in sc.sweep.altitudes_km]
+    walker = geometry.walker_constellation
+
+    def failing_walker(spec, earth):
+        for cell, exc in failing.items():
+            if spec == designs[cell]:
+                raise exc
+        return walker(spec, earth)
+
+    monkeypatch.setattr(geometry, "walker_constellation", failing_walker)
+
+
+FORKS = sys.platform == "linux"
+
+
+class TestSweepWorkers:
+    """Forked workers compute cell samples; the caller evaluates every cell."""
+
+    def test_worker_count_is_capped_by_the_cpus(self, monkeypatch):
+        see_cpus(monkeypatch, 2)
+        forks = []
+        fork = os.fork
+
+        def counting():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting, raising=False)
+        assert pdop_sweep(tiny(), threads=10_000) == pdop_sweep(tiny())
+        assert len(forks) == (1 if FORKS else 0)
+        assert no_child_left()
+
+    def test_every_cell_is_evaluated_in_the_calling_process(self, monkeypatch):
+        # The benchmark tracer wraps these two module attributes in the
+        # calling process and reads its counts from pdop_samples' result.
+        see_cpus(monkeypatch, 2)
+        calls = {"percentile_pdop": [], "pdop_samples": [], "walker_constellation": []}
+
+        def counting(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                calls[name].append(result)
+                return result
+
+            monkeypatch.setattr(module, name, counted)
+
+        counting(tradestudy, "percentile_pdop")
+        counting(geometry, "pdop_samples")
+        counting(geometry, "walker_constellation")
+        sc = tiny()
+        cells = pdop_sweep(sc, threads=2)
+        assert len(calls["percentile_pdop"]) == len(calls["pdop_samples"]) == 4
+        assert [r.pdop.shape for r in calls["pdop_samples"]] == [(64, 6)] * 4
+        assert [(r.value, r.coverage) for r in calls["percentile_pdop"]] == [
+            (c.pdop, c.coverage) for c in cells
+        ]
+        # the worker propagated cells 1 and 3
+        assert len(calls["walker_constellation"]) == (2 if FORKS else 4)
+        monkeypatch.undo()
+        assert cells == pdop_sweep(sc)
+
+    def test_no_worker_outlives_a_sweep(self, monkeypatch):
+        see_cpus(monkeypatch, 4)
+        pdop_sweep(tiny(), threads=4)
+        assert no_child_left()
+
+    @pytest.mark.parametrize("failing", [
+        {1: ValueError("cell 1")},  # a worker's cell
+        {2: SingularGeometryError("cell 2")},  # the caller's own cell
+        {1: ValueError("cell 1"), 2: ValueError("cell 2")},
+        {2: SingularGeometryError("cell 2"), 3: ValueError("cell 3")},
+    ])
+    def test_failing_cell_raises_as_in_one_process(self, monkeypatch, failing):
+        sc = tiny()
+        fail_cells(monkeypatch, sc, failing)
+        see_cpus(monkeypatch, 2)
+        with pytest.raises(Exception) as alone:
+            pdop_sweep(sc)
+        with pytest.raises(Exception) as forked:
+            pdop_sweep(sc, threads=2)
+        assert type(forked.value) is type(alone.value) is type(failing[min(failing)])
+        assert str(forked.value) == str(alone.value) == f"cell {min(failing)}"
+        assert no_child_left()
+
+    @pytest.mark.skipif(not FORKS, reason="workers fork only on Linux")
+    def test_worker_death_names_its_status(self, monkeypatch):
+        sc = tiny()
+        caller = os.getpid()
+        walker = geometry.walker_constellation
+
+        def dying(spec, earth):
+            if os.getpid() != caller:
+                os._exit(3)
+            return walker(spec, earth)
+
+        monkeypatch.setattr(geometry, "walker_constellation", dying)
+        see_cpus(monkeypatch, 2)
+        with pytest.raises(ChildProcessError,
+                           match=r"^sweep worker exited with status 3 before sending cell 1$"):
+            pdop_sweep(sc, threads=2)
+        assert no_child_left()
+
+    def test_without_fork_the_cells_are_the_same(self, monkeypatch):
+        sc = tiny()
+        forked = pdop_sweep(sc, threads=2)
+        monkeypatch.delattr(os, "fork", raising=False)
+        see_cpus(monkeypatch, 2)
+        assert pdop_sweep(sc, threads=2) == forked
 
 
 class TestGpsBaseline:
