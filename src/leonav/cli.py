@@ -87,7 +87,8 @@ def _dop_map_rows(args, scenario: Scenario) -> list[dict]:
 def _dop_sweep_rows(args, scenario: Scenario) -> list[dict]:
     threads = _threads(args)
     _say(args, f"dop-sweep: {len(scenario.sweep.sizes)} sizes x "
-               f"{len(scenario.sweep.altitudes_km)} altitudes, {threads} thread(s)")
+               f"{len(scenario.sweep.altitudes_km)} altitudes, "
+               f"{tradestudy.sweep_processes(scenario, threads)} process(es)")
     result = tradestudy.pdop_sweep(scenario, threads=threads)
     pdop = tradestudy.pdop_column(scenario)
     return [_row(c, pdop=pdop, coverage="coverage_fraction") for c in result]

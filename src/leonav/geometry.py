@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .orbits import (
-    EARTH,
     EarthModel,
     WalkerSpec,
     propagate_arrays,
@@ -142,7 +141,7 @@ class GroundGrid:
         return int(self.lat_deg.size)
 
     @classmethod
-    def fibonacci(cls, n_sites: int = 500) -> "GroundGrid":
+    def fibonacci(cls, n_sites: int) -> "GroundGrid":
         """Equal-area Fibonacci-sphere lattice; every site weighs 1/n."""
         if n_sites < 1:
             raise ValueError(f"n_sites ({n_sites}) must be >= 1")
@@ -155,7 +154,7 @@ class GroundGrid:
         return cls(lat, lon, weight)
 
     @classmethod
-    def latlon(cls, n_sites: int = 500) -> "GroundGrid":
+    def latlon(cls, n_sites: int) -> "GroundGrid":
         """Regular latitude/longitude grid with cos(latitude) area weights.
 
         The actual site count is the nearest n_lat x (2 n_lat) product to
@@ -273,8 +272,8 @@ def pdop_samples(
     spec: WalkerSpec,
     grid: GroundGrid,
     window: TimeWindow,
-    mask_deg: float = 5.0,
-    earth: EarthModel = EARTH,
+    mask_deg: float,
+    earth: EarthModel,
     *,
     receive: Callable[[], PdopSamples] | None = None,
 ) -> PdopSamples:
@@ -557,16 +556,16 @@ def percentile_pdop(
     spec: WalkerSpec,
     grid: GroundGrid,
     window: TimeWindow,
-    mask_deg: float = 5.0,
-    percentile: float = 95.0,
-    earth: EarthModel = EARTH,
-    aggregation: str = "pooled",
+    mask_deg: float,
+    percentile: float,
+    earth: EarthModel,
+    aggregation: str,
     *,
     receive: Callable[[], PdopSamples] | None = None,
 ) -> PercentilePdop:
     """Global percentile PDOP of one constellation over a grid and window.
 
-    Pooled aggregation (default) takes the site-weighted percentile over
+    Pooled aggregation takes the site-weighted percentile over
     every defined (site, epoch) sample; "worst_site" takes the per-site
     percentile over time and returns the worst site's value.  Coverage is
     the plain fraction of samples with a defined PDOP; with none, the
@@ -615,9 +614,9 @@ def pdop_field(
     spec: WalkerSpec,
     grid: GroundGrid,
     window: TimeWindow,
-    mask_deg: float = 5.0,
-    percentile: float = 95.0,
-    earth: EarthModel = EARTH,
+    mask_deg: float,
+    percentile: float,
+    earth: EarthModel,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-site percentile PDOP over the window.
 

@@ -39,9 +39,6 @@ class EarthModel(_Record, key="earth"):
     rotation_rate_rad_s: float = _rule(7.2921159e-5, "in (0, 1]", lambda v: 0.0 < v <= 1.0)
 
 
-EARTH = EarthModel()
-
-
 class WalkerElements(NamedTuple):
     """Circular elements of every satellite, plane-major; angles in radians.
 
@@ -174,7 +171,7 @@ def is_plane_friendly(total_sats: int) -> bool:
     return max(p, s) <= _BALANCE_LIMIT * min(p, s)
 
 
-def walker_constellation(spec: WalkerSpec, earth: EarthModel = EARTH) -> WalkerElements:
+def walker_constellation(spec: WalkerSpec, earth: EarthModel) -> WalkerElements:
     """The constellation's orbital elements, plane-major order.
 
     Plane j in [0, P) is placed at raan = j * raan_spread / P.  Slot k in
@@ -202,7 +199,7 @@ def propagate_arrays(
     raan_rad: np.ndarray,
     initial_anomaly_rad: np.ndarray,
     t_s: float | np.ndarray,
-    earth: EarthModel = EARTH,
+    earth: EarthModel,
 ) -> np.ndarray:
     """Vectorized circular propagation; returns inertial positions, shape (..., 3).
 
@@ -223,7 +220,7 @@ def propagate_arrays(
 
 
 def rotate_eci_to_ecef(
-    pos_eci_km: np.ndarray, t_s: float | np.ndarray, earth: EarthModel = EARTH
+    pos_eci_km: np.ndarray, t_s: float | np.ndarray, earth: EarthModel
 ) -> np.ndarray:
     """Rotates inertial positions into the Earth-fixed frame at time t_s.
 

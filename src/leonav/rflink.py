@@ -11,7 +11,6 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .orbits import EARTH
 from .schema import _check_positive, _Record, _within
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
@@ -62,9 +61,7 @@ def fspl_db(distance_km: float, frequency_hz: float) -> float:
     )
 
 
-def slant_range_km(
-    altitude_km: float, elevation_deg: float, earth_radius_km: float = EARTH.radius_km
-) -> float:
+def slant_range_km(altitude_km: float, elevation_deg: float, earth_radius_km: float) -> float:
     """Distance from a ground site to a satellite seen at a given elevation.
 
     Spherical-Earth geometry: d = -R sin(e) + sqrt(R^2 sin^2(e) + h^2 + 2 R h).
@@ -79,9 +76,7 @@ def slant_range_km(
     return -r * sin_e + math.sqrt(r * r * sin_e * sin_e + h * h + 2.0 * r * h)
 
 
-def coverage_half_angle_rad(
-    altitude_km: float, mask_deg: float, earth_radius_km: float = EARTH.radius_km
-) -> float:
+def coverage_half_angle_rad(altitude_km: float, mask_deg: float, earth_radius_km: float) -> float:
     """Earth-central half angle of the cap a satellite covers above a mask."""
     _check_positive(altitude_km=altitude_km, earth_radius_km=earth_radius_km)
     if not 0.0 <= mask_deg < 90.0:
@@ -91,9 +86,7 @@ def coverage_half_angle_rad(
     return math.acos(r * math.cos(mask) / (r + altitude_km)) - mask
 
 
-def footprint_area_km2(
-    altitude_km: float, mask_deg: float = 0.0, earth_radius_km: float = EARTH.radius_km
-) -> float:
+def footprint_area_km2(altitude_km: float, mask_deg: float, earth_radius_km: float) -> float:
     """Spherical-cap area (km^2) visible above the elevation mask.
 
     2*pi*R^2*(1 - cos(lambda)) with lambda the coverage half angle; grows
@@ -105,10 +98,7 @@ def footprint_area_km2(
 
 
 def footprint_gain_db(
-    leo_altitude_km: float,
-    meo_altitude_km: float = GALILEO_ALTITUDE_KM,
-    mask_deg: float = 0.0,
-    earth_radius_km: float = EARTH.radius_km,
+    leo_altitude_km: float, meo_altitude_km: float, mask_deg: float, earth_radius_km: float
 ) -> float:
     """Power-density advantage of serving a smaller footprint from LEO.
 
@@ -136,13 +126,8 @@ class JammerCalibration(_Record, key="jammer"):
     ref_radius_m: float = _within(100.0, *JAMMER_RADIUS_M)
 
 
-DEFAULT_JAMMER_CALIBRATION = JammerCalibration()
-
-
 def jammer_effective_radius_m(
-    power_w: float,
-    margin_db: float = 0.0,
-    calibration: JammerCalibration = DEFAULT_JAMMER_CALIBRATION,
+    power_w: float, margin_db: float, calibration: JammerCalibration
 ) -> float:
     """Denial radius of a jammer against a receiver with some link margin.
 
@@ -162,9 +147,7 @@ def jammer_effective_radius_m(
 
 
 def jammer_power_for_radius_w(
-    radius_m: float,
-    margin_db: float = 0.0,
-    calibration: JammerCalibration = DEFAULT_JAMMER_CALIBRATION,
+    radius_m: float, margin_db: float, calibration: JammerCalibration
 ) -> float:
     """Jammer power needed to deny a given radius; inverse of the radius model."""
     _check_positive(radius_m=radius_m)
@@ -205,9 +188,6 @@ CANOPY_CLASSES = (
 )
 
 
-DEFAULT_MATERIALS = MaterialLossTable()
-
-
 @dataclass(frozen=True)
 class PenetrationReport:
     """How far a given link margin reaches into structures and foliage."""
@@ -217,9 +197,7 @@ class PenetrationReport:
     wall_counts: tuple[tuple[str, int], ...]
 
 
-def penetration_report(
-    margin_db: float, materials: MaterialLossTable = DEFAULT_MATERIALS
-) -> PenetrationReport:
+def penetration_report(margin_db: float, materials: MaterialLossTable) -> PenetrationReport:
     """Number of one-pass traversals of each material a margin affords.
 
     Counts are floor(margin / loss); the canopy class is the densest one

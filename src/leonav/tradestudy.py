@@ -63,9 +63,8 @@ GPS_LIKE = WalkerSpec(
 
 
 def _engine_settings(scenario: Scenario) -> dict:
-    """The window, mask, percentile and Earth the PDOP engine takes."""
-    return dict(window=scenario.window, mask_deg=scenario.sweep.mask_deg,
-                percentile=scenario.sweep.percentile, earth=scenario.earth)
+    """The window, mask and Earth ``pdop_samples`` takes."""
+    return dict(window=scenario.window, mask_deg=scenario.sweep.mask_deg, earth=scenario.earth)
 
 
 def _evaluate(
@@ -73,8 +72,8 @@ def _evaluate(
     *, receive: Callable[[], PdopSamples] | None = None,
 ) -> PercentilePdop:
     return percentile_pdop(
-        spec, grid, **_engine_settings(scenario), aggregation=scenario.sweep.aggregation,
-        receive=receive,
+        spec, grid, **_engine_settings(scenario), percentile=scenario.sweep.percentile,
+        aggregation=scenario.sweep.aggregation, receive=receive,
     )
 
 
@@ -145,6 +144,18 @@ class _Worker:
             self.pid = None
 
 
+def sweep_processes(scenario: Scenario, threads: int) -> int:
+    """Processes that compute the sweep's cells on ``threads``, the calling
+    one included: min(threads, cells, CPUs) on Linux with ``os.fork``,
+    else 1."""
+    if threads < 1:
+        raise ValueError(f"threads ({threads}) must be >= 1")
+    if sys.platform != "linux" or not hasattr(os, "fork"):
+        return 1
+    cells = len(scenario.sweep.sizes) * len(scenario.sweep.altitudes_km)
+    return min(threads, cells, len(os.sched_getaffinity(0)))
+
+
 def pdop_sweep(scenario: Scenario, threads: int = 1) -> tuple[SweepCell, ...]:
     """Percentile PDOP over the scenario's size x altitude grid.
 
@@ -152,23 +163,18 @@ def pdop_sweep(scenario: Scenario, threads: int = 1) -> tuple[SweepCell, ...]:
     cells with no coverage carry pdop=None and keep the sweep going.
     Cell order is size-major and independent of the worker count.
 
-    On Linux, with N = min(threads, cells, CPUs) > 1, forked worker j in
+    With N = ``sweep_processes(scenario, threads)`` > 1, forked worker j in
     [1, N) computes the samples of cells j, j + N, ...; this process still
     evaluates every cell in order, taking those samples through
     ``pdop_samples``, so the first failing cell raises as in one process.
     No worker outlives the call.
     """
-    if threads < 1:
-        raise ValueError(f"threads ({threads}) must be >= 1")
-
+    share = sweep_processes(scenario, threads)
     sweep = scenario.sweep
     points = [(size, alt) for size in sweep.sizes for alt in sweep.altitudes_km]
     specs = [scenario.walker.design(size, alt) for size, alt in points]
     grid = scenario.grid.build()
-    forks = sys.platform == "linux" and hasattr(os, "fork")
-    share = min(threads, len(points), len(os.sched_getaffinity(0))) if forks else 1
     settings = _engine_settings(scenario)
-    del settings["percentile"]
 
     def compute(cell: int) -> PdopSamples:
         return pdop_samples(specs[cell], grid, **settings)
@@ -340,7 +346,9 @@ def dop_map(scenario: Scenario) -> list[dict]:
     """
     spec = scenario.walker.design(scenario.walker.total_sats, scenario.walker.altitude_km)
     grid = scenario.grid.build()
-    values, coverage = pdop_field(spec, grid, **_engine_settings(scenario))
+    values, coverage = pdop_field(
+        spec, grid, **_engine_settings(scenario), percentile=scenario.sweep.percentile
+    )
     if not np.isfinite(values).any():
         raise NoCoverageError(
             "no coverage: every site has undefined PDOP over the window"

@@ -16,7 +16,10 @@ from typing import Iterable
 
 import numpy as np
 
-from leonav.orbits import EARTH, EarthModel
+from leonav.orbits import EarthModel
+
+#: The scenario's default Earth (WGS-84 radius, no flattening).
+EARTH = EarthModel()
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,13 @@ from oracles import (
 
 from leonav.cli import main
 from leonav.geometry import GroundGrid, TimeWindow, dop, percentile_pdop
+from leonav.orbits import EarthModel
 from leonav.rflink import (
     BAND_HZ,
+    GALILEO_ALTITUDE_KM,
     GPS_ALTITUDE_KM,
+    JammerCalibration,
+    MaterialLossTable,
     footprint_gain_db,
     fspl_db,
     jammer_effective_radius_m,
@@ -61,7 +65,8 @@ def desk():
     spec = scenario.walker.design(300, 900.0)
     t0 = time.perf_counter()
     p300 = percentile_pdop(
-        spec, GroundGrid.fibonacci(500), TimeWindow(), mask_deg=5.0, percentile=95.0
+        spec, GroundGrid.fibonacci(500), TimeWindow(), mask_deg=5.0, percentile=95.0,
+        earth=EarthModel(), aggregation="pooled",
     )
     p300_s = time.perf_counter() - t0
     return {
@@ -88,11 +93,18 @@ def test_criterion_1_path_loss_advantage():
 
 def test_criterion_2_footprint_gain_bands():
     """Footprint advantage over the 23,222 km MEO cap sits in the quoted bands."""
-    open_sky = {h: footprint_gain_db(float(h)) for h in range(600, 1401, 50)}
+    radius = EarthModel().radius_km
+    open_sky = {
+        h: footprint_gain_db(float(h), GALILEO_ALTITUDE_KM, 0.0, radius)
+        for h in range(600, 1401, 50)
+    }
     assert all(6.0 <= g <= 10.0 for g in open_sky.values()), open_sky
-    masked = {h: footprint_gain_db(float(h), mask_deg=30.0) for h in range(500, 1201, 50)}
+    masked = {
+        h: footprint_gain_db(float(h), GALILEO_ALTITUDE_KM, 30.0, radius)
+        for h in range(500, 1201, 50)
+    }
     assert all(11.0 <= g <= 20.0 for g in masked.values()), masked
-    at_600 = footprint_gain_db(600.0, mask_deg=30.0)
+    at_600 = footprint_gain_db(600.0, GALILEO_ALTITUDE_KM, 30.0, radius)
     assert 15.0 <= at_600 <= 17.0
     print(
         f"\nCRITERION 2 PASS: mask-0 gain {min(open_sky.values()):.2f}"
@@ -144,13 +156,14 @@ def test_criterion_4_interference_tables():
         30.0: (3, 2, 2, 1, 1),
     }
     for margin in margins:
-        got = tuple(count for _, count in penetration_report(margin).wall_counts)
+        report = penetration_report(margin, MaterialLossTable())
+        got = tuple(count for _, count in report.wall_counts)
         assert got == expected_counts[margin], f"margin {margin}: {got}"
 
     radius_table_m = {0.0: 750.0, 5.0: 430.0, 10.0: 240.0, 20.0: 80.0, 30.0: 20.0}
     worst_radius = 0.0
     for margin, published in radius_table_m.items():
-        got = jammer_effective_radius_m(0.5, margin)
+        got = jammer_effective_radius_m(0.5, margin, JammerCalibration())
         rel = abs(got - published) / published
         worst_radius = max(worst_radius, rel)
         assert rel <= 0.15, f"radius at {margin} dB: {got:.1f} vs {published}"
@@ -158,7 +171,7 @@ def test_criterion_4_interference_tables():
     power_table_mw = {0.0: 10.0, 5.0: 32.0, 10.0: 100.0, 20.0: 1000.0, 30.0: 10000.0}
     worst_power = 1.0
     for margin, published in power_table_mw.items():
-        got = jammer_power_for_radius_w(100.0, margin) * 1000.0
+        got = jammer_power_for_radius_w(100.0, margin, JammerCalibration()) * 1000.0
         ratio = max(got / published, published / got)
         worst_power = max(worst_power, ratio)
         assert ratio <= 1.3, f"power at {margin} dB: {got:.1f} mW vs {published}"
@@ -252,7 +265,7 @@ def test_criterion_6_property_suites(desk, tmp_path, monkeypatch):
     # 95th-percentile PDOP by less than 5%
     refined = percentile_pdop(
         desk["spec300"], GroundGrid.fibonacci(1000), TimeWindow(),
-        mask_deg=5.0, percentile=95.0,
+        mask_deg=5.0, percentile=95.0, earth=EarthModel(), aggregation="pooled",
     )
     drift = abs(refined.value - desk["p300"].value) / desk["p300"].value
     assert drift < 0.05

@@ -220,6 +220,23 @@ class TestEngineCommands:
         assert main(["dop-sweep", "--config", cfg, "--quiet"]) == 1
         assert "LEO_NAV_THREADS" in capsys.readouterr().err
 
+    def test_progress_line_gives_the_processes_that_run(self, tmp_path, monkeypatch, capsys):
+        see_cpus(monkeypatch, 2)
+        forks = []
+        fork = os.fork
+
+        def counting():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting, raising=False)
+        cfg = write_config(tmp_path)  # 2 sizes x 2 altitudes
+        out = tmp_path / "sweep.csv"
+        assert main(["dop-sweep", "--config", cfg, "--threads", "4", "--out", str(out)]) == 0
+        processes = 2 if sys.platform == "linux" else 1
+        assert f"2 altitudes, {processes} process(es)" in capsys.readouterr().err
+        assert len(forks) == processes - 1
+
 
 #: A small scenario on which every report runs in milliseconds.
 PIN_SCENARIO = {
@@ -656,6 +673,14 @@ def test_submodule_imports_alone(module):
     dependencies; an import cycle would show only for some import orders."""
     done = _python("-c", f"import leonav.{module}")
     assert done.returncode == 0, done.stderr.decode()
+
+
+@pytest.mark.parametrize("module", ["rflink", "payload", "schema"])
+def test_scalar_modules_leave_numpy_unloaded(module):
+    """The link, payload and schema models are scalar Python; importing one
+    must not load numpy."""
+    done = _python("-c", f"import sys, leonav.{module}; sys.exit('numpy' in sys.modules)")
+    assert done.returncode == 0, done.stderr.decode() or "numpy was imported"
 
 
 class TestModuleEntryPoint:

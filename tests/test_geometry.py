@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    EARTH,
     EcefPosition,
     dop_oracle,
     los_rows,
@@ -44,7 +45,6 @@ from leonav.geometry import (
     weighted_percentile,
 )
 from leonav.orbits import (
-    EARTH,
     WalkerConfig,
     WalkerSpec,
     propagate_arrays,
@@ -339,17 +339,17 @@ class TestPdopSamplesEngine:
         spec = WalkerSpec(40, 5, phasing=1, altitude_km=900.0)
         grid = GroundGrid.fibonacci(12)
         window = TimeWindow(duration_s=1200.0, step_s=600.0)
-        samples = pdop_samples(spec, grid, window, mask_deg=5.0)
+        samples = pdop_samples(spec, grid, window, mask_deg=5.0, earth=EARTH)
         assert samples.pdop.shape == (12, 2)
         assert samples.visible_count.shape == (12, 2)
 
-        elements = walker_constellation(spec)
+        elements = walker_constellation(spec, EARTH)
         checked_defined = 0
         for j, t in enumerate(window.epochs()):
             sats = [
                 EcefPosition(*rotate_eci_to_ecef(propagate_arrays(
-                    *(field[i] for field in elements), float(t)
-                ), float(t)).tolist())
+                    *(field[i] for field in elements), float(t), EARTH
+                ), float(t), EARTH).tolist())
                 for i in range(spec.total_sats)
             ]
             for i in range(len(grid)):
@@ -369,7 +369,7 @@ class TestPdopSamplesEngine:
         its rows show up in the pooled p99 well above 1e-10."""
         spec = WalkerSpec(200, 10, phasing=0, altitude_km=600.0)
         grid = GroundGrid.fibonacci(200)
-        samples = pdop_samples(spec, grid, TimeWindow(3600.0, 240.0))
+        samples = pdop_samples(spec, grid, TimeWindow(3600.0, 240.0), 5.0, EARTH)
         enough = samples.visible_count >= 4
         defined = samples.defined
         assert int(samples.visible_count.sum()) == 17032
@@ -389,12 +389,12 @@ class TestPdopSamplesEngine:
         grid = GroundGrid.fibonacci(100)
         window = TimeWindow(21600.0, 2160.0)
         inverted = _count_rows(monkeypatch, "inv")
-        shipped = pdop_samples(spec, grid, window)
+        shipped = pdop_samples(spec, grid, window, 5.0, EARTH)
         solvable = int((shipped.visible_count >= 4).sum())
         assert 0 < sum(inverted) < solvable  # both paths ran
         inverted.clear()
         monkeypatch.setattr(geometry, "_SURE_CONDITION", 0.0)
-        lapack = pdop_samples(spec, grid, window)
+        lapack = pdop_samples(spec, grid, window, 5.0, EARTH)
         assert sum(inverted) == int(lapack.defined.sum()) > 0
         assert np.array_equal(shipped.visible_count, lapack.visible_count)
         assert np.array_equal(shipped.defined, lapack.defined)
@@ -478,9 +478,9 @@ class TestPdopSamplesEngine:
         grid = GroundGrid.fibonacci(50)
         window = TimeWindow(1200.0, 240.0)
         monkeypatch.setattr(geometry, "_PAIR_BUDGET", 10**9)
-        whole = pdop_samples(spec, grid, window)
+        whole = pdop_samples(spec, grid, window, 5.0, EARTH)
         monkeypatch.setattr(geometry, "_PAIR_BUDGET", budget)
-        blocked = pdop_samples(spec, grid, window)
+        blocked = pdop_samples(spec, grid, window, 5.0, EARTH)
         assert np.array_equal(blocked.pdop, whole.pdop, equal_nan=True)
         assert np.array_equal(blocked.visible_count, whole.visible_count)
         assert np.isnan(whole.pdop).any() and np.isfinite(whole.pdop).any()
@@ -491,9 +491,9 @@ class TestPdopSamplesEngine:
         grid = GroundGrid.fibonacci(50)
         window = TimeWindow(4800.0, 240.0)
         monkeypatch.setattr(geometry, "_PAIR_BUDGET", 10**9)
-        whole = pdop_samples(spec, grid, window)
+        whole = pdop_samples(spec, grid, window, 5.0, EARTH)
         monkeypatch.setattr(geometry, "_PAIR_BUDGET", epochs_per_chunk * spec.total_sats)
-        chunked = pdop_samples(spec, grid, window)
+        chunked = pdop_samples(spec, grid, window, 5.0, EARTH)
         assert np.array_equal(chunked.pdop, whole.pdop, equal_nan=True)
         assert np.array_equal(chunked.visible_count, whole.visible_count)
         assert np.isnan(whole.pdop).any() and np.isfinite(whole.pdop).any()
@@ -516,7 +516,7 @@ class TestPdopSamplesEngine:
             monkeypatch.setattr(geometry, name, counting(name))
         spec = WalkerSpec(60, 6, phasing=1, altitude_km=900.0)
         monkeypatch.setattr(geometry, "_PAIR_BUDGET", 7 * spec.total_sats)
-        pdop_samples(spec, GroundGrid.fibonacci(10), TimeWindow(4800.0, 240.0))
+        pdop_samples(spec, GroundGrid.fibonacci(10), TimeWindow(4800.0, 240.0), 5.0, EARTH)
         # 20 epochs in chunks of 7, 7 and 6.
         assert calls == {"walker_constellation": 1, "propagate_arrays": 3,
                          "rotate_eci_to_ecef": 3}
@@ -529,7 +529,7 @@ class TestPdopSamplesEngine:
         grid = GroundGrid.fibonacci(4)
         tracemalloc.start()
         try:
-            samples = pdop_samples(spec, grid, TimeWindow(60.0 * n_epochs, 60.0))
+            samples = pdop_samples(spec, grid, TimeWindow(60.0 * n_epochs, 60.0), 5.0, EARTH)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -564,7 +564,7 @@ class TestPdopSamplesEngine:
             inverted.clear()
             tracemalloc.start()
             try:
-                samples = pdop_samples(GPS_LIKE, GroundGrid.fibonacci(4), window)
+                samples = pdop_samples(GPS_LIKE, GroundGrid.fibonacci(4), window, 5.0, EARTH)
             finally:
                 tracemalloc.stop()
             assert samples.defined.any()
@@ -579,7 +579,7 @@ class TestPdopSamplesEngine:
         grid = GroundGrid.latlon(20000)
         tracemalloc.start()
         try:
-            samples = pdop_samples(spec, grid, TimeWindow(60.0, 60.0))
+            samples = pdop_samples(spec, grid, TimeWindow(60.0, 60.0), 5.0, EARTH)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -597,7 +597,8 @@ class TestPdopSamplesEngine:
             tracemalloc.start()
             try:
                 result = percentile_pdop(
-                    GPS_LIKE, GroundGrid.fibonacci(200), TimeWindow(60.0 * epochs, 60.0), 0.0
+                    GPS_LIKE, GroundGrid.fibonacci(200), TimeWindow(60.0 * epochs, 60.0), 0.0,
+                    95.0, EARTH, "pooled"
                 )
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
@@ -608,7 +609,7 @@ class TestPdopSamplesEngine:
     def test_defined_mask(self):
         spec = WalkerSpec(40, 5, altitude_km=900.0)
         samples = pdop_samples(
-            spec, GroundGrid.fibonacci(8), TimeWindow(600.0, 600.0)
+            spec, GroundGrid.fibonacci(8), TimeWindow(600.0, 600.0), 5.0, EARTH
         )
         assert np.array_equal(samples.defined, np.isfinite(samples.pdop))
 
@@ -616,7 +617,7 @@ class TestPdopSamplesEngine:
         with pytest.raises(ValueError, match="mask_deg"):
             pdop_samples(
                 WalkerSpec(8, 2), GroundGrid.fibonacci(4), TimeWindow(600.0, 600.0),
-                mask_deg=90.0,
+                mask_deg=90.0, earth=EARTH,
             )
 
 
@@ -680,7 +681,7 @@ class TestSampleDigest:
         spec, grid = self.CASES[case]
         if epochs_per_block is not None:
             monkeypatch.setattr(geometry, "_PAIR_BUDGET", epochs_per_block * spec.total_sats + 5)
-        samples = pdop_samples(spec, grid, TimeWindow(3600.0, 240.0), mask_deg)
+        samples = pdop_samples(spec, grid, TimeWindow(3600.0, 240.0), mask_deg, EARTH)
         digest = hashlib.sha256(samples.pdop.tobytes() + samples.visible_count.tobytes())
         assert digest.hexdigest() == self.DIGEST[case, mask_deg]
 
@@ -697,7 +698,7 @@ class TestSampleDigest:
         monkeypatch.setattr(geometry, "_tile_epochs", lambda *args: tile)
         if sites_per_block is not None:
             monkeypatch.setattr(geometry, "_PAIR_BUDGET", sites_per_block * spec.total_sats + 5)
-        samples = pdop_samples(spec, grid, TimeWindow(3600.0, 240.0), 5.0)
+        samples = pdop_samples(spec, grid, TimeWindow(3600.0, 240.0), 5.0, EARTH)
         digest = hashlib.sha256(samples.pdop.tobytes() + samples.visible_count.tobytes())
         assert digest.hexdigest() == self.DIGEST[case, 5.0]
         assert max(k for k, _ in shapes) == tile
@@ -709,7 +710,7 @@ class TestSampleDigest:
         over 15 epochs rather than one per epoch."""
         spec = WalkerConfig().design(300, 900.0)
         shapes = _record_tiles(monkeypatch)
-        pdop_samples(spec, GroundGrid.fibonacci(200), TimeWindow(3600.0, 240.0))
+        pdop_samples(spec, GroundGrid.fibonacci(200), TimeWindow(3600.0, 240.0), 5.0, EARTH)
         assert shapes == [(3, 200)] * 5
 
     @pytest.mark.parametrize(
@@ -742,7 +743,7 @@ class TestSampleDigest:
             return count, pdop
 
         monkeypatch.setattr(geometry, "_block_pdop", recording)
-        samples = pdop_samples(spec, grid, TimeWindow(3600.0, 240.0), 5.0)
+        samples = pdop_samples(spec, grid, TimeWindow(3600.0, 240.0), 5.0, EARTH)
         digest = hashlib.sha256(samples.pdop.tobytes() + samples.visible_count.tobytes())
         assert digest.hexdigest() == self.DIGEST[case, 5.0]
 
@@ -783,12 +784,12 @@ class TestSampleDigest:
 
         monkeypatch.setattr(geometry, "_block_pdop", recording)
         window = TimeWindow(3600.0, 240.0)
-        pdop_samples(spec, grid, window, mask_deg)
+        pdop_samples(spec, grid, window, mask_deg, EARTH)
         assert all(culled == visible for culled, visible in pairs)
         pairs.clear()
         reach = geometry._reach
         monkeypatch.setattr(geometry, "_reach", lambda *args: reach(*args) + 0.05)
-        samples = pdop_samples(spec, grid, window, mask_deg)
+        samples = pdop_samples(spec, grid, window, mask_deg, EARTH)
         assert pairs and all(culled > visible for culled, visible in pairs)
         digest = hashlib.sha256(samples.pdop.tobytes() + samples.visible_count.tobytes())
         assert digest.hexdigest() == self.DIGEST[case, mask_deg]
@@ -803,7 +804,7 @@ class TestSampleDigest:
         tested = _count_rows(monkeypatch, "eigvalsh")
         inverted = _count_rows(monkeypatch, "inv")
         window = TimeWindow(3600.0, 240.0)
-        shipped = pdop_samples(spec, grid, window, mask_deg)
+        shipped = pdop_samples(spec, grid, window, mask_deg, EARTH)
         singular = int(((shipped.visible_count >= 4) & ~shipped.defined).sum())
         fallback = sum(inverted) + singular
         assert singular <= sum(tested) <= fallback
@@ -812,7 +813,7 @@ class TestSampleDigest:
         tested.clear()
         inverted.clear()
         monkeypatch.setattr(geometry, "_PROVEN_CONDITION", 0.0)
-        samples = pdop_samples(spec, grid, window, mask_deg)
+        samples = pdop_samples(spec, grid, window, mask_deg, EARTH)
         assert sum(tested) == fallback
         assert sum(inverted) == fallback - singular
         digest = hashlib.sha256(samples.pdop.tobytes() + samples.visible_count.tobytes())
@@ -824,11 +825,11 @@ class TestPercentilePdop:
         spec = WalkerSpec(60, 6, altitude_km=900.0)
         grid = GroundGrid.fibonacci(32)
         window = TimeWindow(1800.0, 600.0)
-        out = percentile_pdop(spec, grid, window, percentile=95.0)
+        out = percentile_pdop(spec, grid, window, 5.0, 95.0, EARTH, "pooled")
         assert out.value > 0.0
         assert 0.0 <= out.coverage <= 1.0
         # pooled percentile reproducible from the raw samples
-        samples = pdop_samples(spec, grid, window)
+        samples = pdop_samples(spec, grid, window, 5.0, EARTH)
         defined = samples.defined
         w = np.broadcast_to(grid.weight[:, None], defined.shape)
         ref = weighted_percentile(samples.pdop[defined], w[defined], 95.0)
@@ -839,8 +840,8 @@ class TestPercentilePdop:
         spec = WalkerSpec(60, 6, altitude_km=900.0)
         grid = GroundGrid.fibonacci(16)
         window = TimeWindow(1800.0, 600.0)
-        worst = percentile_pdop(spec, grid, window, aggregation="worst_site")
-        values, _ = pdop_field(spec, grid, window, percentile=95.0)
+        worst = percentile_pdop(spec, grid, window, 5.0, 95.0, EARTH, "worst_site")
+        values, _ = pdop_field(spec, grid, window, 5.0, 95.0, EARTH)
         finite = values[np.isfinite(values)]
         assert worst.value == pytest.approx(float(finite.max()), rel=1e-12)
 
@@ -851,7 +852,7 @@ class TestPercentilePdop:
         lonely = WalkerSpec(1, 1, phasing=0, altitude_km=900.0)
         out = percentile_pdop(
             lonely, GroundGrid.fibonacci(6), TimeWindow(600.0, 600.0),
-            aggregation=aggregation,
+            aggregation=aggregation, mask_deg=5.0, percentile=95.0, earth=EARTH,
         )
         assert out.value is None
         assert out.coverage == 0.0
@@ -860,7 +861,7 @@ class TestPercentilePdop:
         with pytest.raises(ValueError, match="aggregation"):
             percentile_pdop(
                 WalkerSpec(8, 2), GroundGrid.fibonacci(4), TimeWindow(600.0, 600.0),
-                aggregation="median",
+                aggregation="median", mask_deg=5.0, percentile=95.0, earth=EARTH,
             )
 
 
@@ -892,7 +893,7 @@ class TestPdopField:
         spec = WalkerSpec(40, 5, altitude_km=900.0)
         grid = GroundGrid.fibonacci(16)
         window = TimeWindow(1200.0, 600.0)
-        values, coverage = pdop_field(spec, grid, window)
+        values, coverage = pdop_field(spec, grid, window, 5.0, 95.0, EARTH)
         assert values.shape == (16,)
         assert coverage.shape == (16,)
         assert np.all((coverage >= 0.0) & (coverage <= 1.0))

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    EARTH,
     EcefPosition,
     az_el_range,
     observation_from_angles,
@@ -20,8 +21,6 @@ from oracles import (
     site_to_ecef,
     visible_sats,
 )
-
-from leonav.orbits import EARTH
 
 
 class TestEcefPosition:

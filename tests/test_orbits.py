@@ -12,7 +12,6 @@ import pytest
 from leonav.geometry import TimeWindow
 from leonav.schema import ALTITUDE_KM, MAX_SATS, MU_KM3_S2, WINDOW_S, ScenarioError
 from leonav.orbits import (
-    EARTH,
     EarthModel,
     WalkerConfig,
     WalkerSpec,
@@ -22,6 +21,8 @@ from leonav.orbits import (
     rotate_eci_to_ecef,
     walker_constellation,
 )
+
+EARTH = EarthModel()
 
 
 class TestEarthModel:
@@ -263,7 +264,7 @@ class TestPlaneFriendly:
 class TestWalkerConstellation:
     def test_star_pattern_geometry(self):
         spec = WalkerSpec(6, 3, phasing=1, altitude_km=1000.0, raan_spread_deg=180.0)
-        elements = walker_constellation(spec)
+        elements = walker_constellation(spec, EARTH)
         assert all(len(field) == 6 for field in elements)
         assert elements.semimajor_km == pytest.approx([EARTH.radius_km + 1000.0] * 6)
         assert np.degrees(elements.raan_rad) == pytest.approx([0, 0, 60, 60, 120, 120])
@@ -274,19 +275,19 @@ class TestWalkerConstellation:
 
     def test_delta_pattern_spreads_full_circle(self):
         spec = WalkerSpec(6, 3, phasing=1, raan_spread_deg=360.0)
-        raans = np.unique(np.degrees(walker_constellation(spec).raan_rad))
+        raans = np.unique(np.degrees(walker_constellation(spec, EARTH).raan_rad))
         assert raans == pytest.approx([0, 120, 240])
 
     def test_zero_phasing_aligns_planes(self):
         spec = WalkerSpec(8, 4, phasing=0)
-        anomalies = np.degrees(walker_constellation(spec).initial_anomaly_rad)
+        anomalies = np.degrees(walker_constellation(spec, EARTH).initial_anomaly_rad)
         assert set(np.round(anomalies, 9)) == {0.0, 180.0}
 
     def test_angles_normalized(self):
         # 10/5/4: plane 4's second slot starts at 180 + 4 * 144 = 756 deg,
         # which wraps to 36 deg.
         spec = WalkerSpec(10, 5, phasing=4, raan_spread_deg=360.0)
-        elements = walker_constellation(spec)
+        elements = walker_constellation(spec, EARTH)
         for angles in (elements.raan_rad, elements.initial_anomaly_rad):
             assert np.all((angles >= 0.0) & (angles < 2.0 * math.pi))
         assert math.degrees(elements.initial_anomaly_rad[9]) == pytest.approx(36.0)
@@ -299,7 +300,7 @@ class TestWalkerConstellation:
     def test_matches_per_satellite_formula(self, total, planes, phasing, spread):
         spec = WalkerSpec(total, planes, phasing, 600.0, 53.0, spread)
         assert np.array_equal(
-            np.column_stack(walker_constellation(spec)), np.array(walker_oracle(spec))
+            np.column_stack(walker_constellation(spec, EARTH)), np.array(walker_oracle(spec))
         )
 
     def test_small_body_uses_its_own_radius(self):
@@ -313,29 +314,29 @@ class TestPropagation:
         a = EARTH.radius_km + 1000.0
         period = 2.0 * math.pi * math.sqrt(a**3 / EARTH.mu_km3_s2)
         assert period == pytest.approx(6307.119406698, abs=1e-6)
-        start = propagate_arrays(a, 1.0, 0.4, 0.3, 0.0)
-        assert propagate_arrays(a, 1.0, 0.4, 0.3, period) == pytest.approx(start, abs=1e-6)
+        start = propagate_arrays(a, 1.0, 0.4, 0.3, 0.0, EARTH)
+        assert propagate_arrays(a, 1.0, 0.4, 0.3, period, EARTH) == pytest.approx(start, abs=1e-6)
 
     def test_radius_conserved_along_orbit(self):
         for t in np.linspace(0.0, 7200.0, 13):
-            pos = propagate_arrays(7378.137, math.radians(53.0), 1.1, 0.7, float(t))
+            pos = propagate_arrays(7378.137, math.radians(53.0), 1.1, 0.7, float(t), EARTH)
             assert np.linalg.norm(pos) == pytest.approx(7378.137, rel=1e-12)
 
     def test_quarter_period_advances_ninety_degrees(self):
         a = 7378.137
         quarter = 0.5 * math.pi * math.sqrt(a**3 / EARTH.mu_km3_s2)
-        pos = propagate_arrays(a, 0.0, 0.0, 0.0, quarter)
+        pos = propagate_arrays(a, 0.0, 0.0, 0.0, quarter, EARTH)
         assert pos == pytest.approx([0.0, a, 0.0], abs=1e-6)
 
     def test_equatorial_orbit_stays_in_plane(self):
-        assert propagate_arrays(7000.0, 0.0, 0.3, 0.0, 1234.5)[2] == pytest.approx(
+        assert propagate_arrays(7000.0, 0.0, 0.3, 0.0, 1234.5, EARTH)[2] == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_polar_orbit_passes_over_pole(self):
         a = 7278.137
         quarter = 0.5 * math.pi * math.sqrt(a**3 / EARTH.mu_km3_s2)
-        pos = propagate_arrays(a, math.radians(90.0), 0.0, 0.0, quarter)
+        pos = propagate_arrays(a, math.radians(90.0), 0.0, 0.0, quarter, EARTH)
         assert pos == pytest.approx([0.0, 0.0, a], abs=1e-6)
 
     def test_array_propagation_matches_scalar(self):
@@ -344,29 +345,29 @@ class TestPropagation:
         inc = rng.uniform(0.0, math.pi, 5)
         raan = rng.uniform(0.0, 2 * math.pi, 5)
         m0 = rng.uniform(0.0, 2 * math.pi, 5)
-        batch = propagate_arrays(a, inc, raan, m0, 512.0)
+        batch = propagate_arrays(a, inc, raan, m0, 512.0, EARTH)
         assert batch.shape == (5, 3)
         for idx in range(5):
-            single = propagate_arrays(a[idx], inc[idx], raan[idx], m0[idx], 512.0)
+            single = propagate_arrays(a[idx], inc[idx], raan[idx], m0[idx], 512.0, EARTH)
             assert np.allclose(batch[idx], single, rtol=1e-14, atol=0.0)
 
 
 class TestFrames:
     def test_identity_at_epoch(self):
         pos = np.array([1234.0, -567.0, 89.0])
-        assert np.allclose(rotate_eci_to_ecef(pos, 0.0), pos)
+        assert np.allclose(rotate_eci_to_ecef(pos, 0.0, EARTH), pos)
 
     def test_rotation_direction(self):
         # A fixed inertial point drifts westward in the rotating frame.
         t = 600.0
         theta = EARTH.rotation_rate_rad_s * t
-        out = rotate_eci_to_ecef(np.array([1.0, 0.0, 0.0]), t)
+        out = rotate_eci_to_ecef(np.array([1.0, 0.0, 0.0]), t, EARTH)
         assert out == pytest.approx([math.cos(theta), -math.sin(theta), 0.0])
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(11)
         pos = rng.normal(size=(20, 3)) * 7000.0
-        out = rotate_eci_to_ecef(pos, 4321.0)
+        out = rotate_eci_to_ecef(pos, 4321.0, EARTH)
         assert np.allclose(
             np.linalg.norm(out, axis=1), np.linalg.norm(pos, axis=1), rtol=1e-14
         )
@@ -374,4 +375,4 @@ class TestFrames:
     def test_full_sidereal_turn_restores_position(self):
         day = 2.0 * math.pi / EARTH.rotation_rate_rad_s
         pos = np.array([100.0, 200.0, 300.0])
-        assert np.allclose(rotate_eci_to_ecef(pos, day), pos, atol=1e-9)
+        assert np.allclose(rotate_eci_to_ecef(pos, day, EARTH), pos, atol=1e-9)

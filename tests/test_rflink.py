@@ -16,8 +16,6 @@ from leonav.payload import (
 from leonav.rflink import (
     BAND_HZ,
     CANOPY_CLASSES,
-    DEFAULT_JAMMER_CALIBRATION,
-    DEFAULT_MATERIALS,
     GALILEO_ALTITUDE_KM,
     GPS_ALTITUDE_KM,
     SPEED_OF_LIGHT_M_S,
@@ -44,14 +42,14 @@ NON_FINITE_CALLS = [
     (fspl_db, (NAN, 1.5e9), "distance_km"),
     (fspl_db, (INF, 1e9), "distance_km"),
     (fspl_db, (1000.0, NAN), "frequency_hz"),
-    (slant_range_km, (NAN, 90.0), "altitude_km"),
-    (coverage_half_angle_rad, (NAN, 5.0), "altitude_km"),
-    (footprint_gain_db, (INF,), "altitude_km"),
-    (jammer_effective_radius_m, (NAN,), "power_w"),
-    (jammer_effective_radius_m, (1.0, INF), "margin_db"),
-    (jammer_power_for_radius_w, (NAN,), "radius_m"),
-    (jammer_power_for_radius_w, (100.0, NAN), "margin_db"),
-    (penetration_report, (INF,), "margin_db"),
+    (slant_range_km, (NAN, 90.0, R_EARTH_KM), "altitude_km"),
+    (coverage_half_angle_rad, (NAN, 5.0, R_EARTH_KM), "altitude_km"),
+    (footprint_gain_db, (INF, GALILEO_ALTITUDE_KM, 0.0, R_EARTH_KM), "altitude_km"),
+    (jammer_effective_radius_m, (NAN, 0.0, JammerCalibration()), "power_w"),
+    (jammer_effective_radius_m, (1.0, INF, JammerCalibration()), "margin_db"),
+    (jammer_power_for_radius_w, (NAN, 0.0, JammerCalibration()), "radius_m"),
+    (jammer_power_for_radius_w, (100.0, NAN, JammerCalibration()), "margin_db"),
+    (penetration_report, (INF, MaterialLossTable()), "margin_db"),
     (signal_generation_w, (NAN, 0.5), "rf_output_w"),
     (per_signal_bus_power_w, (273.0, INF, 0.5), "n_signals"),
     (leo_payload_power_w, (2, NAN, 0.9), "per_signal_w"),
@@ -142,23 +140,23 @@ class TestFspl:
 
 class TestSlantRange:
     def test_zenith_is_altitude(self):
-        assert slant_range_km(1000.0, 90.0) == pytest.approx(1000.0, rel=1e-12)
+        assert slant_range_km(1000.0, 90.0, R_EARTH_KM) == pytest.approx(1000.0, rel=1e-12)
 
     def test_horizon_matches_tangent_geometry(self):
         # at zero elevation the slant range is the tangent-line length
         want = math.sqrt((R_EARTH_KM + 1000.0) ** 2 - R_EARTH_KM**2)
-        got = slant_range_km(1000.0, 0.0)
+        got = slant_range_km(1000.0, 0.0, R_EARTH_KM)
         assert got == pytest.approx(want, rel=1e-12)
         assert got == pytest.approx(3708.945133053, abs=1e-6)
 
     def test_decreases_with_elevation(self):
-        ranges = [slant_range_km(800.0, e) for e in np.linspace(0.0, 90.0, 19)]
+        ranges = [slant_range_km(800.0, e, R_EARTH_KM) for e in np.linspace(0.0, 90.0, 19)]
         assert all(a > b for a, b in zip(ranges, ranges[1:]))
 
     def test_law_of_cosines_consistency(self):
         # d solves d^2 + 2 d R sin(e) - (h^2 + 2 R h) = 0
         for h, e in [(500.0, 5.0), (1200.0, 37.0), (20182.0, 55.0)]:
-            d = slant_range_km(h, e)
+            d = slant_range_km(h, e, R_EARTH_KM)
             sin_e = math.sin(math.radians(e))
             assert d * d + 2.0 * d * R_EARTH_KM * sin_e == pytest.approx(
                 h * h + 2.0 * R_EARTH_KM * h, rel=1e-12
@@ -166,109 +164,123 @@ class TestSlantRange:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="altitude_km"):
-            slant_range_km(0.0, 10.0)
+            slant_range_km(0.0, 10.0, R_EARTH_KM)
         with pytest.raises(ValueError, match="elevation_deg"):
-            slant_range_km(1000.0, 91.0)
+            slant_range_km(1000.0, 91.0, R_EARTH_KM)
 
 
 class TestFootprint:
     def test_half_angle_zero_mask(self):
         want = math.acos(R_EARTH_KM / (R_EARTH_KM + 1000.0))
-        got = coverage_half_angle_rad(1000.0, 0.0)
+        got = coverage_half_angle_rad(1000.0, 0.0, R_EARTH_KM)
         assert got == pytest.approx(want, rel=1e-12)
         assert math.degrees(got) == pytest.approx(30.178393625, abs=1e-6)
 
     def test_cap_area_value(self):
-        lam = coverage_half_angle_rad(1000.0, 0.0)
+        lam = coverage_half_angle_rad(1000.0, 0.0, R_EARTH_KM)
         want = 2.0 * math.pi * R_EARTH_KM**2 * (1.0 - math.cos(lam))
-        got = footprint_area_km2(1000.0)
+        got = footprint_area_km2(1000.0, 0.0, R_EARTH_KM)
         assert got == pytest.approx(want, rel=1e-12)
         assert got == pytest.approx(3.464342648e7, rel=1e-9)
 
     def test_hemisphere_limit(self):
         hemisphere = 2.0 * math.pi * R_EARTH_KM**2
-        assert footprint_area_km2(1.0e9) < hemisphere
-        assert footprint_area_km2(1.0e9) == pytest.approx(hemisphere, rel=1e-3)
+        assert footprint_area_km2(1.0e9, 0.0, R_EARTH_KM) < hemisphere
+        assert footprint_area_km2(1.0e9, 0.0, R_EARTH_KM) == pytest.approx(hemisphere, rel=1e-3)
 
     def test_area_monotonic_in_altitude_and_mask(self):
-        areas = [footprint_area_km2(h) for h in (400.0, 900.0, 1400.0, 20182.0)]
+        areas = [
+            footprint_area_km2(h, 0.0, R_EARTH_KM) for h in (400.0, 900.0, 1400.0, 20182.0)
+        ]
         assert all(a < b for a, b in zip(areas, areas[1:]))
-        masked = [footprint_area_km2(900.0, m) for m in (0.0, 5.0, 30.0, 60.0)]
+        masked = [footprint_area_km2(900.0, m, R_EARTH_KM) for m in (0.0, 5.0, 30.0, 60.0)]
         assert all(a > b for a, b in zip(masked, masked[1:]))
 
     def test_gain_values(self):
-        assert footprint_gain_db(1000.0) == pytest.approx(7.625526147, abs=1e-6)
-        assert footprint_gain_db(600.0, mask_deg=30.0) == pytest.approx(
-            15.890778457, abs=1e-6
-        )
+        assert footprint_gain_db(
+            1000.0, GALILEO_ALTITUDE_KM, 0.0, R_EARTH_KM
+        ) == pytest.approx(7.625526147, abs=1e-6)
+        assert footprint_gain_db(
+            600.0, GALILEO_ALTITUDE_KM, mask_deg=30.0, earth_radius_km=R_EARTH_KM
+        ) == pytest.approx(15.890778457, abs=1e-6)
 
     def test_gain_zero_against_itself(self):
-        assert footprint_gain_db(GALILEO_ALTITUDE_KM) == pytest.approx(0.0, abs=1e-12)
+        assert footprint_gain_db(
+            GALILEO_ALTITUDE_KM, GALILEO_ALTITUDE_KM, 0.0, R_EARTH_KM
+        ) == pytest.approx(0.0, abs=1e-12)
 
     def test_gain_decreases_with_leo_altitude(self):
-        gains = [footprint_gain_db(h) for h in np.arange(500.0, 1401.0, 100.0)]
+        gains = [
+            footprint_gain_db(h, GALILEO_ALTITUDE_KM, 0.0, R_EARTH_KM)
+            for h in np.arange(500.0, 1401.0, 100.0)
+        ]
         assert all(a > b for a, b in zip(gains, gains[1:]))
 
     def test_gain_is_area_ratio(self):
         want = 10.0 * math.log10(
-            footprint_area_km2(GALILEO_ALTITUDE_KM) / footprint_area_km2(800.0)
+            footprint_area_km2(GALILEO_ALTITUDE_KM, 0.0, R_EARTH_KM)
+            / footprint_area_km2(800.0, 0.0, R_EARTH_KM)
         )
-        assert footprint_gain_db(800.0) == pytest.approx(want, rel=1e-12)
+        got = footprint_gain_db(800.0, GALILEO_ALTITUDE_KM, 0.0, R_EARTH_KM)
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="altitude_km"):
-            footprint_area_km2(-100.0)
+            footprint_area_km2(-100.0, 0.0, R_EARTH_KM)
         with pytest.raises(ValueError, match="mask_deg"):
-            coverage_half_angle_rad(1000.0, 90.0)
+            coverage_half_angle_rad(1000.0, 90.0, R_EARTH_KM)
 
 
 class TestJammerModel:
     def test_anchor_point(self):
-        cal = DEFAULT_JAMMER_CALIBRATION
+        cal = JammerCalibration()
         assert cal.ref_power_w == 0.01
         assert cal.ref_radius_m == 100.0
-        assert jammer_effective_radius_m(0.01) == pytest.approx(100.0, rel=1e-12)
+        assert jammer_effective_radius_m(0.01, 0.0, cal) == pytest.approx(100.0, rel=1e-12)
 
     def test_half_watt_radius(self):
-        assert jammer_effective_radius_m(0.5) == pytest.approx(
+        assert jammer_effective_radius_m(0.5, 0.0, JammerCalibration()) == pytest.approx(
             707.106781187, abs=1e-6
         )
-        assert jammer_effective_radius_m(0.5, margin_db=20.0) == pytest.approx(
+        assert jammer_effective_radius_m(0.5, 20.0, JammerCalibration()) == pytest.approx(
             70.7106781187, abs=1e-7
         )
 
     def test_quadrupled_power_doubles_radius(self):
-        base = jammer_effective_radius_m(0.2, 7.0)
-        assert jammer_effective_radius_m(0.8, 7.0) == pytest.approx(2.0 * base, rel=1e-12)
+        base = jammer_effective_radius_m(0.2, 7.0, JammerCalibration())
+        quadrupled = jammer_effective_radius_m(0.8, 7.0, JammerCalibration())
+        assert quadrupled == pytest.approx(2.0 * base, rel=1e-12)
 
     def test_six_db_margin_halves_radius(self):
-        base = jammer_effective_radius_m(1.0, 0.0)
-        halved = jammer_effective_radius_m(1.0, 20.0 * math.log10(2.0))
+        base = jammer_effective_radius_m(1.0, 0.0, JammerCalibration())
+        halved = jammer_effective_radius_m(1.0, 20.0 * math.log10(2.0), JammerCalibration())
         assert halved == pytest.approx(base / 2.0, rel=1e-12)
 
     def test_power_for_radius_values(self):
-        assert jammer_power_for_radius_w(100.0, 0.0) == pytest.approx(0.01, rel=1e-12)
-        assert jammer_power_for_radius_w(100.0, 30.0) == pytest.approx(10.0, rel=1e-12)
+        cal = JammerCalibration()
+        assert jammer_power_for_radius_w(100.0, 0.0, cal) == pytest.approx(0.01, rel=1e-12)
+        assert jammer_power_for_radius_w(100.0, 30.0, cal) == pytest.approx(10.0, rel=1e-12)
 
     def test_round_trip(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             p = float(rng.uniform(1e-3, 50.0))
             m = float(rng.uniform(0.0, 40.0))
-            r = jammer_effective_radius_m(p, m)
-            assert jammer_power_for_radius_w(r, m) == pytest.approx(p, rel=1e-12)
+            r = jammer_effective_radius_m(p, m, JammerCalibration())
+            back = jammer_power_for_radius_w(r, m, JammerCalibration())
+            assert back == pytest.approx(p, rel=1e-12)
 
     def test_custom_calibration(self):
         cal = JammerCalibration(ref_power_w=0.5, ref_radius_m=750.0)
-        assert jammer_effective_radius_m(0.5, calibration=cal) == pytest.approx(750.0)
+        assert jammer_effective_radius_m(0.5, 0.0, calibration=cal) == pytest.approx(750.0)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="power_w"):
-            jammer_effective_radius_m(0.0)
+            jammer_effective_radius_m(0.0, 0.0, JammerCalibration())
         with pytest.raises(ValueError, match="margin_db"):
-            jammer_effective_radius_m(1.0, -1.0)
+            jammer_effective_radius_m(1.0, -1.0, JammerCalibration())
         with pytest.raises(ValueError, match="radius_m"):
-            jammer_power_for_radius_w(0.0)
+            jammer_power_for_radius_w(0.0, 0.0, JammerCalibration())
         with pytest.raises(ValueError, match="ref_power_w"):
             JammerCalibration(ref_power_w=0.0)
         with pytest.raises(ValueError, match="ref_radius_m"):
@@ -277,7 +289,7 @@ class TestJammerModel:
 
 class TestMaterials:
     def test_default_losses(self):
-        walls = dict(DEFAULT_MATERIALS.walls)
+        walls = dict(MaterialLossTable().walls)
         assert walls == {
             "wood": 10.0,
             "brick": 12.0,
@@ -305,25 +317,25 @@ class TestMaterials:
         ],
     )
     def test_penetration_counts(self, margin, counts, canopy):
-        report = penetration_report(margin)
+        report = penetration_report(margin, MaterialLossTable())
         assert isinstance(report, PenetrationReport)
         assert report.margin_db == margin
         assert tuple(c for _, c in report.wall_counts) == counts
         assert report.canopy == canopy
 
     def test_counts_are_floors(self):
-        report = penetration_report(24.9)
+        report = penetration_report(24.9, MaterialLossTable())
         assert dict(report.wall_counts)["wood"] == 2
         assert dict(report.wall_counts)["container"] == 0
 
     def test_canopy_threshold_inclusive(self):
-        assert penetration_report(5.0).canopy == "Deciduous"
-        assert penetration_report(4.999).canopy == "Limited"
+        assert penetration_report(5.0, MaterialLossTable()).canopy == "Deciduous"
+        assert penetration_report(4.999, MaterialLossTable()).canopy == "Limited"
 
     def test_validation(self):
         with pytest.raises(ValueError, match="margin_db"):
-            penetration_report(-1.0)
+            penetration_report(-1.0, MaterialLossTable())
         with pytest.raises(ValueError, match="margin_db"):
-            penetration_report(math.nan)
+            penetration_report(math.nan, MaterialLossTable())
         with pytest.raises(ScenarioError, match=r"materials.wood_db: must be in \[0.001, 1000\]"):
             MaterialLossTable(wood_db=0)

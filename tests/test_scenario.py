@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import math
 import re
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from leonav import geometry, orbits, rflink
 from leonav.geometry import GroundGrid, TimeWindow
 from leonav.orbits import EarthModel, WalkerSpec
 from leonav.payload import ClockUnit
@@ -30,6 +32,41 @@ from leonav.scenario import (
     scenario_to_dict,
     serialize_scenario,
 )
+
+
+#: Engine and physics parameters whose values a scenario field supplies.
+SCENARIO_OWNED = {
+    "earth", "earth_radius_km", "mask_deg", "percentile", "aggregation", "meo_altitude_km",
+    "margin_db", "calibration", "materials", "n_sites",
+}
+
+
+def _public_callables(module):
+    """Public functions of a module and public methods of its classes."""
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                member = getattr(member, "__func__", member)  # class/static methods
+                if not attr.startswith("_") and inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+
+
+def test_scenario_owned_parameters_have_no_default():
+    """The scenario records are the one place that states these values; a
+    library default would silently replace a scenario's own figure."""
+    found = {}
+    for module in (geometry, orbits, rflink):
+        for name, fn in _public_callables(module):
+            for param in inspect.signature(fn).parameters.values():
+                if param.name in SCENARIO_OWNED:
+                    found[f"{module.__name__}.{name}({param.name})"] = param.default
+    defaulted = [name for name, default in found.items() if default is not inspect.Parameter.empty]
+    assert not defaulted
+    assert len(found) >= 20  # the check sees the engine's signatures
 
 
 class TestDefaults:

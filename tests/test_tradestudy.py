@@ -118,7 +118,7 @@ class TestPdopSweep:
         assert (cell.total_sats, cell.planes) == (spec.total_sats, spec.planes)
         direct = percentile_pdop(
             spec, GroundGrid.fibonacci(64), sc.window,
-            mask_deg=5.0, percentile=95.0,
+            mask_deg=5.0, percentile=95.0, earth=sc.earth, aggregation=sc.sweep.aggregation,
         )
         assert cell.pdop == pytest.approx(direct.value, rel=1e-12)
         assert cell.coverage == pytest.approx(direct.coverage, rel=1e-12)
@@ -316,11 +316,13 @@ class TestGpsBaseline:
             "window": {"duration_s": 3600.0, "step_s": 600.0},
         }))
         grid = GroundGrid.latlon(120)
-        direct = percentile_pdop(GPS_LIKE, grid, sc.window)
+        direct = percentile_pdop(GPS_LIKE, grid, sc.window, 5.0, 95.0, sc.earth, "pooled")
         assert gps_baseline(sc) == direct
         assert direct.value == pytest.approx(2.485936341127829, rel=1e-9)
         equal = GroundGrid(grid.lat_deg, grid.lon_deg, np.full(len(grid), 1.0 / len(grid)))
-        assert percentile_pdop(GPS_LIKE, equal, sc.window).value == pytest.approx(
+        assert percentile_pdop(
+            GPS_LIKE, equal, sc.window, 5.0, 95.0, sc.earth, "pooled"
+        ).value == pytest.approx(
             2.5742073924288036, rel=1e-9
         )
 
@@ -343,7 +345,7 @@ class TestMinConstellationSize:
         try:
             before = percentile_pdop(
                 prev, GroundGrid.fibonacci(64), sc.window,
-                mask_deg=5.0, percentile=95.0,
+                mask_deg=5.0, percentile=95.0, earth=sc.earth, aggregation="pooled",
             )
             assert before.coverage < 1.0 or before.value > 10.0
         except NoCoverageError:
@@ -435,7 +437,7 @@ class TestPathlossCurve:
         sc = parse_scenario('{"link": {"elevation_deg": 5, "pathloss_altitudes_km": [1000]}}')
         (row,) = pathloss_curve(sc)
         assert row["slant_range_km"] == pytest.approx(
-            slant_range_km(1000.0, 5.0), rel=1e-12
+            slant_range_km(1000.0, 5.0, sc.earth.radius_km), rel=1e-12
         )
         assert row["slant_range_km"] > 1000.0
 
@@ -544,8 +546,8 @@ class TestPowerReport:
         rows = power_report(sc)
         line = next(r for r in rows if r["quantity"] == "gnss_equivalent_w")
         leo_high = next(r for r in rows if r["quantity"] == "leo_payload_w")["high_w"]
-        gain_low = footprint_gain_db(1400.0)
-        gain_high = footprint_gain_db(500.0)
+        gain_low = footprint_gain_db(1400.0, sc.link.meo_altitude_km, 0.0, sc.earth.radius_km)
+        gain_high = footprint_gain_db(500.0, sc.link.meo_altitude_km, 0.0, sc.earth.radius_km)
         assert line["low_w"] == pytest.approx(
             leo_high / 10.0 ** (gain_high / 10.0), rel=1e-12
         )
