@@ -5,14 +5,14 @@ and payload power.
 Each subcommand is one report; ``_REPORTS`` lists them with their help.
 
 Exit codes: 0 success, 1 validation error (flags, scenario file, output
-destination), 2 computation error (e.g. no coverage).
+destination) or a dead dop-sweep worker, 2 computation error (e.g. no
+coverage).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from typing import Callable, NamedTuple, Sequence
 
@@ -33,7 +33,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    """Thread count from --threads or LEO_NAV_THREADS: an integer >= 1."""
+    """The --threads value: an integer >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -41,15 +41,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"{value} must be >= 1")
     return value
-
-
-def _threads(args: argparse.Namespace) -> int:
-    if args.threads is not None:
-        return args.threads
-    try:
-        return _positive_int(os.environ.get("LEO_NAV_THREADS", "1"))
-    except argparse.ArgumentTypeError as exc:
-        raise ScenarioError(f"LEO_NAV_THREADS: {exc}") from None
 
 
 def _load_scenario(args: argparse.Namespace) -> Scenario:
@@ -85,11 +76,10 @@ def _dop_map_rows(args, scenario: Scenario) -> list[dict]:
 
 
 def _dop_sweep_rows(args, scenario: Scenario) -> list[dict]:
-    threads = _threads(args)
     _say(args, f"dop-sweep: {len(scenario.sweep.sizes)} sizes x "
                f"{len(scenario.sweep.altitudes_km)} altitudes, "
-               f"{tradestudy.sweep_processes(scenario, threads)} process(es)")
-    result = tradestudy.pdop_sweep(scenario, threads=threads)
+               f"{tradestudy.sweep_processes(scenario, args.threads)} process(es)")
+    result = tradestudy.pdop_sweep(scenario, threads=args.threads)
     pdop = tradestudy.pdop_column(scenario)
     return [_row(c, pdop=pdop, coverage="coverage_fraction") for c in result]
 
@@ -171,9 +161,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--quiet", action="store_true", help="suppress progress messages"
     )
     parser.add_argument(
-        "--threads", type=_positive_int, default=None, metavar="N",
+        "--threads", type=_positive_int, default=1, metavar="N",
         help="worker process cap for dop-sweep's cells, also capped by the CPUs "
-             "(default: LEO_NAV_THREADS or 1); other reports run in one process; "
+             "(default %(default)s); other reports run in one process; "
              "results do not depend on it",
     )
     parser.add_argument(

@@ -239,19 +239,21 @@ def min_constellation_size(
     scenario: Scenario,
     ceiling: int = 1000,
 ) -> SizingResult:
-    """Smallest Walker size meeting a PDOP target at an altitude.
+    """A Walker size meeting a PDOP target at an altitude, searched for
+    the smallest.
 
     The ladder is the scenario walker's ``WalkerConfig.ladder(ceiling)``,
     the sizes its design runs unchanged; it takes about 3 ms to list at
     the ``MAX_SATS`` bound.  A size passes when coverage is complete and
     the percentile PDOP is at or below the target.  Doubling from the size
-    nearest 24 brackets the boundary and bisection narrows it, assuming
-    PDOP is monotone between the points it evaluates; where those points
-    are not (plane-count jumps can do that), a linear scan re-checks the
-    bracket.  The answer is the smallest passing ladder size above the
-    last failing doubling point; the search never looks below that point.
-    An unreachable target returns the best evaluated size with
-    reachable=False.
+    nearest 24 brackets the boundary and bisection narrows it.  A
+    reachable answer passes.  Where the fully covered sizes evaluated are
+    not monotone in PDOP (plane-count jumps can do that), a linear scan
+    from the last failing doubling point answers the first passing size
+    above it.  Where they are monotone, the sizes bisection skipped are
+    assumed to fail, so a smaller size may still pass.  The search never
+    looks below the last failing doubling point.  An unreachable target
+    returns the best evaluated size with reachable=False.
     """
     _check_positive(altitude_km=altitude_km, target_pdop=target_pdop)
     if not 1 <= ceiling <= MAX_SATS:

@@ -16,9 +16,24 @@ from pathlib import Path
 import pytest
 
 import leonav
+from leonav import tradestudy
 from leonav.cli import _REPORTS, main
 
 from conftest import TINY, finite_json, see_cpus
+
+
+def count_forks(monkeypatch, cpus: int) -> list:
+    """Makes the sweep see ``cpus`` CPUs; the list gains one entry per fork."""
+    see_cpus(monkeypatch, cpus)
+    forks = []
+    fork = os.fork
+
+    def counting():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting, raising=False)
+    return forks
 
 
 def write_config(tmp_path, extra: dict | None = None) -> str:
@@ -208,34 +223,24 @@ class TestEngineCommands:
                     outputs[threads] = out.read_bytes()
                 assert len(set(outputs.values())) == 1, (extra, fmt)
 
-    def test_threads_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LEO_NAV_THREADS", "2")
-        cfg = write_config(tmp_path)
-        out = tmp_path / "sweep.csv"
-        assert main(["dop-sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-
-    def test_threads_env_var_must_be_integer(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("LEO_NAV_THREADS", "many")
-        cfg = write_config(tmp_path)
-        assert main(["dop-sweep", "--config", cfg, "--quiet"]) == 1
-        assert "LEO_NAV_THREADS" in capsys.readouterr().err
-
     def test_progress_line_gives_the_processes_that_run(self, tmp_path, monkeypatch, capsys):
-        see_cpus(monkeypatch, 2)
-        forks = []
-        fork = os.fork
-
-        def counting():
-            forks.append(1)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counting, raising=False)
+        forks = count_forks(monkeypatch, cpus=2)
         cfg = write_config(tmp_path)  # 2 sizes x 2 altitudes
         out = tmp_path / "sweep.csv"
         assert main(["dop-sweep", "--config", cfg, "--threads", "4", "--out", str(out)]) == 0
         processes = 2 if sys.platform == "linux" else 1
         assert f"2 altitudes, {processes} process(es)" in capsys.readouterr().err
         assert len(forks) == processes - 1
+
+    def test_environment_sets_no_workers(self, tmp_path, monkeypatch, capsys):
+        # --threads is the only worker control; LEO_NAV_THREADS is ignored.
+        monkeypatch.setenv("LEO_NAV_THREADS", "2")
+        forks = count_forks(monkeypatch, cpus=2)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "sweep.csv"
+        assert main(["dop-sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert "2 altitudes, 1 process(es)" in capsys.readouterr().err
+        assert forks == []
 
 
 #: A small scenario on which every report runs in milliseconds.
@@ -453,6 +458,28 @@ class TestExitCodes:
         cfg = write_config(tmp_path, {"walker": {"total_sats": 1, "phasing": 0}})
         assert main(["dop-map", "--config", cfg, "--quiet"]) == 2
         assert "computation failed" in capsys.readouterr().err
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="workers fork only on Linux")
+    def test_dead_worker_is_exit_one(self, tmp_path, monkeypatch, capsys):
+        see_cpus(monkeypatch, 2)
+        caller = os.getpid()
+        samples = tradestudy.pdop_samples
+
+        def dying(*args, **kwargs):
+            if os.getpid() != caller:
+                os._exit(3)
+            return samples(*args, **kwargs)
+
+        monkeypatch.setattr(tradestudy, "pdop_samples", dying)
+        cfg = write_config(tmp_path)
+        assert main(["dop-sweep", "--config", cfg, "--threads", "2", "--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "leonav: error: sweep worker exited with status 3 before sending cell 1\n"
+        )
+        assert captured.out == ""
+        with pytest.raises(ChildProcessError):  # no child left, running or unreaped
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("command, scenario, message", [
         ("footprint", {"earth": {"radius_km": 1e-300}}, "earth.radius_km: must be in [1, 1e+06]"),
