@@ -515,41 +515,65 @@ def _fallback(normal: np.ndarray, proven: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def weighted_percentile(
-    values: np.ndarray, weights: np.ndarray, percentile: float
+    pdop: np.ndarray, site_weight: np.ndarray, percentile: float
 ) -> float:
-    """Weighted percentile with linear interpolation between order statistics.
+    """Weighted percentile of the defined samples of a (sites, epochs)
+    matrix, with linear interpolation between order statistics.
 
-    Values and weights must be finite, weights strictly positive.
-    Reduces exactly to numpy's linear method for equal weights; ties in
-    value break by sample index, so the result is permutation-stable for
-    (value, weight) pairs and deterministic for a fixed input order.  Only
-    tied values can tell a stable sort from another, so the stable one runs
-    only when the default sort leaves two equal values side by side.
+    NaN marks an undefined sample, which is skipped; every sample of a row
+    takes that row's site weight.  Defined values must be finite, weights
+    finite and strictly positive.  Reduces exactly to numpy's linear
+    method for equal weights; ties in value break by flat sample index, so
+    the result is that of the defined samples in row-major order.  The flat
+    matrix is sorted once, on a key that reads NaN as +inf: numpy sorts an
+    array that holds no NaN on its vectorised path, and one that holds any
+    several times slower.  The first n entries in key order are then the n
+    defined samples, and infinities, if any, sit at the two ends of that
+    block.  Only tied values can tell a stable sort from another, so the
+    stable one runs only when the default sort leaves two equal defined
+    values side by side.
     """
     if not 0.0 < percentile <= 100.0:
         raise ValueError(f"percentile ({percentile}) must lie in (0, 100]")
-    v = np.asarray(values, dtype=float).ravel()
-    w = np.asarray(weights, dtype=float).ravel()
-    if v.size == 0:
-        raise ValueError("cannot take a percentile of zero samples")
-    if v.shape != w.shape:
-        raise ValueError("values and weights must have matching shapes")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("values must be finite")
+    m = np.asarray(pdop, dtype=float)
+    w = np.asarray(site_weight, dtype=float)
+    if m.ndim != 2 or w.shape != m.shape[:1]:
+        raise ValueError("pdop must be a matrix with one row per site weight")
     if not np.all((w > 0.0) & np.isfinite(w)):
         raise ValueError("weights must be finite and strictly positive")
-    if v.size == 1:
+    flat = m.ravel()
+    n = flat.size - int(np.count_nonzero(np.isnan(flat)))  # the defined count
+    if n == 0:
+        raise ValueError("cannot take a percentile of zero defined samples")
+    order, v = _sort_defined(flat, n, None)
+    if math.isinf(v[0]) or math.isinf(v[-1]):
+        raise ValueError("values must be finite or NaN")
+    if n == 1:
         return float(v[0])
-    order = np.argsort(v)
-    ordered = v[order]
-    if (ordered[1:] == ordered[:-1]).any():
-        order = np.argsort(v, kind="stable")
-        ordered = v[order]
-    v, w = ordered, w[order]
+    if (v[1:] == v[:-1]).any():
+        del order, v
+        order, v = _sort_defined(flat, n, "stable")
+    order //= m.shape[1]  # each sample's site row
+    w = w[order[:n]]
+    del order
     cum = np.cumsum(w)
-    # Position of each order statistic on [0, 1]; equal weights give i/(n-1).
-    pos = (cum - w) / (cum[-1] - w[-1])
-    return float(np.interp(percentile / 100.0, pos, v))
+    # Position of each order statistic on [0, 1]; equal weights give
+    # i/(n-1): (cum - w) / (cum[-1] - w[-1]), built in cum.
+    total = cum[-1] - w[-1]
+    cum -= w
+    cum /= total
+    return float(np.interp(percentile / 100.0, cum, v))
+
+
+def _sort_defined(
+    flat: np.ndarray, n: int, kind: str | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The argsort of ``flat`` with NaN read as +inf, and the first n values
+    in that order: ``weighted_percentile``'s sort of its n defined samples.
+    With every sample defined, ``flat`` is its own key and is not copied."""
+    key = flat if n == flat.size else np.where(np.isnan(flat), np.inf, flat)
+    order = np.argsort(key, kind=kind)
+    return order, key[order[:n]]
 
 
 def percentile_pdop(
@@ -566,10 +590,12 @@ def percentile_pdop(
     """Global percentile PDOP of one constellation over a grid and window.
 
     Pooled aggregation takes the site-weighted percentile over
-    every defined (site, epoch) sample; "worst_site" takes the per-site
-    percentile over time and returns the worst site's value.  Coverage is
-    the plain fraction of samples with a defined PDOP; with none, the
-    value is None, as ``pdop_field`` gives NaN for such a site.
+    every defined (site, epoch) sample, from ``weighted_percentile`` on the
+    sample matrix and the site weights, with no masked copy; "worst_site"
+    takes the per-site percentile over time and returns the worst site's
+    value.  Coverage is the plain fraction of samples with a defined PDOP;
+    with none, the value is None, as ``pdop_field`` gives NaN for such a
+    site.
     ``receive`` goes to ``pdop_samples``.
     """
     if aggregation not in ("pooled", "worst_site"):
@@ -577,15 +603,12 @@ def percentile_pdop(
             f"aggregation ({aggregation!r}) must be 'pooled' or 'worst_site'"
         )
     samples = pdop_samples(spec, grid, window, mask_deg, earth, receive=receive)
-    defined = samples.defined
-    coverage = float(defined.sum()) / defined.size
-    if not defined.any():
+    n_defined = int(np.count_nonzero(samples.defined))
+    coverage = n_defined / samples.pdop.size
+    if not n_defined:
         return PercentilePdop(value=None, coverage=0.0)
     if aggregation == "pooled":
-        w = np.broadcast_to(grid.weight[:, None], defined.shape)
-        value = weighted_percentile(
-            samples.pdop[defined], w[defined], percentile
-        )
+        value = weighted_percentile(samples.pdop, grid.weight, percentile)
         return PercentilePdop(value=value, coverage=coverage)
     worst = float(np.nanmax(_site_percentiles(samples.pdop, percentile)))
     return PercentilePdop(value=worst, coverage=coverage)
@@ -594,8 +617,9 @@ def percentile_pdop(
 def _site_percentiles(pdop: np.ndarray, percentile: float) -> np.ndarray:
     """Each row's percentile over its defined samples; NaN for empty rows.
 
-    Same linear method as ``weighted_percentile`` with equal weights: rows
-    sorted with NaN last, interpolated at (n_i - 1) * percentile / 100.
+    The linear method ``weighted_percentile`` takes on one row with equal
+    weights, all rows at once: each row sorted with NaN last, interpolated
+    at (n_i - 1) * percentile / 100 over its n_i defined samples.
     """
     if not 0.0 < percentile <= 100.0:
         raise ValueError(f"percentile ({percentile}) must lie in (0, 100]")

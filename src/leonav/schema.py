@@ -72,10 +72,11 @@ MAX_EPOCHS = 1_000_000
 
 #: Bytes per (site, epoch) sample that pooled aggregation, the evaluation
 #: that holds the most per sample, holds at its peak on a fully covered grid,
-#: as tracemalloc measures it: the PDOP values and visible counts, the
-#: defined mask, the compressed values and weights, and the percentile's
-#: argsort, sorted copies and cumulative weights.
-SAMPLE_BYTES = 69
+#: as tracemalloc measures it: the PDOP values and visible counts (12), and
+#: at most three of the percentile's five arrays at once (8 each): the sort
+#: key of the sample matrix, its argsort, the sorted values, the site
+#: weights gathered through the argsort, and their cumulative sum.
+SAMPLE_BYTES = 36
 
 #: Largest number of samples one evaluation may hold, the grid's site count
 #: times ``window.n_epochs``: it keeps the samples under 2 GiB.  The engine's

@@ -238,6 +238,11 @@ class TestRotationInvariance:
                 )
 
 
+def column(values) -> np.ndarray:
+    """One sample per row: the matrix form of a flat sample."""
+    return np.asarray(values, dtype=float)[:, None]
+
+
 class TestWeightedPercentile:
     def test_matches_numpy_for_equal_weights(self):
         rng = np.random.default_rng(37)
@@ -245,19 +250,19 @@ class TestWeightedPercentile:
             n = int(rng.integers(1, 60))
             values = rng.normal(size=n) * 10.0
             p = float(rng.uniform(0.5, 100.0))
-            got = weighted_percentile(values, np.ones(n), p)
+            got = weighted_percentile(column(values), np.ones(n), p)
             want = float(np.percentile(values, p, method="linear"))
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_hand_computed_weighted_case(self):
-        values = np.array([1.0, 2.0, 3.0])
+        values = column([1.0, 2.0, 3.0])
         weights = np.array([1.0, 1.0, 2.0])
         assert weighted_percentile(values, weights, 50.0) == pytest.approx(2.0)
         assert weighted_percentile(values, weights, 75.0) == pytest.approx(2.5)
         assert weighted_percentile(values, weights, 100.0) == pytest.approx(3.0)
 
     def test_single_sample(self):
-        assert weighted_percentile(np.array([7.5]), np.array([0.3]), 95.0) == 7.5
+        assert weighted_percentile(column([7.5]), np.array([0.3]), 95.0) == 7.5
 
     @pytest.mark.parametrize(
         "values, want", [([2.0, 2.0, 3.0], 2.88), ([-0.0, 0.0, 1.0], 0.88)]
@@ -266,7 +271,7 @@ class TestWeightedPercentile:
         """The last of the tied values bounds the segment 90 falls in, so
         its weight sets the result: 5, not 1, which would give 2.4 (0.4).
         Signed zeros are equal values too."""
-        got = weighted_percentile(np.array(values), np.array([1.0, 5.0, 1.0]), 90.0)
+        got = weighted_percentile(column(values), np.array([1.0, 5.0, 1.0]), 90.0)
         assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("distinct", [False, True], ids=["ties", "distinct"])
@@ -289,32 +294,88 @@ class TestWeightedPercentile:
             percentiles += [50.0 * (pos[i] + pos[i + 1]) for i in edges[:8]]
             for p in percentiles:
                 want = weighted_percentile_oracle(values, weights, p)
-                got = weighted_percentile(values, weights, p)
+                got = weighted_percentile(column(values), weights, p)
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("holes", ["nan-holes", "one-defined"])
+    @pytest.mark.parametrize("values", ["distinct", "integer-ties"])
+    def test_matrix_equals_its_compressed_form(self, values, holes):
+        """A (sites, epochs) matrix with NaN holes gives, bit for bit, what
+        its defined samples give one per row, each with its site's weight,
+        in row-major order; and what the index-ordered oracle gives to
+        1e-12 (a single defined sample gives itself).  Integer values tie
+        under unequal weights, so the stable sort runs, and reads between
+        each tie's last value and the next show its order."""
+        rng = np.random.default_rng(
+            [("distinct", "integer-ties").index(values), ("nan-holes", "one-defined").index(holes)]
+        )
+        for _ in range(40):
+            sites, epochs = int(rng.integers(1, 40)), int(rng.integers(1, 60))
+            if values == "distinct":
+                m = rng.uniform(1.0, 50.0, (sites, epochs))
+            else:
+                m = rng.integers(0, int(rng.integers(2, 6)), (sites, epochs)).astype(float)
+            if holes == "nan-holes":
+                m[rng.uniform(size=m.shape) < rng.uniform(0.0, 0.9)] = np.nan
+                m.flat[rng.integers(m.size)] = 1.0  # at least one defined
+            else:
+                m[...] = np.nan
+                m.flat[rng.integers(m.size)] = 2.5
+            weight = rng.uniform(0.1, 3.0, sites)
+            defined = np.isfinite(m)
+            flat, flat_weight = m[defined], np.broadcast_to(weight[:, None], m.shape)[defined]
+            percentiles = [float(rng.uniform(0.5, 100.0)), 100.0]
+            if flat.size > 1:
+                v, pos = percentile_positions(flat, flat_weight)
+                edges = [i for i in range(flat.size - 1) if v[i] < v[i + 1]]
+                percentiles += [50.0 * (pos[i] + pos[i + 1]) for i in edges[:8]]
+            for p in percentiles:
+                got = weighted_percentile(m, weight, p)
+                want = weighted_percentile(column(flat), flat_weight, p)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                if flat.size == 1:
+                    assert got == flat[0]
+                    continue
+                oracle = weighted_percentile_oracle(flat, flat_weight, p)
+                assert got == pytest.approx(oracle, rel=1e-12, abs=1e-12)
+
+    def test_nan_samples_are_skipped(self):
+        """NaN marks an undefined sample: the rest give the percentile,
+        wherever the NaN sits in the sort."""
+        weights = np.array([1.0, 5.0, 2.0, 1.0])
+        want = weighted_percentile(column([2.0, 3.0, 1.0]), weights[[0, 1, 3]], 90.0)
+        got = weighted_percentile(column([2.0, 3.0, math.nan, 1.0]), weights, 90.0)
+        assert got == want
+        rows = np.array([[1.0, math.nan, 4.0], [math.nan, 2.0, 3.0]])
+        assert weighted_percentile(rows, np.array([1.0, 1.0]), 50.0) == 2.5
+
     def test_unsorted_input(self):
-        values = np.array([5.0, 1.0, 3.0, 2.0, 4.0])
+        values = column([5.0, 1.0, 3.0, 2.0, 4.0])
         weights = np.ones(5)
         assert weighted_percentile(values, weights, 50.0) == pytest.approx(3.0)
 
     def test_scale_invariance_in_weights(self):
         rng = np.random.default_rng(41)
-        values = rng.normal(size=20)
-        weights = rng.uniform(0.1, 2.0, size=20)
+        values = rng.normal(size=(4, 5))
+        weights = rng.uniform(0.1, 2.0, size=4)
         a = weighted_percentile(values, weights, 95.0)
         b = weighted_percentile(values, weights * 123.0, 95.0)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_validation(self):
-        v, w = np.array([1.0, 2.0]), np.array([1.0, 1.0])
+        v, w = column([1.0, 2.0]), np.array([1.0, 1.0])
         with pytest.raises(ValueError, match="percentile"):
             weighted_percentile(v, w, 0.0)
         with pytest.raises(ValueError, match="percentile"):
             weighted_percentile(v, w, 101.0)
-        with pytest.raises(ValueError, match="zero samples"):
-            weighted_percentile(np.array([]), np.array([]), 50.0)
-        with pytest.raises(ValueError, match="matching shapes"):
+        with pytest.raises(ValueError, match="zero defined samples"):
+            weighted_percentile(np.empty((0, 3)), np.array([]), 50.0)
+        with pytest.raises(ValueError, match="zero defined samples"):
+            weighted_percentile(np.full((2, 3), math.nan), w, 50.0)
+        with pytest.raises(ValueError, match="one row per site weight"):
             weighted_percentile(v, np.ones(3), 50.0)
+        with pytest.raises(ValueError, match="one row per site weight"):
+            weighted_percentile(np.array([1.0, 2.0]), w, 50.0)
         with pytest.raises(ValueError, match="strictly positive"):
             weighted_percentile(v, np.array([1.0, 0.0]), 50.0)
 
@@ -323,13 +384,14 @@ class TestWeightedPercentile:
         [
             ([1.0, 2.0, 3.0], [1.0, math.nan, 1.0], "weights must be finite"),
             ([1.0, 2.0, 3.0], [1.0, math.inf, 1.0], "weights must be finite"),
-            ([1.0, math.nan, 3.0], [1.0, 1.0, 1.0], "values must be finite"),
             ([1.0, -math.inf, 3.0], [1.0, 1.0, 1.0], "values must be finite"),
+            ([1.0, math.inf, math.nan], [1.0, 1.0, 1.0], "values must be finite"),
+            ([math.nan, math.inf, math.nan], [1.0, 1.0, 1.0], "values must be finite"),
         ],
     )
     def test_rejects_non_finite_input(self, values, weights, message):
         with pytest.raises(ValueError, match=message):
-            weighted_percentile(np.array(values), np.array(weights), 50.0)
+            weighted_percentile(column(values), np.array(weights), 50.0)
 
 
 class TestPdopSamplesEngine:
@@ -375,8 +437,7 @@ class TestPdopSamplesEngine:
         assert int(samples.visible_count.sum()) == 17032
         assert int((~enough).sum()) == 333
         assert int((enough & ~defined).sum()) == 1
-        w = np.broadcast_to(grid.weight[:, None], defined.shape)
-        p99 = weighted_percentile(samples.pdop[defined], w[defined], 99.0)
+        p99 = weighted_percentile(samples.pdop, grid.weight, 99.0)
         assert p99 == pytest.approx(4000.268018480448, rel=1e-10)
 
     @pytest.mark.parametrize(
@@ -587,23 +648,36 @@ class TestPdopSamplesEngine:
         assert samples.defined.any()
         assert peak < 128 * 2**20
 
-    def test_pooled_peak_per_sample_is_what_the_sample_bound_assumes(self):
+    @pytest.mark.parametrize("coverage", ["full", "partial"])
+    @pytest.mark.parametrize("kind", ["pooled", "worst_site", "pdop_field"])
+    def test_pooled_peak_per_sample_is_what_the_sample_bound_assumes(self, kind, coverage):
         """``schema.MAX_SAMPLES`` rests on the peak bytes per sample of a
-        pooled percentile over a fully covered grid; two window lengths
-        cancel the engine's fixed working memory, and both hold arrays past
-        the size at which numpy reuses temporaries in place."""
+        pooled percentile over a fully covered grid, and no evaluation
+        holds more: not ``worst_site`` or ``pdop_field``, and not a grid
+        the constellation covers in part (60/6 at 900 km over a 10° mask
+        defines about 8% of samples).  Two window lengths cancel the
+        engine's fixed working memory, and both hold arrays past the size
+        at which numpy reuses temporaries in place."""
+        spec, mask_deg = {
+            "full": (GPS_LIKE, 0.0), "partial": (WalkerSpec(60, 6, altitude_km=900.0), 10.0),
+        }[coverage]
+        grid = GroundGrid.fibonacci(200)
         peaks = []
         for epochs in (200, 600):
+            window = TimeWindow(60.0 * epochs, 60.0)
             tracemalloc.start()
             try:
-                result = percentile_pdop(
-                    GPS_LIKE, GroundGrid.fibonacci(200), TimeWindow(60.0 * epochs, 60.0), 0.0,
-                    95.0, EARTH, "pooled"
-                )
+                if kind == "pdop_field":
+                    share = float(pdop_field(spec, grid, window, mask_deg, 95.0, EARTH)[1].mean())
+                else:
+                    share = percentile_pdop(
+                        spec, grid, window, mask_deg, 95.0, EARTH, kind
+                    ).coverage
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            assert result.coverage == 1.0
+            assert (share == 1.0) == (coverage == "full")
+            assert share > 0.05
         assert (peaks[1] - peaks[0]) / (200 * 400) <= SAMPLE_BYTES
 
     def test_defined_mask(self):
@@ -831,8 +905,7 @@ class TestPercentilePdop:
         # pooled percentile reproducible from the raw samples
         samples = pdop_samples(spec, grid, window, 5.0, EARTH)
         defined = samples.defined
-        w = np.broadcast_to(grid.weight[:, None], defined.shape)
-        ref = weighted_percentile(samples.pdop[defined], w[defined], 95.0)
+        ref = weighted_percentile(samples.pdop, grid.weight, 95.0)
         assert out.value == pytest.approx(ref, rel=1e-12)
         assert out.coverage == pytest.approx(defined.sum() / defined.size)
 
@@ -876,11 +949,10 @@ class TestSitePercentiles:
         got = geometry._site_percentiles(pdop, percentile)
         assert math.isnan(got[0])
         for i in range(1, pdop.shape[0]):
-            row = pdop[i, np.isfinite(pdop[i])]
-            if row.size == 0:
+            if np.isnan(pdop[i]).all():
                 assert math.isnan(got[i])
                 continue
-            want = weighted_percentile(row, np.ones_like(row), percentile)
+            want = weighted_percentile(pdop[i : i + 1], np.ones(1), percentile)
             assert got[i] == pytest.approx(want, rel=1e-12)
 
     def test_validation(self):
