@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import __version__
 from .geometry import GeometryError
-from .output import ResultEnvelope, emit, rows_envelope
+from .output import ResultEnvelope, check_format, emit, rows_envelope
 from .scenario import Scenario, ScenarioError, parse_scenario, scenario_hash
 from .schema import ALTITUDE_KM
 from . import tradestudy
@@ -140,8 +140,10 @@ _REPORTS = {
 
 
 def _envelope(args: argparse.Namespace, scenario: Scenario) -> ResultEnvelope:
-    """The subcommand's rows, stamped with the scenario hash and version."""
+    """The subcommand's rows, stamped with the scenario hash and version.
+    A format that cannot write the report fails before any row is computed."""
     report = _REPORTS[args.command]
+    check_format(args.format, report.kind)
     sweep = scenario.sweep
     axes = None
     if report.kind == "matrix":

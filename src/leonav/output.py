@@ -369,18 +369,25 @@ def _matrix_svg(envelope: ResultEnvelope) -> str:
     return _page(body, col_name, row_name, _text(_X1, _Y1 - 8, legend, "end"))
 
 
+_SVG_WRITERS = {"series": _series_svg, "matrix": _matrix_svg}
+
+
 def to_svg(envelope: ResultEnvelope) -> str:
     """Line chart for series, heatmap for matrix; tables are not drawable."""
-    if envelope.kind == "series":
-        return _series_svg(envelope)
-    if envelope.kind == "matrix":
-        return _matrix_svg(envelope)
-    raise EmitError(
-        f"svg output supports series and matrix results, not {envelope.kind!r}"
-    )
+    check_format("svg", envelope.kind)
+    return _SVG_WRITERS[envelope.kind](envelope)
 
 
 _WRITERS = {"csv": to_csv, "json": to_json, "svg": to_svg}
+
+
+def check_format(fmt: str, kind: str) -> None:
+    """Raises EmitError unless ``fmt`` can write an envelope of ``kind``;
+    callers may check before they compute the rows."""
+    if fmt not in _WRITERS:
+        raise EmitError(f"format ({fmt!r}) must be one of {sorted(_WRITERS)}")
+    if fmt == "svg" and kind not in _SVG_WRITERS:
+        raise EmitError(f"svg output supports series and matrix results, not {kind!r}")
 
 
 def emit(envelope: ResultEnvelope, fmt: str, path: str | None = None) -> str:
@@ -388,8 +395,7 @@ def emit(envelope: ResultEnvelope, fmt: str, path: str | None = None) -> str:
 
     Returns the serialized text (also when written to a file).
     """
-    if fmt not in _WRITERS:
-        raise EmitError(f"format ({fmt!r}) must be one of {sorted(_WRITERS)}")
+    check_format(fmt, envelope.kind)
     text = _WRITERS[fmt](envelope)
     if path is None:
         sys.stdout.write(text)

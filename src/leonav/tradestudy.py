@@ -246,14 +246,14 @@ def min_constellation_size(
     the sizes its design runs unchanged; it takes about 3 ms to list at
     the ``MAX_SATS`` bound.  A size passes when coverage is complete and
     the percentile PDOP is at or below the target.  Doubling from the size
-    nearest 24 brackets the boundary and bisection narrows it.  A
-    reachable answer passes.  Where the fully covered sizes evaluated are
-    not monotone in PDOP (plane-count jumps can do that), a linear scan
-    from the last failing doubling point answers the first passing size
-    above it.  Where they are monotone, the sizes bisection skipped are
-    assumed to fail, so a smaller size may still pass.  The search never
-    looks below the last failing doubling point.  An unreachable target
-    returns the best evaluated size with reachable=False.
+    nearest 24 brackets the first pass; a linear scan up from the last
+    failing doubling point then answers the smallest passing size above
+    it.  The search never looks below that point.  Bisection narrows the
+    bracket before the scan, but pass and fail need not be monotone in
+    size (plane-count jumps), so its sizes decide nothing; they are
+    evaluated only for the ``evaluations`` count, which the scan's
+    repeats do not add to.  An unreachable target returns the best
+    evaluated size with reachable=False.
     """
     _check_positive(altitude_km=altitude_km, target_pdop=target_pdop)
     if not 1 <= ceiling <= MAX_SATS:
@@ -296,28 +296,16 @@ def min_constellation_size(
         size = max(memo, key=lambda s: (0.0, -math.inf) if memo[s].value is None
                    else (memo[s].coverage, -memo[s].value))
     else:
-        bracket_lo = lo  # doubling bracket floor; bisection narrows inside it
+        floor = lo  # the last failing doubling point
+        # Bisection's evaluations count in ``evaluations``; the scan below
+        # decides the answer and, through ``memo``, repeats none of them.
         while hi - lo > 1:
             mid = (hi + lo) // 2
             if _passes(evaluate(mid), target_pdop):
                 hi = mid
             else:
                 lo = mid
-
-        # Bisection trusts monotonicity; verify on what was actually computed
-        # and fall back to a linear scan of the doubling bracket when violated.
-        evaluated = sorted(
-            (s, r) for s, r in memo.items() if r.coverage == 1.0
-        )
-        monotone = all(
-            earlier[1].value >= later[1].value * (1.0 - 1e-9)
-            for earlier, later in zip(evaluated, evaluated[1:])
-        )
-        if not monotone:
-            for i in range(bracket_lo + 1, hi + 1):
-                if _passes(evaluate(i), target_pdop):
-                    hi = i
-                    break
+        hi = next(i for i in range(floor + 1, hi + 1) if _passes(evaluate(i), target_pdop))
         size = ladder[hi]
 
     result = memo[size]

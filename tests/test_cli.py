@@ -641,6 +641,25 @@ class TestExitCodes:
         assert main(["power", "--format", "svg", "--quiet"]) == 1
         assert "svg output supports" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(("command", "study"), [
+        ("dop-map", "dop_map"), ("optimize", "min_constellation_size"),
+        ("optimize", "gps_baseline"), ("baseline", "gps_baseline"),
+        ("jammer", "jammer_table"), ("power", "power_report"),
+    ])
+    def test_table_svg_fails_before_the_study_runs(
+        self, command, study, tmp_path, monkeypatch, capsys
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError(f"{study} ran")
+
+        monkeypatch.setattr(tradestudy, study, never)
+        out = tmp_path / "report.svg"
+        assert main([command, "--format", "svg", "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            "leonav: error: svg output supports series and matrix results, not 'table'\n"
+        )
+        assert not out.exists()
+
 
 class TestUserExperience:
     def test_version_flag(self, capsys):
