@@ -20,7 +20,7 @@ from . import __version__
 from .geometry import GeometryError
 from .output import ResultEnvelope, check_format, emit, rows_envelope
 from .scenario import Scenario, ScenarioError, parse_scenario, scenario_hash
-from .schema import ALTITUDE_KM
+from .schema import ALTITUDE, _check
 from . import tradestudy
 
 
@@ -86,9 +86,7 @@ def _dop_sweep_rows(args, scenario: Scenario) -> list[dict]:
 
 def _optimize_rows(args, scenario: Scenario) -> list[dict]:
     altitude = args.altitude_km if args.altitude_km is not None else scenario.walker.altitude_km
-    lo, hi = ALTITUDE_KM  # the walker.altitude_km bound
-    if not lo <= altitude <= hi:
-        raise ScenarioError(f"--altitude-km ({altitude}) must be in [{lo:g}, {hi:g}]")
+    _check(ALTITUDE, **{"--altitude-km": altitude})  # the walker.altitude_km rule
     if args.target_pdop is not None:
         target = args.target_pdop
     else:
@@ -192,7 +190,7 @@ def build_parser() -> _Parser:
             )
             p.add_argument(
                 "--ceiling", type=int, default=1000,
-                help="largest size the search may try (default 1000)",
+                help="largest size the search may try (default %(default)s)",
             )
     return parser
 

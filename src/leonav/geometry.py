@@ -28,7 +28,10 @@ from .orbits import (
     rotate_eci_to_ecef,
     walker_constellation,
 )
-from .schema import MAX_EPOCHS, WINDOW_S, _Record, _within
+from .schema import (
+    AGGREGATION, AT_LEAST_ONE, MASK_DEG, MAX_EPOCHS, PERCENTILE, WINDOW_S,
+    _check, _Record, _rule, _within,
+)
 
 #: Condition-number ceiling for the normal matrix; above it the solution
 #: is treated as singular rather than inverted.
@@ -80,7 +83,7 @@ class TimeWindow(_Record, key="window"):
     most ``MAX_EPOCHS`` times; the end point is excluded.
     """
 
-    duration_s: float = _within(21600.0, *WINDOW_S)
+    duration_s: float = _rule(21600.0, _within(*WINDOW_S))
     step_s: float = 120.0
 
     def _check_across_fields(self) -> None:
@@ -143,8 +146,7 @@ class GroundGrid:
     @classmethod
     def fibonacci(cls, n_sites: int) -> "GroundGrid":
         """Equal-area Fibonacci-sphere lattice; every site weighs 1/n."""
-        if n_sites < 1:
-            raise ValueError(f"n_sites ({n_sites}) must be >= 1")
+        _check(AT_LEAST_ONE, n_sites=n_sites)
         i = np.arange(n_sites, dtype=float)
         z = 1.0 - (2.0 * i + 1.0) / n_sites
         lat = np.degrees(np.arcsin(z))
@@ -160,8 +162,7 @@ class GroundGrid:
         The actual site count is the nearest n_lat x (2 n_lat) product to
         the request.
         """
-        if n_sites < 1:
-            raise ValueError(f"n_sites ({n_sites}) must be >= 1")
+        _check(AT_LEAST_ONE, n_sites=n_sites)
         n_lat, n_lon = _latlon_shape(n_sites)
         lat_centers = -90.0 + (np.arange(n_lat) + 0.5) * 180.0 / n_lat
         lon_centers = -180.0 + (np.arange(n_lon) + 0.5) * 360.0 / n_lon
@@ -292,8 +293,7 @@ def pdop_samples(
     elsewhere (a forked worker of ``pdop_sweep``), and they are returned
     instead of computed here.
     """
-    if not 0.0 <= mask_deg < 90.0:
-        raise ValueError(f"mask_deg ({mask_deg}) must lie in [0, 90)")
+    _check(MASK_DEG, mask_deg=mask_deg)
     if receive is not None:
         return receive()
     elements = walker_constellation(spec, earth)
@@ -533,8 +533,7 @@ def weighted_percentile(
     stable one runs only when the default sort leaves two equal defined
     values side by side.
     """
-    if not 0.0 < percentile <= 100.0:
-        raise ValueError(f"percentile ({percentile}) must lie in (0, 100]")
+    _check(PERCENTILE, percentile=percentile)
     m = np.asarray(pdop, dtype=float)
     w = np.asarray(site_weight, dtype=float)
     if m.ndim != 2 or w.shape != m.shape[:1]:
@@ -598,10 +597,7 @@ def percentile_pdop(
     site.
     ``receive`` goes to ``pdop_samples``.
     """
-    if aggregation not in ("pooled", "worst_site"):
-        raise ValueError(
-            f"aggregation ({aggregation!r}) must be 'pooled' or 'worst_site'"
-        )
+    _check(AGGREGATION, aggregation=aggregation)
     samples = pdop_samples(spec, grid, window, mask_deg, earth, receive=receive)
     n_defined = int(np.count_nonzero(samples.defined))
     coverage = n_defined / samples.pdop.size
@@ -621,8 +617,7 @@ def _site_percentiles(pdop: np.ndarray, percentile: float) -> np.ndarray:
     weights, all rows at once: each row sorted with NaN last, interpolated
     at (n_i - 1) * percentile / 100 over its n_i defined samples.
     """
-    if not 0.0 < percentile <= 100.0:
-        raise ValueError(f"percentile ({percentile}) must lie in (0, 100]")
+    _check(PERCENTILE, percentile=percentile)
     ordered = np.sort(pdop, axis=1)
     n = np.isfinite(pdop).sum(axis=1)
     last = np.maximum(n - 1, 0)

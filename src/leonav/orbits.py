@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .schema import (
-    ALTITUDE_KM, MAX_SATS, MU_KM3_S2, _non_negative, _Record, _rule, _size, _within,
+    ALTITUDE, AT_LEAST_ONE, MAX_SATS, MU_KM3_S2, SIZE, _check, _Record, _rule, _within,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -34,9 +34,9 @@ class EarthModel(_Record, key="earth"):
     keep sub-millimetre resolution over any window.
     """
 
-    radius_km: float = _within(6378.137, 1.0, 1e6)
-    mu_km3_s2: float = _within(398600.4418, *MU_KM3_S2)
-    rotation_rate_rad_s: float = _rule(7.2921159e-5, "in (0, 1]", lambda v: 0.0 < v <= 1.0)
+    radius_km: float = _rule(6378.137, _within(1.0, 1e6))
+    mu_km3_s2: float = _rule(398600.4418, _within(*MU_KM3_S2))
+    rotation_rate_rad_s: float = _rule(7.2921159e-5, ("in (0, 1]", lambda v: 0.0 < v <= 1.0))
 
 
 class WalkerElements(NamedTuple):
@@ -63,12 +63,12 @@ class WalkerConfig(_Record, key="walker"):
     over the full circle (delta).
     """
 
-    total_sats: int = _size(300)
+    total_sats: int = _rule(300, SIZE)
     planes: int | None = None
-    phasing: int = _non_negative(1)
-    altitude_km: float = _within(900.0, *ALTITUDE_KM)
-    inclination_deg: float = _within(90.0, 0.0, 180.0)
-    raan_spread_deg: float = _rule(180.0, "180 or 360", lambda v: v in (180.0, 360.0))
+    phasing: int = _rule(1, (">= 0", lambda v: v >= 0))
+    altitude_km: float = _rule(900.0, ALTITUDE)
+    inclination_deg: float = _rule(90.0, _within(0.0, 180.0))
+    raan_spread_deg: float = _rule(180.0, ("180 or 360", lambda v: v in (180.0, 360.0)))
 
     def _check_across_fields(self) -> None:
         if self.planes and self.total_sats % self.planes != 0:
@@ -101,8 +101,7 @@ class WalkerConfig(_Record, key="walker"):
         friendly size, is taken instead.  Phasing folds into [0, P).  Never
         silent: callers record the design.
         """
-        if not 1 <= total_sats <= MAX_SATS:
-            raise ValueError(f"total_sats ({total_sats}) must be >= 1 and <= {MAX_SATS}")
+        _check(SIZE, total_sats=total_sats)
         if self.planes is None:
             total_sats = next(
                 candidate
@@ -126,8 +125,8 @@ class WalkerSpec(WalkerConfig, key="walker"):
     """A resolved symmetric design T/P/F: P divides T and F lies in [0, P)."""
 
     # No default, unlike the request; both sizes keep the MAX_SATS bound.
-    total_sats: int = _size(MISSING)
-    planes: int = _size(MISSING)
+    total_sats: int = _rule(MISSING, SIZE)
+    planes: int = _rule(MISSING, SIZE)
 
     def _check_across_fields(self) -> None:
         super()._check_across_fields()
@@ -149,8 +148,7 @@ def default_planes(total_sats: int) -> int:
     pair up as (d, T/d) around the root, so the answer is the largest
     divisor d <= sqrt(T) or its partner T/d.
     """
-    if total_sats < 1:
-        raise ValueError(f"total_sats ({total_sats}) must be >= 1")
+    _check(AT_LEAST_ONE, total_sats=total_sats)
     root = math.sqrt(total_sats)
     low = next(d for d in range(math.isqrt(total_sats), 0, -1) if total_sats % d == 0)
     high = total_sats // low

@@ -122,15 +122,14 @@ _encode_cell = json.JSONEncoder(allow_nan=False).encode
 
 
 def _column_cells(column: tuple, json_cells: bool) -> Iterable:
-    """The cells of one column in row order, each distinct value rendered
-    once.
+    """The cells of one column in row order.
 
-    A float renders as ``float.__repr__``, the text both the C JSON encoder
-    and ``csv.writer`` write for it.  With ``json_cells`` every other cell
-    renders as ``_encode_cell`` writes it; without, only a float column is
-    rendered (None stays None) and ``csv.writer`` renders the rest.  A dict
-    takes 1, 1.0 and True for one key, and 0.0 and -0.0, so a column mixing
-    types, or floats holding zeros of both signs, renders cell by cell.
+    A float column renders each distinct value once, as ``float.__repr__``,
+    the text both the C JSON encoder and ``csv.writer`` write for it (None
+    stays None without ``json_cells``).  A dict takes 0.0 and -0.0 for one
+    key, so floats holding zeros of both signs render cell by cell.  With
+    ``json_cells`` every other cell renders as ``_encode_cell`` writes it;
+    without, ``csv.writer`` renders the rest.
     """
     kinds = set(map(type, column)) - {NoneType}
     if kinds == {float}:
@@ -143,9 +142,6 @@ def _column_cells(column: tuple, json_cells: bool) -> Iterable:
                     _encode_cell(value)  # raises the encoder's ValueError
             texts[None] = "null" if json_cells else None
             return map(texts.__getitem__, column)
-    elif json_cells and len(kinds) <= 1 and kinds <= {bool, int, str}:
-        texts = {value: _encode_cell(value) for value in dict.fromkeys(column)}
-        return map(texts.__getitem__, column)
     return map(_encode_cell, column) if json_cells else column
 
 
@@ -177,7 +173,7 @@ def to_json(envelope: ResultEnvelope) -> str:
     The bytes are ``json.dumps(doc, sort_keys=True, indent=2,
     allow_nan=False) + "\\n"``.  The head is encoded that way, with the rows
     left empty.  Each row cell is rendered as the C encoder writes it, each
-    distinct value of a column once (``_column_cells``), and the rows are
+    distinct float of a column once (``_column_cells``), and the rows are
     joined with the separators ``indent=2`` puts between two cells and
     between two rows, then spliced in at the top-level "rows" key.
     """

@@ -8,10 +8,12 @@ given the LEO footprint advantage.
 
 from __future__ import annotations
 
-import math
 from dataclasses import MISSING, dataclass
 
-from .schema import _check_positive, _count, _Record, _within
+from .schema import (
+    EFFICIENCY, FINITE_AT_LEAST_ONE, NON_NEGATIVE, POSITIVE,
+    _check, _count, _Record, _rule, _within,
+)
 
 #: Bounds of the payload figures a scenario may state: powers (W), the
 #: power-amplifier efficiency, signal and clock counts, and the integration
@@ -29,8 +31,8 @@ class ClockUnit(_Record, key="clock"):
     """One frequency-standard line item of the heritage budget."""
 
     name: str
-    unit_power_w: float = _within(MISSING, *POWER_W)
-    count: int = _count(1, MAX_UNITS)
+    unit_power_w: float = _rule(MISSING, _within(*POWER_W))
+    count: int = _rule(1, _count(MAX_UNITS))
 
 
 def clock_budget_w(clocks: tuple[ClockUnit, ...]) -> float:
@@ -40,32 +42,25 @@ def clock_budget_w(clocks: tuple[ClockUnit, ...]) -> float:
 
 def signal_generation_w(rf_output_w: float, pa_efficiency: float) -> float:
     """Bus power drawn to produce a given RF output at a PA efficiency."""
-    _check_positive(rf_output_w=rf_output_w)
-    if not 0.0 < pa_efficiency <= 1.0:
-        raise ValueError(f"pa_efficiency ({pa_efficiency}) must lie in (0, 1]")
+    _check(POSITIVE, rf_output_w=rf_output_w)
+    _check(EFFICIENCY, pa_efficiency=pa_efficiency)
     return rf_output_w / pa_efficiency
-
-
-def _check_signals(n_signals: int) -> None:
-    if not 1 <= n_signals < math.inf:
-        raise ValueError(f"n_signals ({n_signals}) must be finite and >= 1")
 
 
 def per_signal_bus_power_w(
     rf_output_w: float, n_signals: int, pa_efficiency: float
 ) -> float:
     """Bus power per broadcast signal: (RF output / efficiency) / signals."""
-    _check_signals(n_signals)
+    _check(FINITE_AT_LEAST_ONE, n_signals=n_signals)
     return signal_generation_w(rf_output_w, pa_efficiency) / n_signals
 
 
 def leo_payload_power_w(n_signals: int, per_signal_w: float, overhead: float) -> float:
     """Bus power of an n-signal LEO payload with integration overhead:
     n * per_signal * (1 + overhead)."""
-    _check_signals(n_signals)
-    _check_positive(per_signal_w=per_signal_w)
-    if not 0.0 <= overhead < math.inf:
-        raise ValueError(f"overhead ({overhead}) must be finite and >= 0")
+    _check(FINITE_AT_LEAST_ONE, n_signals=n_signals)
+    _check(POSITIVE, per_signal_w=per_signal_w)
+    _check(NON_NEGATIVE, overhead=overhead)
     return n_signals * per_signal_w * (1.0 + overhead)
 
 
@@ -75,7 +70,6 @@ def gnss_equivalent_power_w(power_w: float, footprint_gain_db: float) -> float:
     Divides the payload power by the linear footprint gain; zero gain
     leaves it unchanged.
     """
-    _check_positive(power_w=power_w)
-    if not 0.0 <= footprint_gain_db < math.inf:
-        raise ValueError(f"footprint_gain_db ({footprint_gain_db}) must be finite and >= 0")
+    _check(POSITIVE, power_w=power_w)
+    _check(NON_NEGATIVE, footprint_gain_db=footprint_gain_db)
     return power_w / 10.0 ** (footprint_gain_db / 10.0)

@@ -11,7 +11,9 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .schema import _check_positive, _Record, _within
+from .schema import (
+    ELEVATION_DEG, MASK_DEG, NON_NEGATIVE, POSITIVE, _check, _Record, _rule, _within,
+)
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
@@ -55,7 +57,7 @@ def fspl_db(distance_km: float, frequency_hz: float) -> float:
         distance_km: propagation distance, > 0.
         frequency_hz: carrier frequency, > 0.
     """
-    _check_positive(distance_km=distance_km, frequency_hz=frequency_hz)
+    _check(POSITIVE, distance_km=distance_km, frequency_hz=frequency_hz)
     return 20.0 * math.log10(
         4.0 * math.pi * distance_km * 1000.0 * frequency_hz / SPEED_OF_LIGHT_M_S
     )
@@ -67,9 +69,8 @@ def slant_range_km(altitude_km: float, elevation_deg: float, earth_radius_km: fl
     Spherical-Earth geometry: d = -R sin(e) + sqrt(R^2 sin^2(e) + h^2 + 2 R h).
     At zenith this is the altitude; at the horizon sqrt(h^2 + 2 R h).
     """
-    _check_positive(altitude_km=altitude_km, earth_radius_km=earth_radius_km)
-    if not 0.0 <= elevation_deg <= 90.0:
-        raise ValueError(f"elevation_deg ({elevation_deg}) must lie in [0, 90]")
+    _check(POSITIVE, altitude_km=altitude_km, earth_radius_km=earth_radius_km)
+    _check(ELEVATION_DEG, elevation_deg=elevation_deg)
     r = earth_radius_km
     h = altitude_km
     sin_e = math.sin(math.radians(elevation_deg))
@@ -78,9 +79,8 @@ def slant_range_km(altitude_km: float, elevation_deg: float, earth_radius_km: fl
 
 def coverage_half_angle_rad(altitude_km: float, mask_deg: float, earth_radius_km: float) -> float:
     """Earth-central half angle of the cap a satellite covers above a mask."""
-    _check_positive(altitude_km=altitude_km, earth_radius_km=earth_radius_km)
-    if not 0.0 <= mask_deg < 90.0:
-        raise ValueError(f"mask_deg ({mask_deg}) must lie in [0, 90)")
+    _check(POSITIVE, altitude_km=altitude_km, earth_radius_km=earth_radius_km)
+    _check(MASK_DEG, mask_deg=mask_deg)
     mask = math.radians(mask_deg)
     r = earth_radius_km
     return math.acos(r * math.cos(mask) / (r + altitude_km)) - mask
@@ -122,8 +122,8 @@ class JammerCalibration(_Record, key="jammer"):
     within tolerance, the 750 m one does not.
     """
 
-    ref_power_w: float = _within(0.01, *JAMMER_POWER_W)
-    ref_radius_m: float = _within(100.0, *JAMMER_RADIUS_M)
+    ref_power_w: float = _rule(0.01, _within(*JAMMER_POWER_W))
+    ref_radius_m: float = _rule(100.0, _within(*JAMMER_RADIUS_M))
 
 
 def jammer_effective_radius_m(
@@ -136,9 +136,8 @@ def jammer_effective_radius_m(
     Each 6.02 dB of extra receiver margin halves the radius; quadrupling
     jammer power doubles it.
     """
-    _check_positive(power_w=power_w)
-    if not 0.0 <= margin_db < math.inf:
-        raise ValueError(f"margin_db ({margin_db}) must be finite and >= 0")
+    _check(POSITIVE, power_w=power_w)
+    _check(NON_NEGATIVE, margin_db=margin_db)
     return (
         calibration.ref_radius_m
         * math.sqrt(power_w / calibration.ref_power_w)
@@ -150,9 +149,8 @@ def jammer_power_for_radius_w(
     radius_m: float, margin_db: float, calibration: JammerCalibration
 ) -> float:
     """Jammer power needed to deny a given radius; inverse of the radius model."""
-    _check_positive(radius_m=radius_m)
-    if not 0.0 <= margin_db < math.inf:
-        raise ValueError(f"margin_db ({margin_db}) must be finite and >= 0")
+    _check(POSITIVE, radius_m=radius_m)
+    _check(NON_NEGATIVE, margin_db=margin_db)
     return (
         calibration.ref_power_w
         * (radius_m / calibration.ref_radius_m) ** 2
@@ -164,11 +162,11 @@ def jammer_power_for_radius_w(
 class MaterialLossTable(_Record, key="materials"):
     """One-pass attenuation (dB) of common structures."""
 
-    wood_db: float = _within(10.0, *MATERIAL_LOSS_DB)
-    brick_db: float = _within(12.0, *MATERIAL_LOSS_DB)
-    concrete_db: float = _within(15.0, *MATERIAL_LOSS_DB)
-    glass_db: float = _within(17.0, *MATERIAL_LOSS_DB)
-    container_db: float = _within(25.0, *MATERIAL_LOSS_DB)
+    wood_db: float = _rule(10.0, _within(*MATERIAL_LOSS_DB))
+    brick_db: float = _rule(12.0, _within(*MATERIAL_LOSS_DB))
+    concrete_db: float = _rule(15.0, _within(*MATERIAL_LOSS_DB))
+    glass_db: float = _rule(17.0, _within(*MATERIAL_LOSS_DB))
+    container_db: float = _rule(25.0, _within(*MATERIAL_LOSS_DB))
 
     @property
     def walls(self) -> tuple[tuple[str, float], ...]:
@@ -203,8 +201,7 @@ def penetration_report(margin_db: float, materials: MaterialLossTable) -> Penetr
     Counts are floor(margin / loss); the canopy class is the densest one
     whose threshold the margin meets.
     """
-    if not 0.0 <= margin_db < math.inf:
-        raise ValueError(f"margin_db ({margin_db}) must be finite and >= 0")
+    _check(NON_NEGATIVE, margin_db=margin_db)
     counts = tuple(
         (name, int(margin_db // loss)) for name, loss in materials.walls
     )

@@ -40,24 +40,28 @@ from .rflink import (
     MaterialLossTable,
 )
 from .schema import (
-    ALTITUDE_KM,
+    AGGREGATION,
+    ALTITUDE,
+    ELEVATION_DEG,
+    MASK_DEG,
     MAX_SAMPLES,
     MAX_SITES,
+    PERCENTILE,
+    SIZE,
     ScenarioError,
     _build,
     _count,
     _one_of,
     _Record,
     _rule,
-    _size,
     _within,
 )
 
 
 @dataclass(frozen=True)
 class GridConfig(_Record, key="grid"):
-    scheme: str = _one_of("fibonacci", "latlon")
-    resolution: int = _count(500, MAX_SITES)
+    scheme: str = _rule("fibonacci", _one_of("fibonacci", "latlon"))
+    resolution: int = _rule(500, _count(MAX_SITES))
 
     @property
     def n_sites(self) -> int:
@@ -78,11 +82,11 @@ class GridConfig(_Record, key="grid"):
 class SweepConfig(_Record, key="sweep"):
     """DOP map/sweep controls shared by dop-map, dop-sweep, and optimize."""
 
-    sizes: tuple[int, ...] = _size((200, 250, 300, 350, 400))
-    altitudes_km: tuple[float, ...] = _within((600.0, 800.0, 1000.0, 1200.0, 1400.0), *ALTITUDE_KM)
-    mask_deg: float = _rule(5.0, "in [0, 90)", lambda v: 0.0 <= v < 90.0)
-    percentile: float = _rule(95.0, "in (0, 100]", lambda v: 0.0 < v <= 100.0)
-    aggregation: str = _one_of("pooled", "worst_site")
+    sizes: tuple[int, ...] = _rule((200, 250, 300, 350, 400), SIZE)
+    altitudes_km: tuple[float, ...] = _rule((600.0, 800.0, 1000.0, 1200.0, 1400.0), ALTITUDE)
+    mask_deg: float = _rule(5.0, MASK_DEG)
+    percentile: float = _rule(95.0, PERCENTILE)
+    aggregation: str = _rule("pooled", AGGREGATION)
 
 
 @dataclass(frozen=True)
@@ -90,18 +94,18 @@ class LinkConfig(_Record, key="link"):
     """Carrier (a named band, or a raw frequency that overrides it) plus the
     altitude/mask samplings of the RF curve reports."""
 
-    reference: str = _one_of(*BAND_HZ)
-    frequency_hz: float | None = _within(None, *FREQUENCY_HZ)
-    meo_altitude_km: float = _within(GALILEO_ALTITUDE_KM, *ALTITUDE_KM)
-    elevation_deg: float = _within(90.0, 0.0, 90.0)
-    pathloss_altitudes_km: tuple[float, ...] = _within((
+    reference: str = _rule("L1", _one_of(*BAND_HZ))
+    frequency_hz: float | None = _rule(None, _within(*FREQUENCY_HZ))
+    meo_altitude_km: float = _rule(GALILEO_ALTITUDE_KM, ALTITUDE)
+    elevation_deg: float = _rule(90.0, ELEVATION_DEG)
+    pathloss_altitudes_km: tuple[float, ...] = _rule((
         500.0, 700.0, 1000.0, 1400.0, 2000.0, 3000.0, 5000.0, 8000.0,
         12000.0, GPS_ALTITUDE_KM, GALILEO_ALTITUDE_KM,
-    ), *ALTITUDE_KM)
-    footprint_altitudes_km: tuple[float, ...] = _within((
+    ), ALTITUDE)
+    footprint_altitudes_km: tuple[float, ...] = _rule((
         500.0, 600.0, 700.0, 800.0, 900.0, 1000.0, 1100.0, 1200.0, 1300.0, 1400.0,
-    ), *ALTITUDE_KM)
-    footprint_masks_deg: tuple[float, ...] = _within((0.0, 30.0), *FOOTPRINT_MASK_DEG)
+    ), ALTITUDE)
+    footprint_masks_deg: tuple[float, ...] = _rule((0.0, 30.0), _within(*FOOTPRINT_MASK_DEG))
 
     @property
     def carrier_hz(self) -> float:
@@ -129,9 +133,9 @@ class LinkConfig(_Record, key="link"):
 class JammerConfig(JammerCalibration, key="jammer"):
     """Inverse-square model anchor plus the margins/columns of the report."""
 
-    margins_db: tuple[float, ...] = _within((0.0, 5.0, 10.0, 20.0, 30.0), *JAMMER_MARGIN_DB)
-    report_power_w: float = _within(0.5, *JAMMER_POWER_W)
-    report_radius_m: float = _within(100.0, *JAMMER_RADIUS_M)
+    margins_db: tuple[float, ...] = _rule((0.0, 5.0, 10.0, 20.0, 30.0), _within(*JAMMER_MARGIN_DB))
+    report_power_w: float = _rule(0.5, _within(*JAMMER_POWER_W))
+    report_radius_m: float = _rule(100.0, _within(*JAMMER_RADIUS_M))
 
 
 @dataclass(frozen=True)
@@ -143,18 +147,18 @@ class PayloadConfig(_Record, key="payload"):
     efficiency and a two-rubidium, two-hydrogen-maser clock suite.
     """
 
-    total_payload_w: float = _within(900.0, *POWER_W)
-    rf_output_w_low: float = _within(254.0, *POWER_W)
-    rf_output_w_high: float = _within(273.0, *POWER_W)
-    pa_efficiency: float = _within(0.51, *PA_EFFICIENCY)
-    n_signals: int = _count(10, MAX_UNITS)
+    total_payload_w: float = _rule(900.0, _within(*POWER_W))
+    rf_output_w_low: float = _rule(254.0, _within(*POWER_W))
+    rf_output_w_high: float = _rule(273.0, _within(*POWER_W))
+    pa_efficiency: float = _rule(0.51, _within(*PA_EFFICIENCY))
+    n_signals: int = _rule(10, _count(MAX_UNITS))
     clocks: tuple[ClockUnit, ...] = (
         ClockUnit("rubidium", 35.0, 2),
         ClockUnit("hydrogen_maser", 70.0, 2),
     )
-    leo_signals: int = _count(2, MAX_UNITS)
-    overhead_low: float = _within(0.0, *OVERHEAD)
-    overhead_high: float = _within(0.9, *OVERHEAD)
+    leo_signals: int = _rule(2, _count(MAX_UNITS))
+    overhead_low: float = _rule(0.0, _within(*OVERHEAD))
+    overhead_high: float = _rule(0.9, _within(*OVERHEAD))
 
     def _check_across_fields(self) -> None:
         if self.rf_output_w_high < self.rf_output_w_low:

@@ -12,7 +12,9 @@ A record checks itself on construction, so one built in Python meets the
 same rules, with the same messages, as one read from a file.  The
 scenario is the root record, with an empty key, so one reader reads every
 level from its object down, and lenient reading warns of unknown keys at
-each.  A message quotes the rejected value clipped by ``_shown``.
+each.  A message quotes the rejected value clipped by ``_shown``.  A library
+function checks its scalar arguments with ``_check`` against the named
+rules below, which the fields of the same quantity state too.
 """
 
 from __future__ import annotations
@@ -32,28 +34,30 @@ class ScenarioError(ValueError):
     """A scenario file or record failed validation; the message names the key at fault."""
 
 
-def _rule(default: Any, text: str, ok: Callable[[Any], bool]) -> Any:
-    """A field whose parsed value (each entry, for a list) must satisfy ``ok``."""
-    return field(default=default, metadata={"rule": (text, ok)})
+#: A rule: the text a message puts after "must be", and the test a value
+#: must pass.  A record field states one in its metadata; a library
+#: function checks its arguments against one with ``_check``.
+_Rule = tuple[str, Callable[[Any], bool]]
 
 
-def _one_of(*allowed: str) -> Any:
-    """A string field that defaults to the first allowed value."""
-    return _rule(allowed[0], f"one of {sorted(allowed)}", allowed.__contains__)
+def _rule(default: Any, rule: _Rule) -> Any:
+    """A field whose parsed value (each entry, for a list) must satisfy ``rule``."""
+    return field(default=default, metadata={"rule": rule})
 
 
-def _non_negative(default: Any) -> Any:
-    return _rule(default, ">= 0", lambda v: v >= 0)
+def _one_of(*allowed: str) -> _Rule:
+    """One of the ``allowed`` strings."""
+    return f"one of {sorted(allowed)}", allowed.__contains__
 
 
-def _within(default: Any, lo: float, hi: float) -> Any:
-    """A number field (each entry, for a list) in the closed range [lo, hi]."""
-    return _rule(default, f"in [{lo:g}, {hi:g}]", lambda v: lo <= v <= hi)
+def _within(lo: float, hi: float) -> _Rule:
+    """A number in the closed range [lo, hi]."""
+    return f"in [{lo:g}, {hi:g}]", lambda v: lo <= v <= hi
 
 
-def _count(default: Any, most: int) -> Any:
-    """A count field (each entry, for a list): 1 to ``most``."""
-    return _rule(default, f">= 1 and <= {most}", lambda v: 1 <= v <= most)
+def _count(most: int) -> _Rule:
+    """A count from 1 to ``most``."""
+    return f">= 1 and <= {most}", lambda v: 1 <= v <= most
 
 
 #: Largest constellation size a scenario or sizing search may request.  The
@@ -97,19 +101,23 @@ MU_KM3_S2 = (1.0, 1e7)
 WINDOW_S = (1.0, 1e6)
 
 
-def _size(default: Any) -> Any:
-    """A constellation-size field (each entry, for a list): 1 to ``MAX_SATS``."""
-    return _count(default, MAX_SATS)
+#: The rules of library arguments, shared by the scenario fields of the
+#: same quantity.  ``AT_LEAST_ONE`` lets NaN through, to fail further on as
+#: it always has; an integer field never holds one.
+POSITIVE = ("finite and strictly positive", lambda v: 0.0 < v < math.inf)
+NON_NEGATIVE = ("finite and >= 0", lambda v: 0.0 <= v < math.inf)
+AT_LEAST_ONE = (">= 1", lambda v: not v < 1)
+FINITE_AT_LEAST_ONE = ("finite and >= 1", lambda v: 1 <= v < math.inf)
+SIZE = _count(MAX_SATS)
+ALTITUDE = _within(*ALTITUDE_KM)
+ELEVATION_DEG = _within(0.0, 90.0)
+MASK_DEG = ("in [0, 90)", lambda v: 0.0 <= v < 90.0)
+PERCENTILE = ("in (0, 100]", lambda v: 0.0 < v <= 100.0)
+EFFICIENCY = ("in (0, 1]", lambda v: 0.0 < v <= 1.0)
+AGGREGATION = _one_of("pooled", "worst_site")
 
 
 _Reader = Callable[[Any, str], Any]
-
-
-def _check_positive(**values: float) -> None:
-    """Reject, by argument name, any value that is not finite and > 0."""
-    for name, value in values.items():
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} ({value}) must be finite and strictly positive")
 
 
 def _shown(value: Any) -> str:
@@ -120,6 +128,15 @@ def _shown(value: Any) -> str:
         return reprlib.repr(value)
     except ValueError:
         return "a value with too many digits to print"
+
+
+def _check(rule: _Rule, **values: Any) -> None:
+    """Reject, by argument name, any value that breaks ``rule``:
+    ``name (value) must be <text>``, the value shown by ``_shown``."""
+    text, ok = rule
+    for name, value in values.items():
+        if not ok(value):
+            raise ValueError(f"{name} ({_shown(value)}) must be {text}")
 
 
 def _expect(value: Any, kinds: type | tuple[type, ...], key: str, constraint: str) -> Any:
@@ -151,7 +168,7 @@ def _string(value: Any, key: str) -> str:
 #: Scalar kinds: reader, rule when the field states none, plural noun.
 _SCALARS: dict[type, tuple[_Reader, tuple | None, str]] = {
     float: (_number, ("> 0", lambda v: v > 0.0), "numbers"),
-    int: (_integer, (">= 1", lambda v: v >= 1), "numbers"),
+    int: (_integer, AT_LEAST_ONE, "numbers"),
     str: (_string, None, "strings"),
 }
 

@@ -48,7 +48,7 @@ from .rflink import (
 )
 # scenario_hash is not called here; the benchmark tracer wraps it under this name.
 from .scenario import Scenario, scenario_hash  # noqa: F401
-from .schema import MAX_SATS, _check_positive
+from .schema import AT_LEAST_ONE, POSITIVE, SIZE, _check
 
 #: The MEO comparison constellation: 24 satellites, 6 planes, 55 degrees,
 #: semi-synchronous altitude, full RAAN spread.
@@ -148,8 +148,7 @@ def sweep_processes(scenario: Scenario, threads: int) -> int:
     """Processes that compute the sweep's cells on ``threads``, the calling
     one included: min(threads, cells, CPUs) on Linux with ``os.fork``,
     else 1."""
-    if threads < 1:
-        raise ValueError(f"threads ({threads}) must be >= 1")
+    _check(AT_LEAST_ONE, threads=threads)
     if sys.platform != "linux" or not hasattr(os, "fork"):
         return 1
     cells = len(scenario.sweep.sizes) * len(scenario.sweep.altitudes_km)
@@ -255,9 +254,8 @@ def min_constellation_size(
     repeats do not add to.  An unreachable target returns the best
     evaluated size with reachable=False.
     """
-    _check_positive(altitude_km=altitude_km, target_pdop=target_pdop)
-    if not 1 <= ceiling <= MAX_SATS:
-        raise ValueError(f"ceiling ({ceiling}) must be >= 1 and <= {MAX_SATS}")
+    _check(POSITIVE, altitude_km=altitude_km, target_pdop=target_pdop)
+    _check(SIZE, ceiling=ceiling)
 
     ladder = scenario.walker.ladder(ceiling)
     if not ladder:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -332,6 +333,12 @@ class TestExitCodes:
         assert "argument --threads: 0 must be >= 1" in captured.err
         assert captured.out == ""
 
+    def test_threads_flag_must_be_an_integer(self, capsys):
+        assert main(["dop-sweep", "--threads", "abc", "--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert "argument --threads: 'abc' must be an integer" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("flag", ["--altitude-km", "--target-pdop"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_optimize_rejects_non_finite_numbers(self, tmp_path, capsys, flag, value):
@@ -480,6 +487,33 @@ class TestExitCodes:
         assert captured.out == ""
         with pytest.raises(ChildProcessError):  # no child left, running or unreaped
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="workers fork only on Linux")
+    def test_failed_fork_is_exit_one(self, tmp_path, monkeypatch, capsys):
+        """The second of three forks fails: the first worker is reaped and
+        no pipe end is left open."""
+        see_cpus(monkeypatch, 4)
+        fork = os.fork
+        forks = []
+
+        def failing():
+            forks.append(1)
+            if len(forks) == 2:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(os, "fork", failing)
+        cfg = write_config(tmp_path)  # 2 sizes x 2 altitudes
+        open_fds = set(os.listdir("/proc/self/fd"))
+        assert main(["dop-sweep", "--config", cfg, "--threads", "4", "--quiet"]) == 1
+        captured = capsys.readouterr()
+        reason = os.strerror(errno.EAGAIN)
+        assert captured.err == f"leonav: error: [Errno {errno.EAGAIN}] {reason}\n"
+        assert captured.out == ""
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert set(os.listdir("/proc/self/fd")) == open_fds
 
     @pytest.mark.parametrize("command, scenario, message", [
         ("footprint", {"earth": {"radius_km": 1e-300}}, "earth.radius_km: must be in [1, 1e+06]"),

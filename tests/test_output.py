@@ -399,6 +399,26 @@ class TestSvg:
         with pytest.raises(EmitError, match="svg output supports"):
             to_svg(table_envelope())
 
+    def test_series_needs_a_y_column(self):
+        env = ResultEnvelope("series", ("x",), ((0.0,), (1.0,)), "h", "v")
+        with pytest.raises(EmitError, match="at least one y column"):
+            to_svg(env)
+
+    @pytest.mark.parametrize("axes", [{"x": (1, 2)}, {"x": (1,), "y": (2,), "z": (3,)}])
+    def test_matrix_needs_exactly_two_axes(self, axes):
+        env = ResultEnvelope("matrix", ("x", "y", "v"), ((1, 2, 0.5),), "h", "v", axes=axes)
+        with pytest.raises(EmitError, match="exactly two axes"):
+            to_svg(env)
+
+    def test_matrix_needs_a_value_column(self):
+        """Axis and coverage columns are never the value drawn."""
+        env = ResultEnvelope(
+            "matrix", ("x", "y", "coverage"), ((1, 2, 1.0),), "h", "v",
+            axes={"x": (1,), "y": (2,)},
+        )
+        with pytest.raises(EmitError, match="need a value column"):
+            to_svg(env)
+
 
 def _bare(kind: str, names: tuple, rows: tuple, axes: dict | None = None) -> ResultEnvelope:
     return ResultEnvelope(kind, names, rows, "h", "v", axes=axes)
