@@ -28,6 +28,7 @@ from .orbits import (
     rotate_eci_to_ecef,
     walker_constellation,
 )
+from .rflink import coverage_half_angle_rad
 from .schema import (
     AGGREGATION, AT_LEAST_ONE, MASK_DEG, MAX_EPOCHS, PERCENTILE, WINDOW_S,
     _check, _Record, _rule, _within,
@@ -302,16 +303,16 @@ def pdop_samples(
     lon = np.radians(grid.lon_deg)
     basis = _enu_basis(lat, lon)  # (3, 3, n)
     mask_rad = math.radians(mask_deg)
+    reach = coverage_half_angle_rad(spec.altitude_km, mask_deg, earth.radius_km)
+    # A millimetre of slack, so rounding never culls a pair the exact test keeps.
+    bound = elements.semimajor_km * math.cos(reach) - 1e-6
 
     n_sites = len(grid)
     epochs = window.epochs()
     values = np.full((n_sites, epochs.size), np.nan)
     counts = np.zeros((n_sites, epochs.size), dtype=np.int32)
     block = max(1, _PAIR_BUDGET // spec.total_sats)
-    tile = _tile_epochs(
-        min(block, n_sites), spec.total_sats,
-        float(elements.semimajor_km[0]), earth.radius_km, mask_rad,
-    )
+    tile = _tile_epochs(min(block, n_sites), spec.total_sats, reach)
 
     for start in range(0, epochs.size, block):
         t = epochs[start : start + block, None]
@@ -321,73 +322,66 @@ def pdop_samples(
             cols = slice(start + first, start + first + len(sats))
             for lo in range(0, n_sites, block):
                 rows = slice(lo, lo + block)
-                count, pdop = _block_pdop(basis[..., rows], sats, earth.radius_km, mask_rad)
+                count, pdop = _block_pdop(basis[..., rows], sats, bound, earth.radius_km, mask_rad)
                 counts[rows, cols] = count.T
                 values[rows, cols] = pdop.T
     return PdopSamples(pdop=values, visible_count=counts)
 
 
-def _reach(r: np.ndarray | float, radius_km: float, mask_rad: float) -> np.ndarray:
-    """Central angle within which a satellite at radius r is seen at the
-    mask elevation or higher: acos(R cos(mask) / r) - mask."""
-    return np.arccos(np.minimum(1.0, radius_km * math.cos(mask_rad) / r)) - mask_rad
-
-
-def _tile_epochs(
-    sites: int, sats: int, semimajor_km: float, radius_km: float, mask_rad: float
-) -> int:
+def _tile_epochs(sites: int, sats: int, reach: float) -> int:
     """Epochs per kernel call over blocks of ``sites`` sites.
 
-    A sample keeps the satellites within ``_reach`` of its site, so a
-    constellation spread over the sphere leaves it sats * (1 - cos ρ) / 2
-    culled pairs on average: the area share of a cap of angular radius ρ.
-    The tile takes as many epochs as keep that expectation near
-    ``_PAIR_BUDGET // 32`` pairs, so each call's fixed cost of some hundred
-    numpy calls is spread over enough pairs while every per-pair array
-    (64 KiB at the shipped budget) stays below glibc's 128 KiB mmap
-    threshold.  It never holds more samples than one site block, which
-    keeps every per-sample array within the block's bound.
+    A sample keeps the satellites within the shell's cap angle ρ = ``reach``
+    of its site, so a constellation spread over the sphere leaves it
+    sats * (1 - cos ρ) / 2 culled pairs on average: the area share of a cap
+    of angular radius ρ.  The tile takes as many epochs as keep that
+    expectation near ``_PAIR_BUDGET // 32`` pairs, so each call's fixed cost
+    of some hundred numpy calls is spread over enough pairs while every
+    per-pair array (64 KiB at the shipped budget) stays below glibc's
+    128 KiB mmap threshold.  It never holds more samples than one site
+    block, which keeps every per-sample array within the block's bound.
     """
     most = max(1, _PAIR_BUDGET // sats) // sites
-    expected = sites * sats * (1.0 - math.cos(_reach(semimajor_km, radius_km, mask_rad))) / 2.0
+    expected = sites * sats * (1.0 - math.cos(reach)) / 2.0
     if expected * most <= _PAIR_BUDGET // 32:
         return most
     return max(1, int(_PAIR_BUDGET // 32 / expected))
 
 
 def _block_pdop(
-    basis: np.ndarray, ecef: np.ndarray, radius_km: float, mask_rad: float
+    basis: np.ndarray, ecef: np.ndarray, bound: float, radius_km: float, mask_rad: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Visible counts and PDOP of one block of sites over a tile of epochs.
 
-    Takes the block's component-major ENU basis (3, 3, m) and the
-    satellite positions of the tile's epochs (k, n, 3).  A satellite at
-    radius r is seen at elevation e or higher exactly when its central
-    angle from the site is at most ``_reach``, i.e. when up . sat clears a
-    per-satellite bound; one matmul per epoch of the satellite positions
-    with the site up-vectors culls the rest, so the dense test never holds
-    more than one epoch's site x satellite pairs.  The survivors come out
-    of each epoch's flat index in satellite-major order, epoch after epoch,
-    and each per-pair quantity is one flat array per component, gathered
-    from a component-major copy of the tile's positions and updated in
-    place.  The exact elevation test then runs on the up component.  The
-    cull's only slack is a millimetre, so nearly always every culled pair
-    passes and the pair arrays are compressed only when one does not; east
-    and north are built after that, for the visible pairs only.  The norm
-    and the ENU dot products sum in the order ``np.linalg.norm`` and
-    ``einsum`` take over (P, 3) rows; east drops the product with its z
-    component, which ``_enu_basis`` holds as an exact zero, and that can
-    change only the sign of a zero no sum sees.  ``bincount`` adds each
-    sample's pairs in input order, which keeps its satellites in ascending
-    order, so the samples are bit-identical to a site-major engine's
-    whatever the tile; the sample digest in tests/test_geometry.py pins
-    that order.  Rows stay in ENU rather than
-    ECEF: PDOP is rotation-invariant only in exact arithmetic, and a
-    sample whose four satellites are barely independent (PDOP ~1e5)
-    magnifies the rounding of a change of frame far past 1e-10.
-    Well-conditioned samples, nearly all of them, take PDOP in closed form
-    from the per-sample sums; the rest go to ``_fallback`` in the same call,
-    which makes no LAPACK call when there are none.
+    Takes the block's component-major ENU basis (3, 3, m), the positions
+    (k, n, 3) of one shell of radius a over the tile's epochs, and the
+    shell's cull bound.  A satellite is seen at the mask or higher exactly
+    when its central angle from the site is at most the cap angle ρ of
+    ``coverage_half_angle_rad``, i.e. when up . sat >= a cos ρ; ``bound``
+    is a cos ρ less a millimetre, and one matmul per epoch of the satellite
+    positions with the site up-vectors culls the pairs below it, so the
+    dense test never holds more than one epoch's site x satellite pairs.
+    The survivors come out of each epoch's flat index in satellite-major
+    order, epoch after epoch, and each per-pair quantity is one flat array
+    per component, gathered from a component-major copy of the tile's
+    positions and updated in place.  The exact elevation test then runs on
+    the up component.  The cull's only slack is a millimetre, so nearly
+    always every culled pair passes and the pair arrays are compressed only
+    when one does not; east and north are built after that, for the visible
+    pairs only.  The norm and the ENU dot products sum in the order
+    ``np.linalg.norm`` and ``einsum`` take over (P, 3) rows; east drops the
+    product with its z component, which ``_enu_basis`` holds as an exact
+    zero, and that can change only the sign of a zero no sum sees.
+    ``bincount`` adds each sample's pairs in input order, which keeps its
+    satellites in ascending order, so the samples are bit-identical to a
+    site-major engine's whatever the tile; the sample digest in
+    tests/test_geometry.py pins that order.  Rows stay in ENU rather than
+    ECEF: PDOP is rotation-invariant only in exact arithmetic, and a sample
+    whose four satellites are barely independent (PDOP ~1e5) magnifies the
+    rounding of a change of frame far past 1e-10.  Well-conditioned
+    samples, nearly all of them, take PDOP in closed form from the
+    per-sample sums; the rest go to ``_fallback`` in the same call, which
+    makes no LAPACK call when there are none.
 
     Returns:
         (count, pdop): the visible count and PDOP of each (epoch, site)
@@ -395,12 +389,8 @@ def _block_pdop(
     """
     m = basis.shape[-1]
     tile, n = ecef.shape[:2]
-    r = np.linalg.norm(ecef, axis=-1)
-    # A millimetre of slack, so rounding never culls a pair the exact test keeps.
-    bound = r * np.cos(_reach(r, radius_km, mask_rad)) - 1e-6
     sat, site = np.divmod(np.concatenate([
-        np.flatnonzero(sats @ basis[2] >= sat_bound[:, None]) + i * n * m
-        for i, (sats, sat_bound) in enumerate(zip(ecef, bound))
+        np.flatnonzero(sats @ basis[2] >= bound) + i * n * m for i, sats in enumerate(ecef)
     ]), m)
     sample = sat // n * m + site
 

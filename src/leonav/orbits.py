@@ -40,13 +40,13 @@ class EarthModel(_Record, key="earth"):
 
 
 class WalkerElements(NamedTuple):
-    """Circular elements of every satellite, plane-major; angles in radians.
-
-    RAAN and initial anomaly are normalized to [0, 2*pi).
+    """Circular elements of one Walker shell, angles in radians: its one
+    semimajor axis and inclination, and each satellite's RAAN and initial
+    anomaly, plane-major, normalized to [0, 2*pi).
     """
 
-    semimajor_km: np.ndarray
-    inclination_rad: np.ndarray
+    semimajor_km: float
+    inclination_rad: float
     raan_rad: np.ndarray
     initial_anomaly_rad: np.ndarray
 
@@ -174,9 +174,8 @@ def walker_constellation(spec: WalkerSpec, earth: EarthModel) -> WalkerElements:
 
     Plane j in [0, P) is placed at raan = j * raan_spread / P.  Slot k in
     [0, T/P) of plane j starts at anomaly k * (360 P / T) + j * F * (360 / T)
-    degrees.  All satellites share altitude and inclination.
+    degrees.  The shell's one semimajor axis and inclination are held once.
     """
-    semimajor = earth.radius_km + spec.altitude_km
     in_plane_step = 360.0 * spec.planes / spec.total_sats
     phase_step = spec.phasing * 360.0 / spec.total_sats
     j = np.arange(spec.planes)[:, None]
@@ -184,16 +183,16 @@ def walker_constellation(spec: WalkerSpec, earth: EarthModel) -> WalkerElements:
     raan = np.radians(j * spec.raan_spread_deg / spec.planes) % _TWO_PI
     anomaly = np.radians(k * in_plane_step + j * phase_step) % _TWO_PI
     return WalkerElements(
-        np.full(spec.total_sats, semimajor),
-        np.full(spec.total_sats, math.radians(spec.inclination_deg)),
+        earth.radius_km + spec.altitude_km,
+        math.radians(spec.inclination_deg),
         np.repeat(raan.ravel(), spec.sats_per_plane),
         anomaly.ravel(),
     )
 
 
 def propagate_arrays(
-    semimajor_km: np.ndarray,
-    inclination_rad: np.ndarray,
+    semimajor_km: float | np.ndarray,
+    inclination_rad: float | np.ndarray,
     raan_rad: np.ndarray,
     initial_anomaly_rad: np.ndarray,
     t_s: float | np.ndarray,

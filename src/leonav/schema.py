@@ -102,12 +102,14 @@ WINDOW_S = (1.0, 1e6)
 
 
 #: The rules of library arguments, shared by the scenario fields of the
-#: same quantity.  ``AT_LEAST_ONE`` lets NaN through, to fail further on as
-#: it always has; an integer field never holds one.
-POSITIVE = ("finite and strictly positive", lambda v: 0.0 < v < math.inf)
-NON_NEGATIVE = ("finite and >= 0", lambda v: 0.0 <= v < math.inf)
+#: same quantity.  A finite rule also rejects an integer past the largest
+#: float, which no float argument can take.  ``AT_LEAST_ONE`` lets NaN
+#: through, to fail further on as it always has; an integer field never
+#: holds one.
+POSITIVE = ("finite and strictly positive", lambda v: 0.0 < v <= sys.float_info.max)
+NON_NEGATIVE = ("finite and >= 0", lambda v: 0.0 <= v <= sys.float_info.max)
 AT_LEAST_ONE = (">= 1", lambda v: not v < 1)
-FINITE_AT_LEAST_ONE = ("finite and >= 1", lambda v: 1 <= v < math.inf)
+FINITE_AT_LEAST_ONE = ("finite and >= 1", lambda v: 1 <= v <= sys.float_info.max)
 SIZE = _count(MAX_SATS)
 ALTITUDE = _within(*ALTITUDE_KM)
 ELEVATION_DEG = _within(0.0, 90.0)

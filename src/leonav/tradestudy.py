@@ -48,7 +48,7 @@ from .rflink import (
 )
 # scenario_hash is not called here; the benchmark tracer wraps it under this name.
 from .scenario import Scenario, scenario_hash  # noqa: F401
-from .schema import AT_LEAST_ONE, POSITIVE, SIZE, _check
+from .schema import ALTITUDE, AT_LEAST_ONE, POSITIVE, SIZE, _check
 
 #: The MEO comparison constellation: 24 satellites, 6 planes, 55 degrees,
 #: semi-synchronous altitude, full RAAN spread.
@@ -254,7 +254,8 @@ def min_constellation_size(
     repeats do not add to.  An unreachable target returns the best
     evaluated size with reachable=False.
     """
-    _check(POSITIVE, altitude_km=altitude_km, target_pdop=target_pdop)
+    _check(ALTITUDE, altitude_km=altitude_km)
+    _check(POSITIVE, target_pdop=target_pdop)
     _check(SIZE, ceiling=ceiling)
 
     ladder = scenario.walker.ladder(ceiling)

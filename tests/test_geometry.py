@@ -410,7 +410,8 @@ class TestPdopSamplesEngine:
         for j, t in enumerate(window.epochs()):
             sats = [
                 EcefPosition(*rotate_eci_to_ecef(propagate_arrays(
-                    *(field[i] for field in elements), float(t), EARTH
+                    elements.semimajor_km, elements.inclination_rad,
+                    elements.raan_rad[i], elements.initial_anomaly_rad[i], float(t), EARTH,
                 ), float(t), EARTH).tolist())
                 for i in range(spec.total_sats)
             ]
@@ -514,24 +515,31 @@ class TestPdopSamplesEngine:
 
     @pytest.mark.parametrize("mask_deg", [0.0, 5.0, 30.0])
     def test_cull_keeps_every_pair_at_the_mask(self, mask_deg):
-        """Satellites a hair above and below the mask, counted against
-        the elevation test applied to every site x satellite pair."""
+        """Satellites a hair above and below the mask, one shell per kernel
+        call with that shell's cull bound, counted against the elevation
+        test applied to every site x satellite pair."""
         rng = np.random.default_rng(47)
         grid = GroundGrid.fibonacci(20)
         basis = geometry._enu_basis(np.radians(grid.lat_deg), np.radians(grid.lon_deg))
         sites = EARTH.radius_km * basis[2].T
-        ecef = np.array([
-            satellite_above(site, float(rng.uniform(0.0, 360.0)),
-                            mask_deg + offset, float(rng.uniform(400.0, 4000.0)))
-            for site in sites for offset in (-1e-10, 1e-10, -1e-10, 1e-10)
-        ])
         mask_rad = math.radians(mask_deg)
-        count = geometry._block_pdop(basis, ecef[None], EARTH.radius_km, mask_rad)[0][0]
-        los = ecef[None, :, :] - sites[:, None, :]
-        unit = los / np.linalg.norm(los, axis=-1)[..., None]
-        up = np.einsum("nab,nsb->nsa", basis.transpose(2, 0, 1), unit)[..., 2]
-        assert np.array_equal(count, (up >= math.sin(math.radians(mask_deg))).sum(axis=1))
-        assert count.min() >= 2  # each site sees its own two just above the mask
+        for altitude_km in (400.0, 900.0, 2000.0, 4000.0):
+            # the slant range at the mask puts each satellite on the shell
+            range_km = rflink.slant_range_km(altitude_km, mask_deg, EARTH.radius_km)
+            ecef = np.array([
+                satellite_above(site, float(rng.uniform(0.0, 360.0)), mask_deg + offset, range_km)
+                for site in sites for offset in (-1e-10, 1e-10, -1e-10, 1e-10)
+            ])
+            reach = rflink.coverage_half_angle_rad(altitude_km, mask_deg, EARTH.radius_km)
+            bound = (EARTH.radius_km + altitude_km) * math.cos(reach) - 1e-6
+            count = geometry._block_pdop(
+                basis, ecef[None], bound, EARTH.radius_km, mask_rad
+            )[0][0]
+            los = ecef[None, :, :] - sites[:, None, :]
+            unit = los / np.linalg.norm(los, axis=-1)[..., None]
+            up = np.einsum("nab,nsb->nsa", basis.transpose(2, 0, 1), unit)[..., 2]
+            assert np.array_equal(count, (up >= math.sin(mask_rad)).sum(axis=1))
+            assert count.min() >= 2  # each site sees its own two just above the mask
 
     @pytest.mark.parametrize("budget", [1, 7 * 60, 50 * 60 - 1])
     def test_site_blocks_do_not_change_samples(self, monkeypatch, budget):
@@ -795,8 +803,8 @@ class TestSampleDigest:
     def test_tile_sizes(self, sats, altitude_km, sites, tile):
         """Expected culled pairs per epoch, sites * T (1 - cos reach) / 2,
         into _PAIR_BUDGET // 32, capped at one site block's samples."""
-        radius = EARTH.radius_km
-        got = geometry._tile_epochs(sites, sats, radius + altitude_km, radius, math.radians(5.0))
+        reach = rflink.coverage_half_angle_rad(altitude_km, 5.0, EARTH.radius_km)
+        got = geometry._tile_epochs(sites, sats, reach)
         assert got == tile
         assert got * sites <= max(1, geometry._PAIR_BUDGET // sats)
 
@@ -842,17 +850,15 @@ class TestSampleDigest:
     def test_compressed_pairs_keep_the_bytes(self, monkeypatch, case, mask_deg):
         """The kernel compresses its pair arrays only when a culled pair
         fails the exact elevation test.  At the shipped cull none does; a
-        cull widened by 0.05 rad of reach keeps such pairs in every kernel
+        cull widened by 0.05 rad of cap angle keeps such pairs in every kernel
         call, and the samples keep their bytes."""
         spec, grid = self.CASES[case]
         block_pdop = geometry._block_pdop
         pairs = []  # (culled, visible) of each kernel call
 
-        def recording(basis, ecef, radius_km, mask_rad):
-            out = block_pdop(basis, ecef, radius_km, mask_rad)
-            r = np.linalg.norm(ecef, axis=-1)
-            bound = r * np.cos(geometry._reach(r, radius_km, mask_rad)) - 1e-6
-            culled = sum(int((s @ basis[2] >= b[:, None]).sum()) for s, b in zip(ecef, bound))
+        def recording(basis, ecef, bound, *args):
+            out = block_pdop(basis, ecef, bound, *args)
+            culled = sum(int((s @ basis[2] >= bound).sum()) for s in ecef)
             pairs.append((culled, int(out[0].sum())))
             return out
 
@@ -861,8 +867,8 @@ class TestSampleDigest:
         pdop_samples(spec, grid, window, mask_deg, EARTH)
         assert all(culled == visible for culled, visible in pairs)
         pairs.clear()
-        reach = geometry._reach
-        monkeypatch.setattr(geometry, "_reach", lambda *args: reach(*args) + 0.05)
+        reach = geometry.coverage_half_angle_rad
+        monkeypatch.setattr(geometry, "coverage_half_angle_rad", lambda *args: reach(*args) + 0.05)
         samples = pdop_samples(spec, grid, window, mask_deg, EARTH)
         assert pairs and all(culled > visible for culled, visible in pairs)
         digest = hashlib.sha256(samples.pdop.tobytes() + samples.visible_count.tobytes())

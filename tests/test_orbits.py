@@ -265,8 +265,8 @@ class TestWalkerConstellation:
     def test_star_pattern_geometry(self):
         spec = WalkerSpec(6, 3, phasing=1, altitude_km=1000.0, raan_spread_deg=180.0)
         elements = walker_constellation(spec, EARTH)
-        assert all(len(field) == 6 for field in elements)
-        assert elements.semimajor_km == pytest.approx([EARTH.radius_km + 1000.0] * 6)
+        assert len(elements.raan_rad) == len(elements.initial_anomaly_rad) == 6
+        assert elements.semimajor_km == pytest.approx(EARTH.radius_km + 1000.0)
         assert np.degrees(elements.raan_rad) == pytest.approx([0, 0, 60, 60, 120, 120])
         # in-plane step 360 P / T = 180 deg, inter-plane phase F * 360 / T = 60 deg
         assert np.degrees(elements.initial_anomaly_rad) == pytest.approx(
@@ -299,14 +299,16 @@ class TestWalkerConstellation:
     )
     def test_matches_per_satellite_formula(self, total, planes, phasing, spread):
         spec = WalkerSpec(total, planes, phasing, 600.0, 53.0, spread)
-        assert np.array_equal(
-            np.column_stack(walker_constellation(spec, EARTH)), np.array(walker_oracle(spec))
-        )
+        a, inc, raan, anomaly = walker_constellation(spec, EARTH)
+        oracle = np.array(walker_oracle(spec))
+        assert isinstance(a, float) and isinstance(inc, float)
+        assert np.array_equal(oracle[:, :2], np.broadcast_to([a, inc], (total, 2)))
+        assert np.array_equal(np.column_stack([raan, anomaly]), oracle[:, 2:])
 
     def test_small_body_uses_its_own_radius(self):
         moon = EarthModel(radius_km=1737.4, mu_km3_s2=4902.8, rotation_rate_rad_s=2.6617e-6)
         elements = walker_constellation(WalkerSpec(6, 3, altitude_km=100.0), moon)
-        assert elements.semimajor_km == pytest.approx([1837.4] * 6)
+        assert elements.semimajor_km == pytest.approx(1837.4)
 
 
 class TestPropagation:
